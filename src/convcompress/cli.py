@@ -7,7 +7,8 @@ print a machine-readable JSON report on stdout.  Exit codes: 0 success,
 Conventions: ``--ratio`` always means the retained MAC fraction
 (compressed / original); reports print both that and the saved fraction
 to keep the two conventions apart.  Reruns with identical arguments,
-inputs and ``--seed`` produce byte-identical output containers.
+inputs and ``--seed`` produce byte-identical output containers, given the
+same numpy/BLAS build and the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ def _parse_ranks(text: str) -> tuple[int, ...]:
     return ranks
 
 
+def _map_size(cont: cio.Container, name: str) -> tuple[int, int]:
+    """Feature-map size ``(h, w)`` stored with kernel entry ``name``; 1 x 1
+    when the container holds no such kernel."""
+    if cont.has(name) and cont.entry(name).kind == "kernel":
+        kmeta = cont.entry(name).metadata
+        return kmeta.get("h", 1), kmeta.get("w", 1)
+    return 1, 1
+
+
 def _layer_report(layer: decomp.DecomposedLayer, h: int, w: int) -> dict:
     orig = mac_cost(layer.s, layer.t, layer.k, h, w, "original")
     macs_after = layer.macs(h, w)
@@ -176,9 +186,12 @@ def _cmd_dataopt(args) -> dict:
     if args.mode == "spatial-refine":
         layer = cio.read_layer(cont, f"{args.layer}/decomposed")
         refined = dataopt.spatial_refine(layer, batch)
+        h, w = _map_size(cont, args.layer)
+        if cont.has(args.layer):
+            kernel, _ = cio.read_kernel(cont, args.layer)
+            cio.add_kernel(out, args.layer, kernel, h=h, w=w)
         cio.add_layer(out, f"{args.layer}/decomposed", refined.wrapped)
         report["residual"] = refined.residual
-        h = w = 1
         report.update(_layer_report(refined.wrapped, h, w))
     else:
         kernel, kmeta = cio.read_kernel(cont, args.layer)
@@ -326,11 +339,7 @@ def _cmd_report(args) -> dict:
                 continue
             seen_layers.add(base)
             layer = cio.read_layer(cont, base)
-            h = w = 1
-            kernel_name = base.rsplit("/", 1)[0]
-            if cont.has(kernel_name) and cont.entry(kernel_name).kind == "kernel":
-                kmeta = cont.entry(kernel_name).metadata
-                h, w = kmeta.get("h", 1), kmeta.get("w", 1)
+            h, w = _map_size(cont, base.rsplit("/", 1)[0])
             items.append({"name": base, "kind": "layer", **_layer_report(layer, h, w)})
         elif e.kind in ("patchbatch", "gates", "plan"):
             items.append(

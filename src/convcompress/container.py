@@ -192,10 +192,6 @@ def read_kernel(container: Container, name: str) -> tuple[Kernel4D, dict]:
     return Kernel4D(container.get(name), bias=bias), e.metadata
 
 
-def kernel_names(container: Container) -> list[str]:
-    return [e.name for e in container.entries if e.kind == "kernel"]
-
-
 def add_layer(container: Container, name: str, layer: DecomposedLayer) -> None:
     meta = {
         "method": layer.method,

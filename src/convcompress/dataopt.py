@@ -162,12 +162,6 @@ class RefinedLayer:
         return self.y_mean - self.M @ self.z_mean
 
 
-def _kernel_matrix(kernel) -> Array:
-    if isinstance(kernel, Kernel4D):
-        return kernel.as_matrix()
-    return np.asarray(kernel, dtype=np.float64)
-
-
 def data_svd(kernel: Kernel4D, ref_outputs: Array, r: int) -> RefinedLayer:
     """PCA projection of the layer responses onto their top-``r`` subspace.
 

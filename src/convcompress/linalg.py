@@ -1,11 +1,11 @@
-"""Self-contained dense linear algebra for desk-scale matrices.
+"""Dense linear algebra for desk-scale matrices.
 
-SVD is computed by cyclic one-sided Jacobi rotations on the taller
-orientation of the input: deterministic, no randomization, accurate to
-near machine precision for the matrix sizes this package handles (a few
-thousand rows at most).  Singular-vector signs are fixed so repeated runs
-produce byte-identical factors: the largest-magnitude entry of every U
-column is made nonnegative.
+SVD and the symmetric eigendecomposition call LAPACK through numpy
+(``np.linalg.svd`` / ``np.linalg.eigh``); ridge, reduced-rank regression
+and lasso are built on top.  Singular-vector and eigenvector signs are
+fixed (the largest-magnitude entry of every U / eigenvector column is
+made nonnegative), so reruns with the same inputs, the same numpy/BLAS
+build and the same BLAS thread count produce byte-identical factors.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 Array = np.ndarray
-
-_JACOBI_TOL = 1e-14
-_MAX_SWEEPS = 60
 
 
 def _check_matrix(a, what: str = "matrix") -> Array:
@@ -44,90 +41,22 @@ class SvdResult:
         return self.U[:, :r], self.S[:r], self.V[:, :r]
 
 
-def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
-    """Hestenes one-sided Jacobi on a tall matrix (m >= n).
-
-    Rotates column pairs until all columns are mutually orthogonal;
-    the column norms are then the singular values.
-    """
-    b = a.copy()
-    m, n = b.shape
-    v = np.eye(n)
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                bp = b[:, p]
-                bq = b[:, q]
-                gamma = bp @ bq
-                alpha = bp @ bp
-                beta = bq @ bq
-                if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                tan = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    tan = 1.0
-                cos = 1.0 / np.sqrt(1.0 + tan * tan)
-                sin = cos * tan
-                new_p = cos * bp - sin * bq
-                new_q = sin * bp + cos * bq
-                b[:, p] = new_p
-                b[:, q] = new_q
-                vp = v[:, p].copy()
-                v[:, p] = cos * vp - sin * v[:, q]
-                v[:, q] = sin * vp + cos * v[:, q]
-        if not rotated:
-            break
-    norms = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    b = b[:, order]
-    v = v[:, order]
-    u = np.zeros((m, n))
-    cutoff = max(m, n) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    for j in range(n):
-        if s[j] > cutoff and s[j] > 0.0:
-            u[:, j] = b[:, j] / s[j]
-        else:
-            u[:, j] = _complete_column(u[:, :j])
-    return u, s, v
-
-
-def _complete_column(existing: Array) -> Array:
-    """Deterministic unit vector orthogonal to the given columns."""
-    m = existing.shape[0]
-    for i in range(m):
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        if existing.shape[1]:
-            cand -= existing @ (existing.T @ cand)
-        norm = np.sqrt(cand @ cand)
-        if norm > 0.5:
-            return cand / norm
-    raise RuntimeError("could not complete orthonormal basis")
+def _fix_signs(u: Array, *others: Array) -> tuple[Array, ...]:
+    """Flip columns so the largest-magnitude entry of each ``u`` column is
+    nonnegative; the same columns of ``others`` flip with them."""
+    rows = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[rows, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    return (u * signs, *(o * signs for o in others))
 
 
 def svd(a) -> SvdResult:
-    """Singular value decomposition via one-sided Jacobi.
+    """Thin singular value decomposition (LAPACK via ``np.linalg.svd``).
 
     Returns U (m x p), S (p, descending, nonnegative) and V (n x p) with
     p = min(m, n); reconstruction and orthogonality hold to ~1e-12 relative.
     """
-    m0 = _check_matrix(a)
-    m, n = m0.shape
-    if m >= n:
-        u, s, v = _one_sided_jacobi(m0)
-    else:
-        v, s, u = _one_sided_jacobi(m0.T)
-    # Sign convention for byte-reproducible factors.
-    for j in range(s.size):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
+    u, s, vt = np.linalg.svd(_check_matrix(a), full_matrices=False)
+    u, v = _fix_signs(u, vt.T)
     return SvdResult(U=u, S=s, V=v)
 
 
@@ -135,15 +64,18 @@ def orthonormal_extend(u: Array, r: int) -> Array:
     """Append deterministic orthonormal columns to ``u`` until it has ``r``.
 
     Used when a factor needs more columns than the matrix it came from has
-    singular triplets; the appended directions carry no energy.
+    singular triplets; the appended directions carry no energy.  ``u`` must
+    have orthonormal columns; the new ones come from a QR factorization of
+    ``[u | I]``, whose trailing columns span the complement of ``u``.
     """
     m, p = u.shape
     if r > m:
         raise ValueError(f"cannot extend to {r} orthonormal columns in dimension {m}")
-    out = u
-    while out.shape[1] < r:
-        out = np.column_stack([out, _complete_column(out)])
-    return out
+    if r <= p:
+        return u
+    q, _ = np.linalg.qr(np.column_stack([u, np.eye(m)]))
+    (extra,) = _fix_signs(q[:, p:r])
+    return np.column_stack([u, extra])
 
 
 def pinv(a, rcond: float = 1e-12) -> Array:
@@ -155,7 +87,7 @@ def pinv(a, rcond: float = 1e-12) -> Array:
 
 
 def eig_sym(a, sym_tol: float = 1e-8) -> tuple[Array, Array]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK via ``np.linalg.eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
     eigenvectors in the columns.  Raises on asymmetric input.
@@ -167,44 +99,9 @@ def eig_sym(a, sym_tol: float = 1e-8) -> tuple[Array, Array]:
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.T)) > sym_tol * scale:
         raise ValueError("matrix is not symmetric")
-    w = 0.5 * (m + m.T)
-    q = np.eye(n)
-    for _ in range(_MAX_SWEEPS):
-        off = np.max(np.abs(w - np.diag(np.diag(w)))) if n > 1 else 0.0
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for qi in range(p + 1, n):
-                apq = w[p, qi]
-                if abs(apq) <= _JACOBI_TOL * scale:
-                    continue
-                zeta = (w[qi, qi] - w[p, p]) / (2.0 * apq)
-                tan = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    tan = 1.0
-                cos = 1.0 / np.sqrt(1.0 + tan * tan)
-                sin = cos * tan
-                rp = w[:, p].copy()
-                rq = w[:, qi].copy()
-                w[:, p] = cos * rp - sin * rq
-                w[:, qi] = sin * rp + cos * rq
-                rp = w[p, :].copy()
-                rq = w[qi, :].copy()
-                w[p, :] = cos * rp - sin * rq
-                w[qi, :] = sin * rp + cos * rq
-                gp = q[:, p].copy()
-                q[:, p] = cos * gp - sin * q[:, qi]
-                q[:, qi] = sin * gp + cos * q[:, qi]
-    vals = np.diag(w).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = q[:, order]
-    for j in range(n):
-        col = vecs[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            vecs[:, j] = -col
-    return vals, vecs
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    (vecs,) = _fix_signs(vecs[:, ::-1])
+    return vals[::-1], vecs
 
 
 def default_ridge_eps(z: Array) -> float:

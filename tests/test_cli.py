@@ -1,10 +1,15 @@
 """CLI surface: subcommand flows, exit codes, report fields, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convcompress
 from convcompress.cli import cli_dispatch
 from convcompress.container import (
     Container,
@@ -14,10 +19,11 @@ from convcompress.container import (
     add_sv_tables,
     read_container,
     read_kernel,
+    read_layer,
     write_container,
 )
-from convcompress.dataopt import sample_patches
-from convcompress.kernel import Kernel4D, conv_direct, matricize_spatial
+from convcompress.dataopt import PatchBatch, sample_patches
+from convcompress.kernel import Kernel4D, conv_direct, mac_cost, matricize_spatial
 from convcompress.rankselect import AccTable, GridCosts
 
 
@@ -154,7 +160,7 @@ class TestDataoptCli:
         assert (tmp_path / f"d-{mode}" / "manifest.json").exists()
 
     def test_spatial_refine_flow(self, capsys, model_dir, batch_dir, tmp_path):
-        path, _ = model_dir
+        path, kernel = model_dir
         run(
             capsys, "compress", path, "--layer", "conv1", "--method", "spatial-svd",
             "--rank", "5", "--out", tmp_path / "sp",
@@ -165,6 +171,18 @@ class TestDataoptCli:
         )
         assert code == 0
         assert rep["method"] == "spatial_svd"
+        out = read_container(tmp_path / "spr")
+        _, kmeta = read_kernel(out, "conv1")
+        h, w = kmeta["h"], kmeta["w"]
+        assert (h, w) == (8, 8)
+        layer = read_layer(out, "conv1/decomposed")
+        assert rep["macs_before"] == mac_cost(kernel.s, kernel.t, kernel.k, h, w, "original").macs_original
+        assert rep["macs_after"] == layer.macs(h, w)
+        code, stored, _ = run(capsys, "report", tmp_path / "spr")
+        assert code == 0
+        (item,) = [e for e in stored["entries"] if e["name"] == "conv1/decomposed"]
+        assert item["macs_before"] == rep["macs_before"]
+        assert item["macs_after"] == rep["macs_after"]
 
 
 class TestPruneCli:
@@ -244,6 +262,27 @@ class TestRankSelectCli:
         assert "--acc-table" in err
 
 
+_RERUN = """
+import json, sys
+from convcompress.cli import cli_dispatch
+for argv in json.loads(sys.argv[1]):
+    if cli_dispatch(argv) != 0:
+        sys.exit(f"pipeline failed: {argv}")
+"""
+
+
+def _write_batch(path, kernel, n, rng):
+    x = rng.normal(size=(n, kernel.s * kernel.k * kernel.k))
+    batch = PatchBatch(
+        inputs=x + 0.1 * rng.normal(size=x.shape),
+        ref_outputs=x @ kernel.as_matrix().T + kernel.bias,
+    )
+    c = Container()
+    add_batch(c, "batch", batch)
+    write_container(c, path)
+    return str(path)
+
+
 class TestDeterminism:
     def test_identical_seed_gives_byte_identical_outputs(self, capsys, model_dir, tmp_path):
         path, _ = model_dir
@@ -257,3 +296,44 @@ class TestDeterminism:
             a = (tmp_path / "r1" / fname).read_bytes()
             b = (tmp_path / "r2" / fname).read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reruns_in_fresh_processes_are_byte_identical(self, tmp_path, threads):
+        """Same inputs, same numpy/BLAS build and same BLAS thread count give
+        byte-identical containers across processes.  The 64 x 64 layer makes
+        the asym regression large enough for BLAS to split it across threads
+        (with OpenBLAS its container differs between 1 and 2 threads)."""
+        rng = np.random.default_rng(2020)
+        kernels = {
+            "wide": Kernel4D(rng.normal(size=(64, 64, 3, 3)), bias=rng.normal(size=64)),
+            "thin": Kernel4D(rng.normal(size=(64, 8, 3, 3)), bias=rng.normal(size=64)),
+            "narrow": Kernel4D(rng.normal(size=(16, 16, 3, 3))),
+        }
+        model = Container()
+        for name, kernel in kernels.items():
+            add_kernel(model, name, kernel, h=16, w=16)
+        model_dir = str(tmp_path / "model")
+        write_container(model, model_dir)
+        wide_batch = _write_batch(tmp_path / "wide-batch", kernels["wide"], 500, rng)
+        thin_batch = _write_batch(tmp_path / "thin-batch", kernels["thin"], 400, rng)
+
+        pipelines = {
+            "tucker": ["compress", model_dir, "--layer", "narrow", "--method", "tucker",
+                       "--rank", "8,8"],
+            "asym": ["dataopt", model_dir, "--layer", "wide", "--mode", "asym",
+                     "--batch", wide_batch, "--rank", "24"],
+            "prune": ["prune", model_dir, "--layer", "thin", "--keep", "4", "--batch", thin_batch],
+        }
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        src = str(Path(convcompress.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for run_id in ("a", "b"):
+            argvs = [argv + ["--out", str(tmp_path / f"{name}-{run_id}")]
+                     for name, argv in pipelines.items()]
+            subprocess.run([sys.executable, "-c", _RERUN, json.dumps(argvs)], env=env,
+                           check=True, capture_output=True, timeout=120)
+        for name in pipelines:
+            for fname in ("manifest.json", "blob.bin"):
+                a = (tmp_path / f"{name}-a" / fname).read_bytes()
+                b = (tmp_path / f"{name}-b" / fname).read_bytes()
+                assert a == b, f"{name}/{fname} differs between processes at {threads} threads"

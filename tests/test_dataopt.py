@@ -135,6 +135,18 @@ class TestDataSvd:
         dense = refined_kernel(res)
         assert_allclose(dense.data.reshape(kernel.t, -1), res.M @ kernel.as_matrix(), atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [9, 12, 21])
+    def test_weight_factors_of_rank_deficient_projector(self, seed):
+        """M = U_r U_r^T has t - r zero singular values; factoring it must
+        not depend on completing a basis for them."""
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(200, 16))
+        kernel = Kernel4D(rng.normal(size=(16, 8, 3, 3)))
+        res = data_svd(kernel, y, 8)
+        w1, w2 = weight_factors(res)
+        assert w1.shape == (16, 8)
+        assert_allclose(w1 @ w2, res.M @ kernel.as_matrix(), atol=1e-8)
+
 
 class TestAsymDataSvd:
     def test_reduces_to_data_svd_when_prefix_is_clean(self):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from convcompress.linalg import (
     eig_sym,
     lasso_cd,
+    orthonormal_extend,
     pinv,
     reduced_rank_regression,
     ridge_solve,
@@ -87,6 +88,20 @@ class TestSvd:
         assert_allclose(ap @ a @ ap, ap, atol=1e-9)
         assert_allclose((a @ ap).T, a @ ap, atol=1e-9)
         assert_allclose((ap @ a).T, ap @ a, atol=1e-9)
+
+
+class TestOrthonormalExtend:
+    @pytest.mark.parametrize("seed,m,p,r", [(23, 9, 8, 9), (3, 6, 2, 5), (4, 5, 0, 3)])
+    def test_extends_to_orthonormal_basis(self, seed, m, p, r):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(m, m)))
+        out = orthonormal_extend(q[:, :p], r)
+        assert out.shape == (m, r)
+        assert np.array_equal(out[:, :p], q[:, :p])
+        assert np.max(np.abs(out.T @ out - np.eye(r))) <= 1e-12
+
+    def test_too_many_columns_raises(self):
+        with pytest.raises(ValueError, match="cannot extend"):
+            orthonormal_extend(np.eye(3)[:, :2], 4)
 
 
 class TestEigSym:
