@@ -21,10 +21,12 @@ from .kernel import (
     unmatricize_weight,
 )
 from .linalg import (
+    LassoResult,
     RrrResult,
     SvdResult,
     eig_sym,
     lasso_cd,
+    lasso_gram,
     pinv,
     reduced_rank_regression,
     ridge_solve,

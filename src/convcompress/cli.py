@@ -245,8 +245,8 @@ def _cmd_prune(args) -> dict:
     out.entry(f"{args.layer}/pruned").metadata["kept"] = list(result.kept)
     cio.write_container(out, args.out)
     before = mac_cost(kernel.s, kernel.t, kernel.k, h, w, "original").macs_original
-    after = kernel.k**2 * result.s_prime * kernel.t * h * w
-    return {
+    after = mac_cost(result.s_prime, kernel.t, kernel.k, h, w, "original").macs_original
+    report = {
         "command": "prune",
         "mode": args.mode,
         "layer": args.layer,
@@ -258,6 +258,10 @@ def _cmd_prune(args) -> dict:
         "ratio": 1.0 - after / before,
         "out": args.out,
     }
+    if args.mode == "lasso":
+        report["diagnostics"] = {"lambda": result.lam, "solves": result.solves,
+                                 "sweeps": result.sweeps, "converged": result.converged}
+    return report
 
 
 def _cmd_gates(args) -> dict:

@@ -10,6 +10,8 @@ build and the same BLAS thread count produce byte-identical factors.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,35 +184,75 @@ def reduced_rank_regression(y, z, r: int, eps: float | None = None) -> RrrResult
     return RrrResult(M=m, rank=r, residual=residual)
 
 
+@dataclass(frozen=True)
+class LassoResult:
+    """Coordinate-descent lasso solution with the sweeps it took."""
+
+    beta: Array
+    sweeps: int
+    converged: bool
+
+
+def lasso_gram(
+    g, c, lam: float, beta0=None, tol: float = 1e-8, max_sweeps: int = 10000
+) -> LassoResult:
+    """Lasso in covariance form: ``argmin 0.5*b^T G b - c^T b + lam*||b||_1``.
+
+    With ``G = X^T X`` and ``c = X^T y`` this is the lasso of :func:`lasso_cd`
+    up to a constant.  Soft-threshold updates are swept cyclically, keeping
+    ``q = c - G b`` current so that each update costs O(p), until the
+    largest coefficient change in a sweep is below ``tol``; ``converged`` is
+    False when ``max_sweeps`` ran out first.  ``beta0`` warm-starts the
+    sweeps (default zero).  Coordinates with ``G[j, j] == 0`` (zero-norm
+    columns) keep a zero coefficient.
+    """
+    g = _check_matrix(g, "G")
+    p = g.shape[0]
+    if g.shape != (p, p):
+        raise ValueError(f"G must be square, got {g.shape}")
+    c = np.asarray(c, dtype=np.float64).ravel()
+    if c.size != p:
+        raise ValueError(f"c length {c.size} does not match G size {p}")
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64).ravel()
+    if beta.size != p:
+        raise ValueError(f"beta0 length {beta.size} does not match G size {p}")
+    beta[g.diagonal() == 0.0] = 0.0
+    diag = g.diagonal().tolist()
+    live = [j for j in range(p) if diag[j] != 0.0]
+    q = c - g @ beta
+    rows = list(g)  # G is symmetric: row j is column j
+    b = beta.tolist()
+    for sweep in range(1, max_sweeps + 1):
+        max_change = 0.0
+        for j in live:
+            old = b[j]
+            rho = q.item(j) + diag[j] * old
+            new = math.copysign(abs(rho) - lam, rho) / diag[j] if abs(rho) > lam else 0.0
+            if new != old:
+                q -= rows[j] * (new - old)
+                b[j] = new
+                max_change = max(max_change, abs(new - old))
+        if max_change <= tol:
+            return LassoResult(beta=np.array(b), sweeps=sweep, converged=True)
+    return LassoResult(beta=np.array(b), sweeps=max_sweeps, converged=False)
+
+
 def lasso_cd(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10000) -> Array:
     """Lasso ``argmin 0.5*||y - X b||^2 + lam*||b||_1`` by coordinate descent.
 
-    Soft-threshold updates swept cyclically until the largest coefficient
-    change in a sweep is below ``tol`` (or ``max_sweeps`` is hit).
-    Zero-norm columns keep a zero coefficient.
+    Forms ``X^T X`` and ``X^T y`` and runs :func:`lasso_gram` from zero;
+    warns when ``max_sweeps`` is hit before the largest coefficient change
+    in a sweep drops below ``tol``.  Zero-norm columns keep a zero
+    coefficient.
     """
     x = _check_matrix(x, "X")
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != x.shape[0]:
         raise ValueError(f"y length {y.size} does not match X rows {x.shape[0]}")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    n, p = x.shape
-    col_sq = np.sum(x * x, axis=0)
-    beta = np.zeros(p)
-    resid = y.copy()
-    for _ in range(max_sweeps):
-        max_change = 0.0
-        for j in range(p):
-            if col_sq[j] == 0.0:
-                continue
-            old = beta[j]
-            rho = x[:, j] @ resid + col_sq[j] * old
-            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / col_sq[j]
-            if new != old:
-                resid += x[:, j] * (old - new)
-                beta[j] = new
-            max_change = max(max_change, abs(new - old))
-        if max_change <= tol:
-            break
-    return beta
+    res = lasso_gram(x.T @ x, x.T @ y, lam, tol=tol, max_sweeps=max_sweeps)
+    if not res.converged:
+        warnings.warn(f"lasso_cd stopped at max_sweeps={max_sweeps} before reaching tol={tol}",
+                      RuntimeWarning, stacklevel=2)
+    return res.beta

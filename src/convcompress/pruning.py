@@ -6,6 +6,12 @@ are built from Frobenius-normalized kernel slices, a coordinate-descent
 lasso picks the surviving channels (the penalty is searched upward until
 the sparsity target holds, then bisected down to the smallest feasible
 value), and the kept channels are refit by ordinary least squares.
+
+Patches and responses are centred first, so neither the lasso nor the
+refit has to explain a bias: the refit layer's bias is
+``y_mean - W x_mean``, as in :mod:`dataopt`.  The features' Gram matrix
+and correlations are formed once per call, and each lasso solve of the
+penalty search is warm-started from the previous solve's coefficients.
 """
 
 from __future__ import annotations
@@ -26,13 +32,21 @@ class PruneResult:
     dropped ones (surviving scales are absorbed into the refit weights, so
     kept entries are 1).  ``refit_kernel`` has ``len(kept)`` input channels.
     For the magnitude baseline ``residual`` is the weight norm removed;
-    for the lasso path it is the response reconstruction error.
+    for the lasso path it is the response error of ``refit_kernel``
+    (bias included) on the fitting batch.  The lasso path also reports
+    the penalty ``lam`` it selected with, the number of lasso ``solves``
+    of its penalty search, their total coordinate ``sweeps`` and whether
+    every solve ``converged``; the magnitude baseline runs no solver.
     """
 
     beta: Array
     kept: tuple[int, ...]
     refit_kernel: Kernel4D
     residual: float
+    lam: float | None = None
+    solves: int = 0
+    sweeps: int = 0
+    converged: bool = True
 
     @property
     def s_prime(self) -> int:
@@ -45,16 +59,10 @@ def _channel_features(x: Array, kernel: Kernel4D) -> Array:
     Kernel slices are Frobenius-normalized; all-zero slices give an
     all-zero column (the lasso then never selects that channel).
     """
-    n = x.shape[0]
-    t, s, k = kernel.t, kernel.s, kernel.k
-    cols = np.zeros((n * t, s))
-    for i in range(s):
-        wi = kernel.data[:, i].reshape(t, k * k)
-        norm = np.linalg.norm(wi)
-        if norm == 0.0:
-            continue
-        cols[:, i] = (x[:, i] @ (wi / norm).T).ravel()
-    return cols
+    w = kernel.data.reshape(kernel.t, kernel.s, -1).transpose(1, 2, 0)  # (s, k*k, t)
+    norms = np.linalg.norm(w, axis=(1, 2))
+    wn = w / np.where(norms > 0.0, norms, 1.0)[:, None, None]
+    return np.matmul(x.transpose(1, 0, 2), wn).transpose(1, 2, 0).reshape(-1, kernel.s)
 
 
 def channel_prune(
@@ -70,7 +78,8 @@ def channel_prune(
     ``y`` is the (n, t) response matrix of the uncompressed layer.
     The penalty search starts at ``lambda_init``, doubles until at most
     ``s_prime`` coefficients survive, then bisects 20 steps to the smallest
-    feasible penalty.  Returns after the least-squares refit.
+    feasible penalty.  Returns after the least-squares refit of the
+    centred data; the refit kernel carries the fitted bias.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
     if not 1 <= s_prime < s:
@@ -86,11 +95,15 @@ def channel_prune(
     if lambda_init <= 0:
         raise ValueError("lambda_init must be positive")
 
-    feats = _channel_features(x, kernel)
-    target = y.ravel()
+    x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
+    xc, yc = x - x_mean, y - y_mean
+    feats = _channel_features(xc, kernel)
+    gram, corr = feats.T @ feats, feats.T @ yc.ravel()
+    runs: list[linalg.LassoResult] = []
 
     def solve(lam: float) -> Array:
-        return linalg.lasso_cd(feats, target, lam)
+        runs.append(linalg.lasso_gram(gram, corr, lam, beta0=runs[-1].beta if runs else None))
+        return runs[-1].beta
 
     lam = lambda_init
     beta = solve(lam)
@@ -113,21 +126,26 @@ def channel_prune(
                 hi, best = mid, beta_mid
             else:
                 lo = mid
-        beta = best
+        lam, beta = hi, best
     kept = tuple(int(i) for i in np.flatnonzero(beta))
     if not kept:
         raise RuntimeError("lasso removed every channel; lower lambda_init or raise s_prime")
 
-    design = x[:, kept, :].reshape(x.shape[0], len(kept) * k * k)
+    design = xc[:, kept, :].reshape(x.shape[0], len(kept) * k * k)
     try:
-        refit = linalg.ridge_solve(y.T, design.T, eps=0.0)  # (t, len(kept)*k*k)
+        refit = linalg.ridge_solve(yc.T, design.T, eps=0.0)  # (t, len(kept)*k*k)
     except ValueError:
-        refit = linalg.ridge_solve(y.T, design.T)  # degenerate design: tiny ridge
-    refit_kernel = Kernel4D(refit.reshape(t, len(kept), k, k), bias=kernel.bias)
-    residual = float(np.linalg.norm(y - design @ refit.T))
+        refit = linalg.ridge_solve(yc.T, design.T)  # degenerate design: tiny ridge
+    bias = y_mean - refit @ x_mean[list(kept)].ravel()
+    refit_kernel = Kernel4D(refit.reshape(t, len(kept), k, k), bias=bias)
+    residual = float(np.linalg.norm(yc - design @ refit.T))
     beta_out = np.zeros(s)
     beta_out[list(kept)] = 1.0
-    return PruneResult(beta=beta_out, kept=kept, refit_kernel=refit_kernel, residual=residual)
+    return PruneResult(
+        beta=beta_out, kept=kept, refit_kernel=refit_kernel, residual=residual, lam=lam,
+        solves=len(runs), sweeps=sum(r.sweeps for r in runs),
+        converged=all(r.converged for r in runs),
+    )
 
 
 def magnitude_prune(kernel: Kernel4D, s_prime: int) -> PruneResult:

@@ -166,3 +166,36 @@ def relu_zstep_grid(y: float, a: float, lam: float, lo=-5.0, hi=5.0, step=1e-4) 
     ry = max(y, 0.0)
     obj = (ry - np.maximum(zs, 0.0)) ** 2 + lam * (zs - a) ** 2
     return float(zs[np.argmin(obj)])
+
+
+def lasso_cd_sample_space(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10000):
+    """Lasso ``argmin 0.5*||y - X b||^2 + lam*||b||_1`` by cyclic coordinate
+    descent on the residual vector, one soft-threshold update per column.
+
+    Each update costs a pass over all n rows; zero columns keep a zero
+    coefficient; stops when a sweep changes no coefficient by more than tol.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    resid = np.asarray(y, dtype=np.float64).ravel().copy()
+    n, p = x.shape
+    beta = np.zeros(p)
+    for _ in range(max_sweeps):
+        max_change = 0.0
+        for j in range(p):
+            col_sq = 0.0
+            rho = 0.0
+            for i in range(n):
+                col_sq += x[i, j] * x[i, j]
+                rho += x[i, j] * resid[i]
+            if col_sq == 0.0:
+                continue
+            old = beta[j]
+            rho += col_sq * old
+            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / col_sq
+            for i in range(n):
+                resid[i] += x[i, j] * (old - new)
+            beta[j] = new
+            max_change = max(max_change, abs(new - old))
+        if max_change <= tol:
+            break
+    return beta

@@ -215,6 +215,32 @@ class TestPruneCli:
         assert len(rep["kept"]) <= 3
         assert rep["ratio"] == pytest.approx(1 - len(rep["kept"]) / 4)
 
+    def test_lasso_with_bias_reports_true_residual_and_diagnostics(self, capsys, tmp_path):
+        rng = np.random.default_rng(13)
+        kernel = Kernel4D(rng.normal(size=(6, 5, 3, 3)), bias=rng.normal(scale=5.0, size=6))
+        model = Container()
+        add_kernel(model, "conv1", kernel, h=8, w=8)
+        write_container(model, tmp_path / "model")
+        x = rng.normal(size=(200, 5 * 9)) + 0.5
+        y = x @ kernel.data.reshape(6, -1).T + kernel.bias
+        batch = Container()
+        add_batch(batch, "batch", PatchBatch(inputs=x, ref_outputs=y))
+        write_container(batch, tmp_path / "batch")
+        code, rep, _ = run(
+            capsys, "prune", tmp_path / "model", "--layer", "conv1", "--keep", "4",
+            "--batch", tmp_path / "batch", "--out", tmp_path / "p",
+        )
+        assert code == 0
+        pruned, _ = read_kernel(read_container(tmp_path / "p"), "conv1/pruned")
+        kept_x = x.reshape(200, 5, 9)[:, rep["kept"]].reshape(200, -1)
+        # stored as float32, so the stored layer's error matches to float32 rounding
+        err = np.linalg.norm(y - kept_x @ pruned.data.reshape(6, -1).T - pruned.bias)
+        assert rep["residual"] == pytest.approx(err, rel=1e-4)
+        assert rep["macs_after"] == mac_cost(4, 6, 3, 8, 8, "original").macs_original
+        diag = rep["diagnostics"]
+        assert set(diag) == {"lambda", "solves", "sweeps", "converged"}
+        assert diag["converged"] is True and diag["solves"] >= 1 and diag["sweeps"] >= diag["solves"]
+
 
 class TestGatesCli:
     def test_train_and_store(self, capsys, tmp_path):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from convcompress.linalg import (
     eig_sym,
     lasso_cd,
+    lasso_gram,
     orthonormal_extend,
     pinv,
     reduced_rank_regression,
@@ -14,7 +15,7 @@ from convcompress.linalg import (
     svd,
 )
 
-from _oracles import best_rank1_response_residual, jacobi_eigvals
+from _oracles import best_rank1_response_residual, jacobi_eigvals, lasso_cd_sample_space
 
 
 class TestSvd:
@@ -228,6 +229,7 @@ class TestLassoCd:
         want = np.sign(rho) * np.maximum(np.abs(rho) - lam, 0.0)
         assert_allclose(beta, want, atol=1e-8)
 
+    @pytest.mark.filterwarnings("ignore:lasso_cd stopped at max_sweeps:RuntimeWarning")
     def test_objective_decreases_each_sweep(self):
         """The sweep loop is deterministic from the zero start, so running
         with max_sweeps = n reproduces the state after n sweeps; the
@@ -249,3 +251,77 @@ class TestLassoCd:
         x[:, 1] = 1.0
         beta = lasso_cd(x, np.ones(10), 0.1)
         assert beta[0] == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5, 2.0, 8.0])
+    def test_matches_sample_space_oracle(self, lam):
+        """The covariance-form sweeps follow the residual-vector sweeps."""
+        rng = np.random.default_rng(14)
+        for shape in [(30, 6), (12, 5), (40, 9)]:
+            x = rng.normal(size=shape) + 0.6 * rng.normal(size=(shape[0], 1))
+            x[:, 2] = 0.0
+            y = rng.normal(size=shape[0]) + x[:, :3] @ rng.normal(size=3)
+            assert_allclose(lasso_cd(x, y, lam), lasso_cd_sample_space(x, y, lam), atol=1e-8)
+
+    def test_max_sweeps_is_reported(self):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(25, 8)) + rng.normal(size=(25, 1))
+        y = rng.normal(size=25)
+        res = lasso_gram(x.T @ x, x.T @ y, 0.1, max_sweeps=2)
+        assert (res.sweeps, res.converged) == (2, False)
+        with pytest.warns(RuntimeWarning, match="max_sweeps=2"):
+            assert_allclose(lasso_cd(x, y, 0.1, max_sweeps=2), res.beta, atol=1e-12)
+        done = lasso_gram(x.T @ x, x.T @ y, 0.1)
+        assert done.converged and 2 < done.sweeps < 10000
+
+
+class TestLassoGram:
+    def test_warm_start_reaches_cold_solution(self):
+        """From any start, including a denser one and one with a nonzero
+        coefficient on a zero column, the sweeps reach the cold-start
+        solution."""
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(50, 10)) + 0.5 * rng.normal(size=(50, 1))
+        x[:, 7] = 0.0
+        y = x[:, :4] @ rng.normal(size=4) + 0.1 * rng.normal(size=50)
+        g, c = x.T @ x, x.T @ y
+        for lam in (0.01, 1.0, 10.0):
+            cold = lasso_gram(g, c, lam, tol=1e-13)
+            assert cold.converged
+            starts = [rng.normal(size=10) * 5.0, np.ones(10), cold.beta, np.zeros(10)]
+            for beta0 in starts:
+                warm = lasso_gram(g, c, lam, beta0=beta0, tol=1e-13)
+                assert warm.converged
+                assert_allclose(warm.beta, cold.beta, atol=1e-9)
+                assert warm.beta[7] == 0.0
+
+    def test_warm_start_at_the_solution_takes_one_sweep(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(30, 6))
+        y = rng.normal(size=30)
+        g, c = x.T @ x, x.T @ y
+        cold = lasso_gram(g, c, 0.3, tol=1e-14)
+        again = lasso_gram(g, c, 0.3, beta0=cold.beta, tol=1e-8)
+        assert again.sweeps == 1
+        assert_allclose(again.beta, cold.beta, atol=1e-12)
+
+    def test_beta0_not_modified(self):
+        g = np.array([[2.0, 0.5], [0.5, 1.0]])
+        beta0 = np.array([3.0, -3.0])
+        lasso_gram(g, np.array([1.0, 1.0]), 0.1, beta0=beta0)
+        assert beta0.tolist() == [3.0, -3.0]
+
+    @pytest.mark.parametrize(
+        "g, c, beta0, match",
+        [
+            (np.ones((2, 3)), np.ones(2), None, "square"),
+            (np.eye(2), np.ones(3), None, "c length"),
+            (np.eye(2), np.ones(2), np.ones(3), "beta0 length"),
+        ],
+    )
+    def test_shape_errors(self, g, c, beta0, match):
+        with pytest.raises(ValueError, match=match):
+            lasso_gram(g, c, 0.1, beta0=beta0)
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda"):
+            lasso_gram(np.eye(2), np.ones(2), -1.0)

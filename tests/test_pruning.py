@@ -82,6 +82,42 @@ class TestChannelPrune:
             assert (result.beta[i] != 0.0) == (i in result.kept)
         assert result.refit_kernel.s == len(result.kept)
 
+    def test_residual_is_error_of_returned_layer_with_bias(self):
+        """With a large bias in the responses, the refit layer (bias
+        included) reproduces its reported residual on the fitting batch."""
+        rng = np.random.default_rng(12)
+        t, s, k, n = 6, 5, 3, 200
+        kernel = Kernel4D(rng.normal(size=(t, s, k, k)), bias=rng.normal(scale=5.0, size=t))
+        x = rng.normal(size=(n, s, k * k)) + 0.5
+        y = np.einsum("nsp,tsp->nt", x, kernel.data.reshape(t, s, k * k)) + kernel.bias
+        result = channel_prune(kernel, x, y, s_prime=4)
+        layer = result.refit_kernel
+        pred = x[:, list(result.kept)].reshape(n, -1) @ layer.data.reshape(t, -1).T + layer.bias
+        assert result.residual == pytest.approx(np.linalg.norm(y - pred), rel=1e-12)
+        # the fitted bias is the least-squares intercept: residuals average to zero
+        assert np.max(np.abs((y - pred).mean(axis=0))) <= 1e-10 * np.max(np.abs(y))
+
+    def test_recovers_planted_support_at_64_channels(self):
+        """Slight noise makes every channel enter the first lasso solve, so
+        the full penalty search runs on a 64-channel layer."""
+        kernel, x, y = planted_setup(13, s=64, support=tuple(range(1, 64, 4)), t=64, n=500)
+        noise = 1e-3 * np.random.default_rng(14).normal(size=y.shape)
+        result = channel_prune(kernel, x, y + noise, s_prime=16)
+        assert result.kept == tuple(range(1, 64, 4))
+        assert result.solves > 20
+        # the planted weights alone leave exactly the noise
+        assert result.residual <= np.linalg.norm(noise)
+
+    def test_reports_lasso_diagnostics(self):
+        kernel, x, y = planted_setup(14, support=(0, 1, 2, 3, 4, 5))
+        result = channel_prune(kernel, x, y, s_prime=2)
+        assert result.converged
+        assert result.lam > 1e-4
+        assert 22 <= result.solves <= 221
+        assert result.sweeps >= result.solves
+        again = channel_prune(kernel, x, y, s_prime=2)
+        assert (again.lam, again.solves, again.sweeps) == (result.lam, result.solves, result.sweeps)
+
     def test_all_zero_input_rejected(self):
         kernel, x, y = planted_setup(7)
         with pytest.raises(ValueError, match="zero"):
