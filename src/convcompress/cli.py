@@ -23,12 +23,15 @@ from . import container as cio
 from . import dataopt, decomp, gates as gates_mod, pruning, rankselect
 from .kernel import mac_cost
 
-METHOD_FLAGS = {
-    "weight-svd": "weight_svd",
-    "spatial-svd": "spatial_svd",
-    "cp": "cp",
-    "tucker": "tucker",
-    "tt": "tt",
+#: --method flag -> (method name, extractor(kernel, ranks, seed)).  Each
+#: extractor looks its function up on ``decomp`` when called, so a rebound
+#: (for example traced) function is the one that runs.
+EXTRACTORS = {
+    "weight-svd": ("weight_svd", lambda kernel, ranks, seed: decomp.weight_svd(kernel, *ranks)),
+    "spatial-svd": ("spatial_svd", lambda kernel, ranks, seed: decomp.spatial_svd(kernel, *ranks)),
+    "cp": ("cp", lambda kernel, ranks, seed: decomp.cp_als(kernel, *ranks, seed=seed)),
+    "tucker": ("tucker", lambda kernel, ranks, seed: decomp.tucker_hooi(kernel, *ranks)),
+    "tt": ("tt", lambda kernel, ranks, seed: decomp.tt_svd(kernel, *ranks)),
 }
 
 
@@ -42,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="decompose a kernel (data-free)")
     p.add_argument("input", help="input container directory")
     p.add_argument("--layer", required=True, help="kernel entry name")
-    p.add_argument("--method", required=True, choices=sorted(METHOD_FLAGS))
+    p.add_argument("--method", required=True, choices=sorted(EXTRACTORS))
     p.add_argument("--rank", help="rank r, or r1,r2 / r1,r2,r3 for tucker / tt")
     p.add_argument("--ratio", type=float, help="retained MAC fraction to derive ranks from")
     p.add_argument("--seed", type=int, default=0)
@@ -134,23 +137,14 @@ def _layer_report(layer: decomp.DecomposedLayer, h: int, w: int) -> dict:
 def _cmd_compress(args) -> dict:
     cont = cio.read_container(args.input)
     kernel, kmeta = cio.read_kernel(cont, args.layer)
-    method = METHOD_FLAGS[args.method]
+    method, extract = EXTRACTORS[args.method]
     if (args.rank is None) == (args.ratio is None):
         raise UsageError("exactly one of --rank and --ratio is required")
     if args.rank is not None:
         ranks = _parse_ranks(args.rank)
     else:
         ranks = rankselect.ranks_from_ratio(method, kernel.s, kernel.t, kernel.k, args.ratio)
-    if method == "weight_svd":
-        layer = decomp.weight_svd(kernel, *ranks)
-    elif method == "spatial_svd":
-        layer = decomp.spatial_svd(kernel, *ranks)
-    elif method == "cp":
-        layer = decomp.cp_als(kernel, *ranks, seed=args.seed)
-    elif method == "tucker":
-        layer = decomp.tucker_hooi(kernel, *ranks)
-    else:
-        layer = decomp.tt_svd(kernel, *ranks)
+    layer = extract(kernel, ranks, args.seed)
     out = cio.Container()
     cio.add_kernel(out, args.layer, kernel, h=kmeta.get("h", 1), w=kmeta.get("w", 1))
     cio.add_layer(out, f"{args.layer}/decomposed", layer)
@@ -368,6 +362,12 @@ def _cmd_reconstruct(args) -> dict:
     }
     if cont.has(args.layer):
         original, _ = cio.read_kernel(cont, args.layer)
+        if original.data.shape != recon.data.shape:
+            raise cio.ContainerError(
+                "shape_mismatch",
+                f"kernel {args.layer!r} has shape {original.data.shape}, "
+                f"its layer reconstructs {recon.data.shape}",
+            )
         report["recon_error"] = float(
             np.linalg.norm(recon.data - original.data)
             / max(np.linalg.norm(original.data), 1e-300)

@@ -7,21 +7,23 @@ order.  Arrays come back as float64; the file keeps float32.
 
 Malformed containers raise :class:`ContainerError` with a stable ``code``:
 ``bad_manifest``, ``duplicate_name``, ``shape_mismatch``, ``truncated``,
-``overlap`` or ``missing``.
+``overlap`` or ``missing``.  Decomposed layers are checked against the
+method tables: method, spatial order, rank arity, factor names and shapes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataopt import PatchBatch
-from .decomp import DecomposedLayer
+from .decomp import LAYOUTS, DecomposedLayer
 from .gates import GateVector, HardConcreteGate, VibGate
-from .kernel import Array, Kernel4D
+from .kernel import Array, Kernel4D, factor_shapes
 from .rankselect import AccTable, GridCosts, RankPlan
 
 KINDS = ("kernel", "factor", "patchbatch", "gates", "plan")
@@ -34,6 +36,17 @@ class ContainerError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ints(value, what: str, minimum: int) -> tuple[int, ...]:
+    """``value`` as a tuple of ints >= ``minimum``, else ``bad_manifest``."""
+    if not isinstance(value, list) or not all(_is_int(v) and v >= minimum for v in value):
+        raise ContainerError("bad_manifest", f"{what} must list ints >= {minimum}, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -125,7 +138,7 @@ def read_container(path) -> Container:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
         raise ContainerError("bad_manifest", f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or "entries" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):
         raise ContainerError("bad_manifest", "manifest lacks an entries list")
     blob = bpath.read_bytes()
     entries = []
@@ -135,14 +148,16 @@ def read_container(path) -> Container:
             e = Entry(
                 name=str(raw["name"]),
                 kind=str(raw["kind"]),
-                shape=tuple(int(d) for d in raw["shape"]),
-                byte_offset=int(raw["byte_offset"]),
-                byte_length=int(raw["byte_length"]),
+                shape=_ints(raw["shape"], "shape", 0),
+                byte_offset=raw["byte_offset"],
+                byte_length=raw["byte_length"],
                 metadata=dict(raw.get("metadata", {})),
                 dtype=str(raw.get("dtype", "f32")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ContainerError("bad_manifest", f"malformed entry: {raw!r}") from exc
+        if not (_is_int(e.byte_offset) and _is_int(e.byte_length)):
+            raise ContainerError("bad_manifest", f"entry {e.name!r} has a non-integer byte range")
         if e.kind not in KINDS:
             raise ContainerError("bad_manifest", f"entry {e.name!r} has unknown kind {e.kind!r}")
         if e.dtype != "f32":
@@ -150,9 +165,11 @@ def read_container(path) -> Container:
         if e.name in seen:
             raise ContainerError("duplicate_name", f"duplicate entry name {e.name!r}")
         seen.add(e.name)
-        expected = int(np.prod(e.shape, dtype=np.int64)) * 4 if e.shape else 4
-        if e.shape == (0,) or 0 in e.shape:
-            expected = 0
+        if e.kind == "kernel" and not all(
+            _is_int(e.metadata.get(dim, 1)) and e.metadata.get(dim, 1) >= 1 for dim in ("h", "w")
+        ):
+            raise ContainerError("bad_manifest", f"kernel {e.name!r}: h and w must be positive ints")
+        expected = math.prod(e.shape) * 4
         if e.byte_length != expected:
             raise ContainerError(
                 "shape_mismatch",
@@ -189,7 +206,10 @@ def read_kernel(container: Container, name: str) -> tuple[Kernel4D, dict]:
     if e.kind != "kernel":
         raise ContainerError("bad_manifest", f"entry {name!r} is not a kernel")
     bias = container.get(f"{name}/bias") if container.has(f"{name}/bias") else None
-    return Kernel4D(container.get(name), bias=bias), e.metadata
+    try:
+        return Kernel4D(container.get(name), bias=bias), e.metadata
+    except ValueError as exc:
+        raise ContainerError("shape_mismatch", f"kernel {name!r}: {exc}") from exc
 
 
 def add_layer(container: Container, name: str, layer: DecomposedLayer) -> None:
@@ -209,6 +229,11 @@ def add_layer(container: Container, name: str, layer: DecomposedLayer) -> None:
 
 
 def read_layer(container: Container, name: str) -> DecomposedLayer:
+    """Read the layer stored under ``name/`` and check it against the method
+    tables: ``bad_manifest`` for an unknown method or order, a wrong rank
+    arity, factors that disagree on the layer metadata or the wrong factor
+    names; ``shape_mismatch`` for factor or bias shapes the ranks do not give.
+    """
     prefix = f"{name}/"
     picked = [
         e
@@ -217,18 +242,47 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
     ]
     if not picked:
         raise ContainerError("missing", f"no factor entries under {name!r}")
-    picked.sort(key=lambda e: e.metadata.get("position", 0))
-    meta0 = picked[0].metadata
-    factors = {e.metadata["factor"]: container.get(e.name) for e in picked}
+    keys = ("method", "ranks", "source_dims", "order")
+    meta = {key: picked[0].metadata.get(key) for key in keys}
+    if any({key: e.metadata.get(key) for key in keys} != meta for e in picked):
+        raise ContainerError("bad_manifest", f"factors of {name!r} disagree on {keys}")
+    method, order = meta["method"], meta["order"]
+    orders = LAYOUTS.get(method, {}) if isinstance(method, str) else {}
+    if not isinstance(order, (str, type(None))) or order not in orders:
+        raise ContainerError("bad_manifest", f"{name!r}: no layout for {method!r}, order {order!r}")
+    layout = orders[order]
+    ranks = _ints(meta["ranks"], f"{name!r} ranks", 1)
+    dims = _ints(meta["source_dims"], f"{name!r} source_dims", 1)
+    if len(dims) != 3:
+        raise ContainerError("bad_manifest", f"{name!r}: source_dims must be [t, s, k]")
+    t, s, k = dims
+    try:
+        shapes = factor_shapes(method, s, t, k, ranks)
+    except ValueError as exc:
+        raise ContainerError("bad_manifest", f"{name!r}: {exc}") from exc
+    names = [e.metadata.get("factor") for e in picked]
+    if not all(isinstance(n, str) for n in names) or sorted(names) != sorted(layout.stages):
+        raise ContainerError(
+            "bad_manifest", f"{name!r} stores factors {names}, {method} has {list(layout.stages)}"
+        )
+    entries = dict(zip(names, picked))
+    for fname, shape in zip(layout.stages, shapes):
+        if entries[fname].shape != shape:
+            raise ContainerError(
+                "shape_mismatch",
+                f"{name!r} factor {fname!r} has shape {entries[fname].shape}, "
+                f"ranks {list(ranks)} give {shape}",
+            )
     bias = container.get(f"{name}/bias") if container.has(f"{name}/bias") else None
-    lmeta = {"order": meta0["order"]} if "order" in meta0 else {}
+    if bias is not None and bias.shape != (t,):
+        raise ContainerError("shape_mismatch", f"{name!r} bias has shape {bias.shape}, not ({t},)")
     return DecomposedLayer(
-        method=meta0["method"],
-        factors=factors,
-        ranks=tuple(meta0["ranks"]),
-        source_dims=tuple(meta0["source_dims"]),
+        method=method,
+        factors={fname: container.get(entries[fname].name) for fname in layout.stages},
+        ranks=ranks,
+        source_dims=dims,
         bias=bias,
-        meta=lmeta,
+        meta={} if order is None else {"order": order},
     )
 
 

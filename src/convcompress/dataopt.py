@@ -392,7 +392,7 @@ def spatial_refine(
     yc = (batch.ref_outputs - y_mean).T
     zc = (z - z_mean).T
     m = linalg.ridge_solve(yc, zc, eps=eps)
-    second_name = "wv" if layer.meta.get("order", "hv") == "hv" else "wh"
+    second_name = list(layer.layout.stages)[1]
     new_second = np.einsum("ut,rxt->rxu", m, layer.factors[second_name])
     refined = with_factors(layer, **{second_name: new_second})
     refined = replace(refined, meta={**layer.meta, "refined": True})

@@ -18,7 +18,9 @@ pass, and exact reconstruction of the approximate kernel:
 The composite ``asym3d`` architecture produced by the data-optimized module
 also dispatches through :func:`decomposed_forward` and :func:`reconstruct`.
 
-Factor array layouts (all float64):
+Factor array layouts (all float64), in stage order.  The shapes are the
+entries of :data:`convcompress.kernel.METHOD_COSTS`; the names, the
+reconstruction einsum and the stages are the entries of :data:`LAYOUTS`:
 
 =============  =====================================================
 method         factors
@@ -35,14 +37,15 @@ asym3d         wv (s, k, r_s); wh (r_s, k, r_d); wp (r_d, t)
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .kernel import Array, Kernel4D, feature_map, matricize_spatial, matricize_weight
-
-DECOMP_METHODS = ("weight_svd", "spatial_svd", "cp", "tucker", "tt", "asym3d")
+from .kernel import Array, Kernel4D, conv_direct, feature_map, matricize_spatial, matricize_weight
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class DecomposedLayer:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in DECOMP_METHODS:
+        if self.method not in LAYOUTS:
             raise ValueError(f"unknown method {self.method!r}")
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(
@@ -86,25 +89,12 @@ class DecomposedLayer:
 
     def macs(self, h: int, w: int) -> int:
         """MACs of the staged forward pass on an (h, w) feature map."""
-        t, s, k = self.source_dims
-        wh = h * w
-        if self.method == "weight_svd":
-            (r,) = self.ranks
-            return (k * k * s + t) * r * wh
-        if self.method == "spatial_svd":
-            (r,) = self.ranks
-            return (k * s + k * t) * r * wh
-        if self.method == "cp":
-            (r,) = self.ranks
-            return (s + 2 * k + t) * r * wh
-        if self.method == "tucker":
-            r1, r2 = self.ranks
-            return (s * r1 + k * k * r1 * r2 + t * r2) * wh
-        if self.method == "tt":
-            r1, r2, r3 = self.ranks
-            return (s * r1 + k * r1 * r2 + k * r2 * r3 + r3 * t) * wh
-        rs, rd = self.ranks  # asym3d: k x 1, 1 x k, then 1 x 1
-        return (k * s * rs + k * rs * rd + rd * t) * wh
+        return self.param_count() * h * w
+
+    @property
+    def layout(self) -> Layout:
+        """This layer's entry of :data:`LAYOUTS`."""
+        return LAYOUTS[self.method][self.meta.get("order")]
 
 
 def _svd_rank_check(r: int, bound: int, what: str) -> None:
@@ -155,10 +145,10 @@ def spatial_svd(kernel: Kernel4D, r: int, order: str = "hv") -> DecomposedLayer:
     root = np.sqrt(sr)
     first = (ur * root).reshape(s, k, r)
     second = (root[:, None] * vr.T).reshape(r, t, k).transpose(0, 2, 1)
-    names = ("wh", "wv") if order == "hv" else ("wv", "wh")
+    names = LAYOUTS["spatial_svd"][order].stages
     return DecomposedLayer(
         method="spatial_svd",
-        factors={names[0]: first, names[1]: second},
+        factors=dict(zip(names, (first, second))),
         ranks=(r,),
         source_dims=(t, s, k),
         bias=kernel.bias,
@@ -333,28 +323,7 @@ def tt_svd(kernel: Kernel4D, r1: int, r2: int, r3: int) -> DecomposedLayer:
     )
 
 
-def reconstruct(layer: DecomposedLayer) -> Kernel4D:
-    """Evaluate the factorization back into a dense (t, s, k, k) kernel."""
-    f = layer.factors
-    if layer.method == "weight_svd":
-        data = np.einsum("xysr,rt->tsxy", f["w1"], f["w2"])
-    elif layer.method == "spatial_svd":
-        if layer.meta.get("order", "hv") == "hv":
-            data = np.einsum("sxr,ryt->tsxy", f["wh"], f["wv"])
-        else:
-            data = np.einsum("syr,rxt->tsxy", f["wv"], f["wh"])
-    elif layer.method == "cp":
-        data = np.einsum("sr,yr,xr,tr->tsxy", f["ws"], f["wy"], f["wx"], f["wt"])
-    elif layer.method == "tucker":
-        data = np.einsum("xyab,sa,tb->tsxy", f["core"], f["w1"], f["w2"])
-    elif layer.method == "tt":
-        data = np.einsum("sa,axb,byc,ct->tsxy", f["w1"], f["w2"], f["w3"], f["w4"])
-    else:  # asym3d
-        data = np.einsum("syr,rxd,dt->tsxy", f["wv"], f["wh"], f["wp"])
-    return Kernel4D(np.ascontiguousarray(data), bias=layer.bias)
-
-
-def _conv_1d(x: Array, w: Array, axis: int) -> Array:
+def _conv_1d(w: Array, x: Array, axis: int) -> Array:
     """1-D convolution of (c_in, h, w) along a spatial axis with zero padding.
 
     ``w`` has shape (c_in, k, c_out); stride 1, output spatial dims unchanged.
@@ -375,12 +344,22 @@ def _conv_1d(x: Array, w: Array, axis: int) -> Array:
     return out
 
 
-def _conv_1x1(x: Array, w: Array) -> Array:
+def _conv_1x1(w: Array, x: Array) -> Array:
     """Pointwise channel mix: ``w`` has shape (c_in, c_out)."""
     return np.einsum("co,cab->oab", w, x)
 
 
-def _depthwise_1d(x: Array, w: Array, axis: int) -> Array:
+def _conv_1x1_rows(w: Array, x: Array) -> Array:
+    """Pointwise channel mix: ``w`` has shape (c_out, c_in)."""
+    return np.einsum("tr,rab->tab", w, x)
+
+
+def _conv_kxk(w: Array, x: Array) -> Array:
+    """Full k x k convolution: ``w`` has shape (k, k, c_in, c_out)."""
+    return conv_direct(Kernel4D(w.transpose(3, 2, 0, 1)), x)
+
+
+def _depthwise_1d(w: Array, x: Array, axis: int) -> Array:
     """Per-channel 1-D convolution; ``w`` has shape (k, channels)."""
     k = w.shape[0]
     d = (k - 1) // 2
@@ -398,6 +377,56 @@ def _depthwise_1d(x: Array, w: Array, axis: int) -> Array:
     return out
 
 
+_along_x = partial(_conv_1d, axis=1)
+_along_y = partial(_conv_1d, axis=2)
+
+
+class Layout(NamedTuple):
+    """Decomposition-side table entry: each factor's stage, keyed by factor
+    name in stage order, and the einsum that densifies the factors into
+    (t, s, x, y), taking them in ``operands`` order (else in stage order)."""
+
+    stages: dict[str, Callable[[Array, Array], Array]]
+    subscripts: str
+    operands: tuple[str, ...] = ()
+
+
+_SPATIAL_HV = Layout({"wh": _along_x, "wv": _along_y}, "sxr,ryt->tsxy")
+
+#: method -> spatial order -> layout.  The order is the layer's
+#: ``meta["order"]``, None when the meta names none.
+LAYOUTS: dict[str, dict[str | None, Layout]] = {
+    "weight_svd": {None: Layout({"w1": _conv_kxk, "w2": _conv_1x1}, "xysr,rt->tsxy")},
+    "spatial_svd": {
+        None: _SPATIAL_HV,
+        "hv": _SPATIAL_HV,
+        "vh": Layout({"wv": _along_y, "wh": _along_x}, "syr,rxt->tsxy"),
+    },
+    "cp": {None: Layout(
+        {"ws": _conv_1x1, "wy": partial(_depthwise_1d, axis=2),
+         "wx": partial(_depthwise_1d, axis=1), "wt": _conv_1x1_rows},
+        "sr,yr,xr,tr->tsxy",
+    )},
+    "tucker": {None: Layout(
+        {"w1": _conv_1x1, "core": _conv_kxk, "w2": _conv_1x1_rows},
+        "xyab,sa,tb->tsxy",
+        operands=("core", "w1", "w2"),
+    )},
+    "tt": {None: Layout(
+        {"w1": _conv_1x1, "w2": _along_x, "w3": _along_y, "w4": _conv_1x1}, "sa,axb,byc,ct->tsxy"
+    )},
+    # vertical (s -> r_s), horizontal (r_s -> r_d), pointwise (r_d -> t)
+    "asym3d": {None: Layout({"wv": _along_y, "wh": _along_x, "wp": _conv_1x1}, "syr,rxd,dt->tsxy")},
+}
+
+
+def reconstruct(layer: DecomposedLayer) -> Kernel4D:
+    """Evaluate the factorization back into a dense (t, s, k, k) kernel."""
+    lay = layer.layout
+    data = np.einsum(lay.subscripts, *(layer.factors[n] for n in lay.operands or lay.stages))
+    return Kernel4D(np.ascontiguousarray(data), bias=layer.bias)
+
+
 def decomposed_forward(layer: DecomposedLayer, x: Array) -> Array:
     """Run the staged pipeline of a decomposed layer on a feature map.
 
@@ -407,39 +436,9 @@ def decomposed_forward(layer: DecomposedLayer, x: Array) -> Array:
     x = feature_map(x)
     if x.shape[0] != layer.s:
         raise ValueError(f"input has {x.shape[0]} channels, layer expects {layer.s}")
-    f = layer.factors
-    if layer.method == "weight_svd":
-        from .kernel import conv_direct
-
-        stage1 = Kernel4D(f["w1"].transpose(3, 2, 0, 1))  # (r, s, k, k)
-        return _conv_1x1(conv_direct(stage1, x), f["w2"])
-    if layer.method == "spatial_svd":
-        if layer.meta.get("order", "hv") == "hv":
-            mid = _conv_1d(x, f["wh"], axis=1)
-            return _conv_1d(mid, f["wv"], axis=2)
-        mid = _conv_1d(x, f["wv"], axis=2)
-        return _conv_1d(mid, f["wh"], axis=1)
-    if layer.method == "cp":
-        mid = _conv_1x1(x, f["ws"])
-        mid = _depthwise_1d(mid, f["wy"], axis=2)
-        mid = _depthwise_1d(mid, f["wx"], axis=1)
-        return np.einsum("tr,rab->tab", f["wt"], mid)
-    if layer.method == "tucker":
-        from .kernel import conv_direct
-
-        mid = _conv_1x1(x, f["w1"])
-        core_kernel = Kernel4D(f["core"].transpose(3, 2, 0, 1))  # (r2, r1, k, k)
-        mid = conv_direct(core_kernel, mid)
-        return np.einsum("tb,bxy->txy", f["w2"], mid)
-    if layer.method == "tt":
-        mid = _conv_1x1(x, f["w1"])
-        mid = _conv_1d(mid, f["w2"], axis=1)
-        mid = _conv_1d(mid, f["w3"], axis=2)
-        return _conv_1x1(mid, f["w4"])
-    # asym3d: vertical (s -> r_s), horizontal (r_s -> r_d), pointwise (r_d -> t)
-    mid = _conv_1d(x, f["wv"], axis=2)
-    mid = _conv_1d(mid, f["wh"], axis=1)
-    return _conv_1x1(mid, f["wp"])
+    for name, stage in layer.layout.stages.items():
+        x = stage(layer.factors[name], x)
+    return x
 
 
 def with_factors(layer: DecomposedLayer, **updates: Array) -> DecomposedLayer:

@@ -21,7 +21,7 @@ draw for replay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,8 +185,8 @@ def prune_by_gates(
 ) -> GatePruneResult:
     """Drop output channels whose gate criterion falls below ``threshold``.
 
-    Reports the achieved MAC reduction of the slimmed layer (same formula
-    family as the cost model, with t reduced to the kept count).
+    Reports the achieved MAC reduction: the cost model's original layer
+    with t reduced to the kept count.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -201,13 +201,13 @@ def prune_by_gates(
         bias=None if kernel.bias is None else kernel.bias[list(kept)].copy(),
     )
     orig = mac_cost(kernel.s, kernel.t, kernel.k, h, w, "original")
-    cost = LayerCost(
+    slim = mac_cost(kernel.s, len(kept), kernel.k, h, w, "original")
+    cost = replace(
+        orig,
         method="gate_prune",
         ranks=(len(kept),),
-        macs_original=orig.macs_original,
-        params_original=orig.params_original,
-        macs_compressed=kernel.k * kernel.k * kernel.s * len(kept) * h * w,
-        params_compressed=kernel.k * kernel.k * kernel.s * len(kept),
+        macs_compressed=slim.macs_original,
+        params_compressed=slim.params_original,
     )
     return GatePruneResult(kernel=pruned, kept=kept, cost=cost)
 

@@ -13,21 +13,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 Array = np.ndarray
-
-#: Decomposition methods known to the cost model, with their rank arity.
-METHOD_RANK_ARITY = {
-    "original": 0,
-    "weight_svd": 1,
-    "spatial_svd": 1,
-    "cp": 1,
-    "tucker": 2,
-    "tt": 3,
-}
 
 
 def _require_finite(a: Array, what: str) -> None:
@@ -186,19 +179,72 @@ class LayerCost:
         return self.macs_compressed / self.macs_original
 
 
-def _check_rank_bounds(method: str, ranks: tuple[int, ...], s: int, t: int, k: int) -> None:
-    if any(r < 1 for r in ranks):
-        raise ValueError(f"ranks must be >= 1, got {ranks}")
-    if method == "weight_svd" and ranks[0] > min(k * k * s, t):
-        raise ValueError(f"weight SVD rank {ranks[0]} exceeds min(k^2*s, t) = {min(k * k * s, t)}")
-    if method == "spatial_svd" and ranks[0] > min(s * k, t * k):
-        raise ValueError(f"spatial SVD rank {ranks[0]} exceeds min(s*k, t*k) = {min(s * k, t * k)}")
-    if method == "tucker":
-        if ranks[0] > s or ranks[1] > t:
-            raise ValueError(f"tucker ranks {ranks} exceed (s, t) = ({s}, {t})")
-    if method == "tt":
-        if ranks[0] > s or ranks[2] > t:
-            raise ValueError(f"tt ranks {ranks} violate r1 <= s = {s}, r3 <= t = {t}")
+class MethodCost(NamedTuple):
+    """Cost-side table entry: rank names, ``shapes(s, t, k, *ranks)`` of the
+    stored factors in stage order, ``limits(s, t, k)`` on each rank (None:
+    unbounded) and ``top(s, t, k)``, the largest usable ranks if not the limits."""
+
+    ranks: tuple[str, ...]
+    shapes: Callable[..., tuple[tuple[int, ...], ...]]
+    limits: Callable[[int, int, int], tuple[int | None, ...]]
+    top: Callable[[int, int, int], tuple[int, ...]] | None = None
+
+
+def _tt_top(s: int, t: int, k: int) -> tuple[int, int, int]:
+    r1 = min(s, k * k * t)
+    r2 = min(r1 * k, k * t)
+    return r1, r2, min(r2 * k, t)
+
+
+#: One entry per method.  Every stage is a stride-1, same-padded convolution,
+#: so each stored factor entry costs one MAC per output pixel.
+METHOD_COSTS: dict[str, MethodCost] = {
+    "original": MethodCost((), lambda s, t, k: ((t, s, k, k),), lambda s, t, k: ()),
+    "weight_svd": MethodCost(
+        ("r",), lambda s, t, k, r: ((k, k, s, r), (r, t)), lambda s, t, k: (min(k * k * s, t),)
+    ),
+    "spatial_svd": MethodCost(
+        ("r",), lambda s, t, k, r: ((s, k, r), (r, k, t)), lambda s, t, k: (min(s * k, t * k),)
+    ),
+    "cp": MethodCost(
+        ("r",), lambda s, t, k, r: ((s, r), (k, r), (k, r), (t, r)), lambda s, t, k: (None,),
+        top=lambda s, t, k: (min(k * k * t, s * k * t, s * k * k),),
+    ),
+    "tucker": MethodCost(
+        ("r1", "r2"), lambda s, t, k, r1, r2: ((s, r1), (k, k, r1, r2), (t, r2)),
+        lambda s, t, k: (s, t),
+    ),
+    "tt": MethodCost(
+        ("r1", "r2", "r3"),
+        lambda s, t, k, r1, r2, r3: ((s, r1), (r1, k, r2), (r2, k, r3), (r3, t)),
+        lambda s, t, k: (s, None, t),
+        top=_tt_top,
+    ),
+    "asym3d": MethodCost(
+        ("rs", "rd"), lambda s, t, k, rs, rd: ((s, k, rs), (rs, k, rd), (rd, t)),
+        lambda s, t, k: (min(s * k, t * k), t),
+    ),
+}
+
+#: Methods known to the cost model, with their rank arity.
+METHOD_RANK_ARITY = {method: len(cost.ranks) for method, cost in METHOD_COSTS.items()}
+
+
+def _method_cost(method: str) -> MethodCost:
+    if method not in METHOD_COSTS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHOD_COSTS[method]
+
+
+def factor_shapes(
+    method: str, s: int, t: int, k: int, ranks: tuple[int, ...] = ()
+) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the factors ``method`` stores at ``ranks``, in stage order.
+    Checks the method and the rank arity, not the rank limits."""
+    cost = _method_cost(method)
+    if len(ranks) != len(cost.ranks):
+        raise ValueError(f"method {method!r} takes {len(cost.ranks)} rank(s), got {len(ranks)}")
+    return cost.shapes(s, t, k, *ranks)
 
 
 def mac_cost(
@@ -206,49 +252,24 @@ def mac_cost(
 ) -> LayerCost:
     """Exact integer MAC/parameter counts for a layer compressed by ``method``.
 
-    ``ranks`` arity must match the method (0 for ``original``, 1 for the
-    single-rank methods, 2 for ``tucker``, 3 for ``tt``).
+    ``ranks`` arity must match the method (:data:`METHOD_RANK_ARITY`).  The
+    parameters are the stored factor entries, and MACs = parameters * h * w.
     """
-    if method not in METHOD_RANK_ARITY:
-        raise ValueError(f"unknown method {method!r}")
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != METHOD_RANK_ARITY[method]:
-        raise ValueError(
-            f"method {method!r} takes {METHOD_RANK_ARITY[method]} rank(s), got {len(ranks)}"
-        )
-    _check_rank_bounds(method, ranks, s, t, k)
-
-    macs_orig = k * k * s * t * h * w
-    params_orig = k * k * s * t
-    if method == "original":
-        macs, params = macs_orig, params_orig
-    elif method == "weight_svd":
-        (r,) = ranks
-        macs = (k * k * w * h * s + w * h * t) * r
-        params = (k * k * s + t) * r
-    elif method == "spatial_svd":
-        (r,) = ranks
-        macs = (k * w * h * s + k * w * h * t) * r
-        params = (k * s + k * t) * r
-    elif method == "cp":
-        (r,) = ranks
-        macs = (s * w * h + 2 * k * w * h + t * w * h) * r
-        params = (2 * k + s + t) * r
-    elif method == "tucker":
-        r1, r2 = ranks
-        macs = s * r1 * w * h + k * k * r1 * r2 * w * h + t * r2 * w * h
-        params = s * r1 + k * k * r1 * r2 + t * r2
-    else:  # tt
-        r1, r2, r3 = ranks
-        macs = s * r1 * w * h + k * r1 * r2 * w * h + k * r2 * r3 * w * h + r3 * t * w * h
-        params = s * r1 + k * r1 * r2 + k * r2 * r3 + r3 * t
-
+    shapes = factor_shapes(method, s, t, k, ranks)
+    if any(r < 1 for r in ranks):
+        raise ValueError(f"ranks must be >= 1, got {ranks}")
+    cost = METHOD_COSTS[method]
+    for name, r, bound in zip(cost.ranks, ranks, cost.limits(s, t, k)):
+        if bound is not None and r > bound:
+            raise ValueError(f"{method} rank {name}={r} exceeds {bound} at (s, t, k)={(s, t, k)}")
+    params = sum(math.prod(shape) for shape in shapes)
     return LayerCost(
         method=method,
         ranks=ranks,
-        macs_original=macs_orig,
-        params_original=params_orig,
-        macs_compressed=macs,
+        macs_original=k * k * s * t * h * w,
+        params_original=k * k * s * t,
+        macs_compressed=params * h * w,
         params_compressed=params,
     )
 
@@ -260,20 +281,8 @@ def max_ranks(method: str, s: int, t: int, k: int) -> tuple[int, ...]:
     product of three of the four mode sizes); for ``tt`` the bounds chain
     through the sequential unfoldings.
     """
-    if method == "weight_svd":
-        return (min(k * k * s, t),)
-    if method == "spatial_svd":
-        return (min(s * k, t * k),)
-    if method == "cp":
-        return (min(k * k * t, s * k * t, s * k * k),)
-    if method == "tucker":
-        return (s, t)
-    if method == "tt":
-        r1 = min(s, k * k * t)
-        r2 = min(r1 * k, k * t)
-        r3 = min(r2 * k, t)
-        return (r1, r2, r3)
-    raise ValueError(f"unknown method {method!r}")
+    cost = _method_cost(method)
+    return (cost.top or cost.limits)(s, t, k)
 
 
 def aggregate_ratio(costs: list[LayerCost]) -> float:

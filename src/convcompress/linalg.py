@@ -142,6 +142,8 @@ def ridge_solve(y, z, eps: float | None = None) -> Array:
         eps = default_ridge_eps(z)
     if eps < 0:
         raise ValueError("eps must be >= 0")
+    if eps == 0 and z.shape[0] > z.shape[1]:
+        raise ValueError("singular system: Z has more rows than columns and eps is 0")
     vals, vecs = _spd_inverse_factors(z @ z.T, eps)
     inv_vals = np.where(vals > 0, 1.0 / np.where(vals > 0, vals, 1.0), 0.0)
     return (y @ z.T) @ (vecs * inv_vals) @ vecs.T

@@ -325,3 +325,15 @@ class TestLassoGram:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
             lasso_gram(np.eye(2), np.ones(2), -1.0)
+
+
+class TestRidgeSingularGuard:
+    def test_more_rows_than_columns_raises_before_eigendecomposing(self, monkeypatch):
+        import convcompress.linalg as la
+
+        calls = []
+        monkeypatch.setattr(la, "eig_sym", lambda *a, **kw: calls.append(a))
+        z = np.random.default_rng(0).normal(size=(7, 5))
+        with pytest.raises(ValueError, match="singular system"):
+            ridge_solve(np.ones((2, 5)), z, eps=0.0)
+        assert calls == []

@@ -160,3 +160,29 @@ class TestMagnitudePrune:
         result = magnitude_prune(kernel, s_prime=4)
         assert result.kept == (0, 1, 2, 3)
         assert np.array_equal(result.refit_kernel.data, kernel.data)
+
+
+class TestRefitSolves:
+    def test_wide_design_is_solved_once(self, monkeypatch):
+        """Keeping 60 of 64 channels with 500 patches gives a 540-column
+        design: the exact solve is refused before any eigendecomposition, and
+        only the ridged fallback eigendecomposes the 540 x 540 system."""
+        from convcompress import linalg
+
+        rng = np.random.default_rng(13)
+        s = t = 64
+        k, n = 3, 500
+        kernel = Kernel4D(rng.normal(size=(t, s, k, k)))
+        x = rng.normal(size=(n, s, k * k))
+        y = np.einsum("nsp,tsp->nt", x, kernel.data.reshape(t, s, k * k))
+        shapes = []
+        eig_sym = linalg.eig_sym
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eig_sym(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eig_sym", counting)
+        result = channel_prune(kernel, x, y, s_prime=60)
+        assert len(result.kept) == 60
+        assert shapes.count((540, 540)) == 1
