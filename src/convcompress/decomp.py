@@ -18,6 +18,10 @@ pass, and exact reconstruction of the approximate kernel:
 The composite ``asym3d`` architecture produced by the data-optimized module
 also dispatches through :func:`decomposed_forward` and :func:`reconstruct`.
 
+Contractions run pairwise on BLAS: CP-ALS forms each MTTKRP as an unfolding
+times a Khatri-Rao product, HOOI projects with matrix products, and
+:func:`reconstruct` contracts a layout's factors left to right.
+
 Factor array layouts (all float64), in stage order.  The shapes are the
 entries of :data:`convcompress.kernel.METHOD_COSTS`; the names, the
 reconstruction einsum and the stages are the entries of :data:`LAYOUTS`:
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -169,6 +173,15 @@ def _solve_gram(gram: Array, rhs: Array) -> Array:
     return rhs @ inv
 
 
+def _khatri_rao(*mats: Array) -> Array:
+    """Column-wise Kronecker product: row ``(i, j, ...)`` of the result, in C
+    order, is the elementwise product of row i, row j, ... of the inputs."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, None, :] * m[None, :, :]).reshape(-1, m.shape[1])
+    return out
+
+
 def cp_als(
     kernel: Kernel4D,
     r: int,
@@ -187,42 +200,34 @@ def cp_als(
     if r < 1:
         raise ValueError(f"CP rank must be >= 1, got {r}")
     t, s, k = kernel.t, kernel.s, kernel.k
-    tens = kernel.data.transpose(1, 3, 2, 0).copy()  # (s, y, x, t)
-    norm_t = float(np.linalg.norm(tens))
+    tens = kernel.data.transpose(1, 3, 2, 0)  # (s, y, x, t)
+    # mode-n unfoldings, the other modes kept in (s, y, x, t) order
+    unf = [np.moveaxis(tens, mode, 0).reshape(tens.shape[mode], -1) for mode in range(4)]
+    norm_t = float(np.linalg.norm(unf[0]))
     rng = np.random.default_rng(seed)
-    ws = np.empty((s, r))
-    wy = rng.uniform(-1.0, 1.0, size=(k, r))
-    wx = rng.uniform(-1.0, 1.0, size=(k, r))
-    wt = rng.uniform(-1.0, 1.0, size=(t, r))
-
-    def mttkrp(mode: int) -> Array:
-        if mode == 0:
-            return np.einsum("syxt,yr,xr,tr->sr", tens, wy, wx, wt)
-        if mode == 1:
-            return np.einsum("syxt,sr,xr,tr->yr", tens, ws, wx, wt)
-        if mode == 2:
-            return np.einsum("syxt,sr,yr,tr->xr", tens, ws, wy, wt)
-        return np.einsum("syxt,sr,yr,xr->tr", tens, ws, wy, wx)
+    # ws is solved first, so only the other three need a start
+    fs = [np.empty((s, r))] + [rng.uniform(-1.0, 1.0, size=(n, r)) for n in (k, k, t)]
 
     err_prev = np.inf
     errors = []
-    for it in range(max_iters):
-        ws = _solve_gram((wy.T @ wy) * (wx.T @ wx) * (wt.T @ wt), mttkrp(0))
-        wy = _solve_gram((ws.T @ ws) * (wx.T @ wx) * (wt.T @ wt), mttkrp(1))
-        wx = _solve_gram((ws.T @ ws) * (wy.T @ wy) * (wt.T @ wt), mttkrp(2))
-        wt = _solve_gram((ws.T @ ws) * (wy.T @ wy) * (wx.T @ wx), mttkrp(3))
+    for _ in range(max_iters):
+        for mode in range(4):
+            others = fs[:mode] + fs[mode + 1 :]
+            gram = reduce(np.multiply, (f.T @ f for f in others))
+            fs[mode] = _solve_gram(gram, unf[mode] @ _khatri_rao(*others))
         # Normalize, absorbing scales into wt.
-        for f in (ws, wy, wx):
+        for f in fs[:3]:
             norms = np.linalg.norm(f, axis=0)
             norms = np.where(norms > 0, norms, 1.0)
             f /= norms
-            wt *= norms
-        approx = np.einsum("sr,yr,xr,tr->syxt", ws, wy, wx, wt)
-        err = float(np.linalg.norm(tens - approx)) / (norm_t if norm_t > 0 else 1.0)
+            fs[3] *= norms
+        approx = fs[0] @ _khatri_rao(*fs[1:]).T
+        err = float(np.linalg.norm(unf[0] - approx)) / (norm_t if norm_t > 0 else 1.0)
         errors.append(err)
         if abs(err_prev - err) < tol:
             break
         err_prev = err
+    ws, wy, wx, wt = fs
     return DecomposedLayer(
         method="cp",
         factors={"ws": ws, "wy": wy, "wx": wx, "wt": wt},
@@ -265,25 +270,35 @@ def tucker_hooi(
     def unfold(a: Array, mode: int) -> Array:
         return np.moveaxis(a, mode, 0).reshape(a.shape[mode], -1)
 
+    def times_u1(u1: Array) -> Array:  # (x, y, t, a)
+        return np.tensordot(tens, u1, axes=(2, 0))
+
     u1 = _leading_left_vectors(unfold(tens, 2), r1)
     u2 = _leading_left_vectors(unfold(tens, 3), r2)
     err_prev = np.inf
+    errors = []
     for _ in range(max_iters):
-        u1 = _leading_left_vectors(unfold(np.einsum("xyst,tb->xysb", tens, u2), 2), r1)
-        u2 = _leading_left_vectors(unfold(np.einsum("xyst,sa->xyat", tens, u1), 3), r2)
-        core = np.einsum("xyst,sa,tb->xyab", tens, u1, u2)
-        approx = np.einsum("xyab,sa,tb->xyst", core, u1, u2)
+        u1 = _leading_left_vectors(unfold(tens @ u2, 2), r1)
+        tens_u1 = times_u1(u1)
+        u2 = _leading_left_vectors(unfold(tens_u1, 2), r2)
+        core = tens_u1.swapaxes(2, 3) @ u2  # (x, y, a, b)
+        approx = u1 @ core @ u2.T
         err = float(np.linalg.norm(tens - approx)) / (norm_t if norm_t > 0 else 1.0)
+        errors.append(err)
         if err_prev - err < tol:
             break
         err_prev = err
-    core = np.einsum("xyst,sa,tb->xyab", tens, u1, u2)
     return DecomposedLayer(
         method="tucker",
-        factors={"w1": u1, "core": core, "w2": u2},
+        factors={"w1": u1, "core": times_u1(u1).swapaxes(2, 3) @ u2, "w2": u2},
         ranks=(r1, r2),
         source_dims=(t, s, k),
         bias=kernel.bias,
+        meta={
+            "iterations": len(errors),
+            "rel_error": errors[-1] if errors else None,
+            "converged": len(errors) < max_iters,
+        },
     )
 
 
@@ -423,7 +438,11 @@ LAYOUTS: dict[str, dict[str | None, Layout]] = {
 def reconstruct(layer: DecomposedLayer) -> Kernel4D:
     """Evaluate the factorization back into a dense (t, s, k, k) kernel."""
     lay = layer.layout
-    data = np.einsum(lay.subscripts, *(layer.factors[n] for n in lay.operands or lay.stages))
+    operands = [layer.factors[n] for n in lay.operands or lay.stages]
+    # left to right: each step contracts the running product with the next
+    # operand, which einsum_path numbers 0 while the product sits last
+    path = ["einsum_path", (0, 1)] + [(0, i) for i in range(len(operands) - 2, 0, -1)]
+    data = np.einsum(lay.subscripts, *operands, optimize=path if len(operands) > 2 else False)
     return Kernel4D(np.ascontiguousarray(data), bias=layer.bias)
 
 

@@ -268,12 +268,15 @@ def train_toy_gated(
         mu = np.full(p, 1.0)
         log_sigma = np.full(p, math.log(0.5))
     loss_trace = []
-    draws = np.empty((steps, p))
+    # every step's noise in one draw: the same stream as one draw per step
+    if kind == "l0":
+        draws = np.clip(rng.uniform(size=(steps, p)), 1e-12, 1.0 - 1e-12)
+        logits = np.log(draws) - np.log1p(-draws)
+    else:
+        draws = rng.normal(size=(steps, p))
     for step in range(steps):
         if kind == "l0":
-            u = np.clip(rng.uniform(size=p), 1e-12, 1.0 - 1e-12)
-            draws[step] = u
-            s = _sigmoid((np.log(u) - np.log1p(-u) + log_alpha) / HC_BETA)
+            s = _sigmoid((logits[step] + log_alpha) / HC_BETA)
             sb = s * (HC_ZETA - HC_GAMMA) + HC_GAMMA
             z = np.clip(sb, 0.0, 1.0)
             dz_dla = np.where(
@@ -283,8 +286,7 @@ def train_toy_gated(
             penalty = float(np.sum(p_active))
             dpen = p_active * (1.0 - p_active)
         else:
-            eps = rng.normal(size=p)
-            draws[step] = eps
+            eps = draws[step]
             sigma = np.exp(log_sigma)
             z = mu + eps * sigma
             denom = sigma**2 + mu**2

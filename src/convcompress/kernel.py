@@ -182,18 +182,22 @@ class LayerCost:
 class MethodCost(NamedTuple):
     """Cost-side table entry: rank names, ``shapes(s, t, k, *ranks)`` of the
     stored factors in stage order, ``limits(s, t, k)`` on each rank (None:
-    unbounded) and ``top(s, t, k)``, the largest usable ranks if not the limits."""
+    unbounded), ``top(s, t, k)``, the largest usable ranks if not the limits,
+    and ``chain(s, t, k, *ranks)``, the ranks each lowered to the bound the
+    ranks before it leave, for methods whose rank bounds chain."""
 
     ranks: tuple[str, ...]
     shapes: Callable[..., tuple[tuple[int, ...], ...]]
     limits: Callable[[int, int, int], tuple[int | None, ...]]
     top: Callable[[int, int, int], tuple[int, ...]] | None = None
+    chain: Callable[..., tuple[int, ...]] | None = None
 
 
-def _tt_top(s: int, t: int, k: int) -> tuple[int, int, int]:
-    r1 = min(s, k * k * t)
-    r2 = min(r1 * k, k * t)
-    return r1, r2, min(r2 * k, t)
+def _tt_chain(s: int, t: int, k: int, r1: int, r2: int, r3: int) -> tuple[int, int, int]:
+    """Each TT bond capped by the rank of its sequential unfolding."""
+    r1 = min(r1, s, k * k * t)
+    r2 = min(r2, r1 * k, k * t)
+    return r1, r2, min(r3, r2 * k, t)
 
 
 #: One entry per method.  Every stage is a stride-1, same-padded convolution,
@@ -218,7 +222,8 @@ METHOD_COSTS: dict[str, MethodCost] = {
         ("r1", "r2", "r3"),
         lambda s, t, k, r1, r2, r3: ((s, r1), (r1, k, r2), (r2, k, r3), (r3, t)),
         lambda s, t, k: (s, None, t),
-        top=_tt_top,
+        top=lambda s, t, k: _tt_chain(s, t, k, s, k * t, t),
+        chain=_tt_chain,
     ),
     "asym3d": MethodCost(
         ("rs", "rd"), lambda s, t, k, rs, rd: ((s, k, rs), (rs, k, rd), (rd, t)),
@@ -283,6 +288,15 @@ def max_ranks(method: str, s: int, t: int, k: int) -> tuple[int, ...]:
     """
     cost = _method_cost(method)
     return (cost.top or cost.limits)(s, t, k)
+
+
+def clamp_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """``ranks`` with each rank lowered, where needed, to the largest value the
+    decomposition accepts: :func:`max_ranks`, and for ``tt`` the chained
+    bounds its sequential unfoldings put on each bond given the bonds before."""
+    cost = _method_cost(method)
+    ranks = tuple(min(int(r), top) for r, top in zip(ranks, max_ranks(method, s, t, k)))
+    return cost.chain(s, t, k, *ranks) if cost.chain else ranks
 
 
 def aggregate_ratio(costs: list[LayerCost]) -> float:

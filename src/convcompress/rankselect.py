@@ -11,7 +11,7 @@ retained fraction ``alpha`` (compressed MACs / original MACs <= alpha):
 
 :func:`ranks_from_ratio` converts a per-layer retained fraction directly
 into ranks: exactly for single-rank methods, and by proportionally scaling
-the maximal ranks for tucker and tt.
+the maximal ranks for tucker and tt (capped by tt's chained bond bounds).
 
 A caution on inputs: verification accuracies measured on a compressed
 model *before* any fine-tuning are known to be a poor predictor of its
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import mac_cost, max_ranks
+from .kernel import clamp_ranks, mac_cost, max_ranks
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,10 @@ def ranks_from_ratio(method: str, s: int, t: int, k: int, alpha: float) -> tuple
 
     Single-rank methods solve the linear budget directly; tucker and tt
     scale their maximal ranks by a common factor (rounded down, floors at
-    1 per component).  Feature-map dims cancel in the ratio.
+    1 per component), and tt then caps each bond by the bound the bonds
+    before it leave (:func:`~convcompress.kernel.clamp_ranks`), so that
+    :func:`~convcompress.decomp.tt_svd` accepts the result.  Feature-map
+    dims cancel in the ratio.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -111,7 +114,8 @@ def ranks_from_ratio(method: str, s: int, t: int, k: int, alpha: float) -> tuple
         return (r,)
 
     def scaled(theta: float) -> tuple[int, ...]:
-        return tuple(max(1, int(math.floor(theta * rm))) for rm in full)
+        want = tuple(max(1, int(math.floor(theta * rm))) for rm in full)
+        return clamp_ranks(method, s, t, k, want)
 
     if macs_of(scaled(0.0)) > budget:
         raise ValueError(f"budget alpha={alpha} infeasible even at all-ones ranks for {method}")

@@ -126,6 +126,113 @@ def tt_reconstruct_naive(w1, w2, w3, w4) -> np.ndarray:
     return out
 
 
+def spatial_reconstruct_naive(first, second, order: str = "hv") -> np.ndarray:
+    """Sum of separable rank-1 filters with explicit loops -> (t, s, k, k).
+
+    ``first`` (s, k, r) filters the first spatial axis for order "hv" and
+    the second for "vh"; ``second`` (r, k, t) filters the other one.
+    """
+    s, k, r = first.shape
+    t = second.shape[2]
+    out = np.zeros((t, s, k, k))
+    for it in range(t):
+        for i_s in range(s):
+            for ix in range(k):
+                for iy in range(k):
+                    a, b = (ix, iy) if order == "hv" else (iy, ix)
+                    acc = 0.0
+                    for ir in range(r):
+                        acc += first[i_s, a, ir] * second[ir, b, it]
+                    out[it, i_s, ix, iy] = acc
+    return out
+
+
+def weight_reconstruct_naive(w1, w2) -> np.ndarray:
+    """k x k filters into r channels, then a 1x1 mix, with explicit loops."""
+    k, _, s, r = w1.shape
+    t = w2.shape[1]
+    out = np.zeros((t, s, k, k))
+    for it in range(t):
+        for i_s in range(s):
+            for ix in range(k):
+                for iy in range(k):
+                    acc = 0.0
+                    for ir in range(r):
+                        acc += w1[ix, iy, i_s, ir] * w2[ir, it]
+                    out[it, i_s, ix, iy] = acc
+    return out
+
+
+def asym3d_reconstruct_naive(wv, wh, wp) -> np.ndarray:
+    """Vertical (s -> a), horizontal (a -> b), pointwise (b -> t) chain with
+    explicit loops -> (t, s, k, k)."""
+    s, k, ra = wv.shape
+    rb = wh.shape[2]
+    t = wp.shape[1]
+    out = np.zeros((t, s, k, k))
+    for it in range(t):
+        for i_s in range(s):
+            for ix in range(k):
+                for iy in range(k):
+                    acc = 0.0
+                    for a in range(ra):
+                        for b in range(rb):
+                            acc += wv[i_s, iy, a] * wh[a, ix, b] * wp[b, it]
+                    out[it, i_s, ix, iy] = acc
+    return out
+
+
+def cp_als_einsum(data, r: int, sweeps: int, seed: int):
+    """``sweeps`` CP-ALS sweeps on the (s, y, x, t) reordering of a (t, s, k, k)
+    kernel, each MTTKRP one four-operand einsum and each normal equation
+    solved directly.  Same start (uniform [-1, 1] for wy, wx, wt from
+    ``default_rng(seed)``), update order and norm absorption into wt as the
+    library; returns the (t, s, k, k) kernel of the final factors."""
+    tens = np.asarray(data, dtype=np.float64).transpose(1, 3, 2, 0)
+    t, s, k, _ = data.shape
+    rng = np.random.default_rng(seed)
+    wy = rng.uniform(-1.0, 1.0, size=(k, r))
+    wx = rng.uniform(-1.0, 1.0, size=(k, r))
+    wt = rng.uniform(-1.0, 1.0, size=(t, r))
+
+    def solve(gram, rhs):  # x @ gram = rhs, gram symmetric
+        return np.linalg.solve(gram, rhs.T).T
+
+    for _ in range(sweeps):
+        ws = solve((wy.T @ wy) * (wx.T @ wx) * (wt.T @ wt),
+                   np.einsum("syxt,yr,xr,tr->sr", tens, wy, wx, wt))
+        wy = solve((ws.T @ ws) * (wx.T @ wx) * (wt.T @ wt),
+                   np.einsum("syxt,sr,xr,tr->yr", tens, ws, wx, wt))
+        wx = solve((ws.T @ ws) * (wy.T @ wy) * (wt.T @ wt),
+                   np.einsum("syxt,sr,yr,tr->xr", tens, ws, wy, wt))
+        wt = solve((ws.T @ ws) * (wy.T @ wy) * (wx.T @ wx),
+                   np.einsum("syxt,sr,yr,xr->tr", tens, ws, wy, wx))
+        for f in (ws, wy, wx):
+            norms = np.linalg.norm(f, axis=0)
+            f /= norms
+            wt *= norms
+    return np.einsum("sr,yr,xr,tr->tsxy", ws, wy, wx, wt)
+
+
+def tucker_hooi_einsum(data, r1: int, r2: int, sweeps: int):
+    """Truncated HOSVD start and ``sweeps`` HOOI sweeps on the channel modes
+    of a (t, s, k, k) kernel, the core and projections as three-operand
+    einsums; returns the (t, s, k, k) kernel of the final factors."""
+    tens = np.asarray(data, dtype=np.float64).transpose(2, 3, 1, 0)  # (x, y, s, t)
+
+    def lead(a, mode, r):
+        m = np.moveaxis(a, mode, 0).reshape(a.shape[mode], -1)
+        return np.linalg.svd(m, full_matrices=False)[0][:, :r]
+
+    u1 = lead(tens, 2, r1)
+    u2 = lead(tens, 3, r2)
+    for _ in range(sweeps):
+        u1 = lead(np.einsum("xyst,tb->xysb", tens, u2), 2, r1)
+        u2 = lead(np.einsum("xyst,sa->xyat", tens, u1), 3, r2)
+    core = np.einsum("xyst,sa,tb->xyab", tens, u1, u2)
+    return np.einsum("xyab,sa,tb->tsxy", core, u1, u2)
+
+
 def best_rank1_response_residual(y, z, trials: int, seed: int) -> float:
     """Smallest ||Y - c*u v^T Z||_F over random rank-1 candidates.
 

@@ -132,6 +132,18 @@ class TestCompressReconstruct:
         assert rep["retained"] <= 0.6
         assert len(rep["ranks"]) == 2
 
+    def test_tt_ratio_derives_ranks_tt_svd_accepts(self, capsys, model_dir, tmp_path):
+        path, kernel = model_dir  # t=6, s=4: the chained bond bounds bind
+        code, rep, err = run(
+            capsys, "compress", path, "--layer", "conv1", "--method", "tt",
+            "--ratio", "0.5", "--out", tmp_path / "comp",
+        )
+        assert code == 0, err
+        assert rep["retained"] <= 0.5
+        r1, r2, r3 = rep["ranks"]
+        assert r2 <= r1 * kernel.k and r3 <= r2 * kernel.k
+        assert read_layer(read_container(tmp_path / "comp"), "conv1").ranks == (r1, r2, r3)
+
     def test_report_macs_match_cost_model(self, capsys, model_dir, tmp_path):
         path, kernel = model_dir
         run(

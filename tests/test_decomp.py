@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from convcompress.decomp import (
+    LAYOUTS,
+    DecomposedLayer,
     cp_als,
     decomposed_forward,
     reconstruct,
@@ -16,12 +18,22 @@ from convcompress.decomp import (
 from convcompress.kernel import (
     Kernel4D,
     conv_direct,
+    factor_shapes,
     mac_cost,
     matricize_weight,
     max_ranks,
 )
 
-from _oracles import cp_reconstruct_naive, tt_reconstruct_naive, tucker_reconstruct_naive
+from _oracles import (
+    asym3d_reconstruct_naive,
+    cp_als_einsum,
+    cp_reconstruct_naive,
+    spatial_reconstruct_naive,
+    tt_reconstruct_naive,
+    tucker_hooi_einsum,
+    tucker_reconstruct_naive,
+    weight_reconstruct_naive,
+)
 
 
 def rel_err(a, b):
@@ -193,6 +205,20 @@ class TestTuckerHooi:
         with pytest.raises(ValueError, match="rank"):
             tucker_hooi(kernel, kernel.s + 1, 1)
 
+    def test_fixed_sweeps_report_diagnostics(self):
+        kernel = random_kernel(np.random.default_rng(170), t=6, s=5, k=3)
+        layer = tucker_hooi(kernel, 2, 3, max_iters=4, tol=-np.inf)
+        assert layer.meta["iterations"] == 4
+        assert layer.meta["converged"] is False
+        err = rel_err(reconstruct(layer).data, kernel.data)
+        assert layer.meta["rel_error"] == pytest.approx(err, rel=1e-12)
+
+    def test_early_stop_reports_convergence(self):
+        kernel = random_kernel(np.random.default_rng(171), t=6, s=5, k=3)
+        layer = tucker_hooi(kernel, 2, 3, max_iters=50, tol=1e-6)
+        assert layer.meta["converged"] is True
+        assert 1 <= layer.meta["iterations"] < 50
+
 
 class TestTtSvd:
     def test_maximal_ranks_exact(self):
@@ -306,3 +332,47 @@ class TestCostAgreement:
                 err = np.linalg.norm(reconstruct(layer).data - kernel.data)
                 assert err <= prev + 1e-9
                 prev = err
+
+
+class TestPairwiseContractions:
+    """The solvers and reconstruct contract pairwise; each must agree with a
+    reference that evaluates the multi-operand contractions in one einsum."""
+
+    @pytest.mark.parametrize("t,s,r,seed", [(6, 5, 2, 0), (16, 8, 3, 1), (24, 16, 4, 2)])
+    def test_cp_als_matches_einsum_reference(self, t, s, r, seed):
+        kernel = random_kernel(np.random.default_rng(300 + seed), t=t, s=s, k=3)
+        layer = cp_als(kernel, r, max_iters=3, tol=-np.inf, seed=seed)
+        assert layer.meta["iterations"] == 3
+        want = cp_als_einsum(kernel.data, r, sweeps=3, seed=seed)
+        assert rel_err(reconstruct(layer).data, want) <= 1e-10
+
+    @pytest.mark.parametrize("t,s,r1,r2", [(6, 5, 2, 3), (16, 8, 4, 8), (24, 16, 8, 12)])
+    def test_tucker_hooi_matches_einsum_reference(self, t, s, r1, r2):
+        kernel = random_kernel(np.random.default_rng(310 + t), t=t, s=s, k=3)
+        layer = tucker_hooi(kernel, r1, r2, max_iters=3, tol=-np.inf)
+        assert layer.meta["iterations"] == 3
+        want = tucker_hooi_einsum(kernel.data, r1, r2, sweeps=3)
+        assert rel_err(reconstruct(layer).data, want) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "method,order,ranks,oracle",
+        [
+            ("weight_svd", None, (5,), weight_reconstruct_naive),
+            ("spatial_svd", "hv", (5,), lambda a, b: spatial_reconstruct_naive(a, b, "hv")),
+            ("spatial_svd", "vh", (5,), lambda a, b: spatial_reconstruct_naive(a, b, "vh")),
+            ("cp", None, (4,), lambda ws, wy, wx, wt: cp_reconstruct_naive(ws, wy, wx, wt)),
+            ("tucker", None, (3, 4), lambda w1, core, w2: tucker_reconstruct_naive(core, w1, w2)),
+            ("tt", None, (2, 3, 2), tt_reconstruct_naive),
+            ("asym3d", None, (3, 2), asym3d_reconstruct_naive),
+        ],
+    )
+    def test_reconstruct_matches_naive_oracle(self, method, order, ranks, oracle):
+        t, s, k = 24, 16, 3
+        rng = np.random.default_rng(320)
+        shapes = factor_shapes(method, s, t, k, ranks)
+        meta = {} if order is None else {"order": order}
+        names = tuple(LAYOUTS[method][order].stages)
+        factors = {n: rng.normal(size=shape) for n, shape in zip(names, shapes)}
+        layer = DecomposedLayer(method, factors, ranks, (t, s, k), meta=meta)
+        want = oracle(*(factors[n] for n in names))
+        assert rel_err(reconstruct(layer).data, want) <= 1e-12

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from convcompress.kernel import mac_cost, max_ranks
+from convcompress.decomp import tt_svd
+from convcompress.kernel import Kernel4D, mac_cost, max_ranks
 from convcompress.rankselect import (
     AccTable,
     GridCosts,
@@ -59,6 +60,16 @@ class TestRanksFromRatio:
     def test_infeasible_budget_raises(self):
         with pytest.raises(ValueError, match="infeasible"):
             ranks_from_ratio("weight_svd", 64, 64, 3, 1e-6)
+
+    @pytest.mark.parametrize("t,s", [(6, 4), (64, 64), (24, 16), (16, 32), (5, 9)])
+    @pytest.mark.parametrize("alpha", [0.2, 0.35, 0.5, 0.8])
+    def test_tt_ranks_are_accepted_by_tt_svd_and_fit_budget(self, t, s, alpha):
+        k = 3
+        ranks = ranks_from_ratio("tt", s, t, k, alpha)
+        kernel = Kernel4D(np.random.default_rng(t * s).normal(size=(t, s, k, k)))
+        assert tt_svd(kernel, *ranks).ranks == ranks
+        orig = mac_cost(s, t, k, 1, 1, "original").macs_original
+        assert mac_cost(s, t, k, 1, 1, "tt", ranks).macs_compressed <= alpha * orig
 
 
 def random_equal_acc_instance(rng, n_layers=3, grid=4):
