@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .decomp import DecomposedLayer, reconstruct, spatial_svd, with_factors
@@ -109,10 +110,10 @@ def sample_patches(maps, per_image: int, k: int, seed: int = 0) -> PatchBatch:
         xpad[:, d : d + h, d : d + w] = xin
         xs = rng.integers(0, h, size=per_image)
         ys = rng.integers(0, w, size=per_image)
-        for x0, y0 in zip(xs, ys):
-            rows.append(xpad[:, x0 : x0 + k, y0 : y0 + k].ravel())
-            refs.append(yref[:, x0, y0])
-    return PatchBatch(inputs=np.array(rows), ref_outputs=np.array(refs))
+        patches = sliding_window_view(xpad, (k, k), axis=(1, 2))[:, xs, ys]  # (s, n, k, k)
+        rows.append(patches.transpose(1, 0, 2, 3).reshape(per_image, s * k * k))
+        refs.append(yref[:, xs, ys].T)
+    return PatchBatch(inputs=np.concatenate(rows), ref_outputs=np.concatenate(refs))
 
 
 def attach_current_outputs(batch: PatchBatch, kernel: Kernel4D) -> PatchBatch:

@@ -20,7 +20,9 @@ also dispatches through :func:`decomposed_forward` and :func:`reconstruct`.
 
 Contractions run pairwise on BLAS: CP-ALS forms each MTTKRP as an unfolding
 times a Khatri-Rao product, HOOI projects with matrix products, and
-:func:`reconstruct` contracts a layout's factors left to right.
+:func:`reconstruct` contracts a layout's factors left to right.  Every stage
+of :func:`decomposed_forward` runs :func:`convcompress.kernel.conv` on a view
+of its factor as a dense or depthwise ``(c_out, c_in/g, kx, ky)`` weight.
 
 Factor array layouts (all float64), in stage order.  The shapes are the
 entries of :data:`convcompress.kernel.METHOD_COSTS`; the names, the
@@ -43,13 +45,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .kernel import Array, Kernel4D, conv_direct, feature_map, matricize_spatial, matricize_weight
+from .kernel import Array, Kernel4D, conv, feature_map, matricize_spatial, matricize_weight
 
 
 @dataclass(frozen=True)
@@ -338,70 +340,42 @@ def tt_svd(kernel: Kernel4D, r1: int, r2: int, r3: int) -> DecomposedLayer:
     )
 
 
-def _conv_1d(w: Array, x: Array, axis: int) -> Array:
-    """1-D convolution of (c_in, h, w) along a spatial axis with zero padding.
-
-    ``w`` has shape (c_in, k, c_out); stride 1, output spatial dims unchanged.
-    """
-    c_in, k, c_out = w.shape
-    d = (k - 1) // 2
-    pad = [(0, 0), (0, 0), (0, 0)]
-    pad[axis] = (d, d)
-    xpad = np.pad(x, pad)
-    h, wdt = x.shape[1], x.shape[2]
-    out = np.zeros((c_out, h, wdt))
-    for off in range(k):
-        if axis == 1:
-            sl = xpad[:, off : off + h, :]
-        else:
-            sl = xpad[:, :, off : off + wdt]
-        out += np.einsum("cab,co->oab", sl, w[:, off, :])
-    return out
+def _kxk(w: Array) -> Array:  # (k, k, c_in, c_out)
+    return w.transpose(3, 2, 0, 1)
 
 
-def _conv_1x1(w: Array, x: Array) -> Array:
-    """Pointwise channel mix: ``w`` has shape (c_in, c_out)."""
-    return np.einsum("co,cab->oab", w, x)
+def _mix(w: Array) -> Array:  # (c_in, c_out)
+    return w.T[:, :, None, None]
 
 
-def _conv_1x1_rows(w: Array, x: Array) -> Array:
-    """Pointwise channel mix: ``w`` has shape (c_out, c_in)."""
-    return np.einsum("tr,rab->tab", w, x)
+def _mix_rows(w: Array) -> Array:  # (c_out, c_in)
+    return w[:, :, None, None]
 
 
-def _conv_kxk(w: Array, x: Array) -> Array:
-    """Full k x k convolution: ``w`` has shape (k, k, c_in, c_out)."""
-    return conv_direct(Kernel4D(w.transpose(3, 2, 0, 1)), x)
+def _along_x(w: Array) -> Array:  # (c_in, k, c_out)
+    return w.transpose(2, 0, 1)[:, :, :, None]
 
 
-def _depthwise_1d(w: Array, x: Array, axis: int) -> Array:
-    """Per-channel 1-D convolution; ``w`` has shape (k, channels)."""
-    k = w.shape[0]
-    d = (k - 1) // 2
-    pad = [(0, 0), (0, 0), (0, 0)]
-    pad[axis] = (d, d)
-    xpad = np.pad(x, pad)
-    h, wdt = x.shape[1], x.shape[2]
-    out = np.zeros_like(x)
-    for off in range(k):
-        if axis == 1:
-            sl = xpad[:, off : off + h, :]
-        else:
-            sl = xpad[:, :, off : off + wdt]
-        out += w[off, :][:, None, None] * sl
-    return out
+def _along_y(w: Array) -> Array:  # (c_in, k, c_out)
+    return w.transpose(2, 0, 1)[:, :, None, :]
 
 
-_along_x = partial(_conv_1d, axis=1)
-_along_y = partial(_conv_1d, axis=2)
+def _depth_x(w: Array) -> Array:  # (k, channels), depthwise
+    return w.T[:, None, :, None]
+
+
+def _depth_y(w: Array) -> Array:  # (k, channels), depthwise
+    return w.T[:, None, None, :]
 
 
 class Layout(NamedTuple):
     """Decomposition-side table entry: each factor's stage, keyed by factor
     name in stage order, and the einsum that densifies the factors into
-    (t, s, x, y), taking them in ``operands`` order (else in stage order)."""
+    (t, s, x, y), taking them in ``operands`` order (else in stage order).
+    A stage views its factor as the ``(c_out, c_in/g, kx, ky)`` weight that
+    :func:`convcompress.kernel.conv` runs."""
 
-    stages: dict[str, Callable[[Array, Array], Array]]
+    stages: dict[str, Callable[[Array], Array]]
     subscripts: str
     operands: tuple[str, ...] = ()
 
@@ -411,27 +385,26 @@ _SPATIAL_HV = Layout({"wh": _along_x, "wv": _along_y}, "sxr,ryt->tsxy")
 #: method -> spatial order -> layout.  The order is the layer's
 #: ``meta["order"]``, None when the meta names none.
 LAYOUTS: dict[str, dict[str | None, Layout]] = {
-    "weight_svd": {None: Layout({"w1": _conv_kxk, "w2": _conv_1x1}, "xysr,rt->tsxy")},
+    "weight_svd": {None: Layout({"w1": _kxk, "w2": _mix}, "xysr,rt->tsxy")},
     "spatial_svd": {
         None: _SPATIAL_HV,
         "hv": _SPATIAL_HV,
         "vh": Layout({"wv": _along_y, "wh": _along_x}, "syr,rxt->tsxy"),
     },
     "cp": {None: Layout(
-        {"ws": _conv_1x1, "wy": partial(_depthwise_1d, axis=2),
-         "wx": partial(_depthwise_1d, axis=1), "wt": _conv_1x1_rows},
+        {"ws": _mix, "wy": _depth_y, "wx": _depth_x, "wt": _mix_rows},
         "sr,yr,xr,tr->tsxy",
     )},
     "tucker": {None: Layout(
-        {"w1": _conv_1x1, "core": _conv_kxk, "w2": _conv_1x1_rows},
+        {"w1": _mix, "core": _kxk, "w2": _mix_rows},
         "xyab,sa,tb->tsxy",
         operands=("core", "w1", "w2"),
     )},
     "tt": {None: Layout(
-        {"w1": _conv_1x1, "w2": _along_x, "w3": _along_y, "w4": _conv_1x1}, "sa,axb,byc,ct->tsxy"
+        {"w1": _mix, "w2": _along_x, "w3": _along_y, "w4": _mix}, "sa,axb,byc,ct->tsxy"
     )},
     # vertical (s -> r_s), horizontal (r_s -> r_d), pointwise (r_d -> t)
-    "asym3d": {None: Layout({"wv": _along_y, "wh": _along_x, "wp": _conv_1x1}, "syr,rxd,dt->tsxy")},
+    "asym3d": {None: Layout({"wv": _along_y, "wh": _along_x, "wp": _mix}, "syr,rxd,dt->tsxy")},
 }
 
 
@@ -455,8 +428,8 @@ def decomposed_forward(layer: DecomposedLayer, x: Array) -> Array:
     x = feature_map(x)
     if x.shape[0] != layer.s:
         raise ValueError(f"input has {x.shape[0]} channels, layer expects {layer.s}")
-    for name, stage in layer.layout.stages.items():
-        x = stage(layer.factors[name], x)
+    for name, view in layer.layout.stages.items():
+        x = conv(view(layer.factors[name]), x)
     return x
 
 

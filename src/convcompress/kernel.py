@@ -1,4 +1,5 @@
-"""Dense 4-D convolution kernels, feature maps, and the MAC/parameter cost model.
+"""Dense 4-D convolution kernels, feature maps, the convolution primitive
+and the MAC/parameter cost model.
 
 Conventions used throughout the package:
 
@@ -95,8 +96,39 @@ def feature_map(data) -> Array:
     return x
 
 
+def conv(w: Array, x: Array) -> Array:
+    """Stride-1, zero-padded convolution of a ``(c, h, w)`` map with a
+    ``(c_out, c_in/g, kx, ky)`` weight (odd kx, ky); the output is ``(c_out, h, w)``.
+
+    The group count g is read off the shapes: dense (g = 1) when
+    ``w.shape[1] == c``, depthwise (g = c) when ``w`` is ``(c, 1, kx, ky)``;
+    any other weight raises ``ValueError``.  The map is padded once; each
+    kernel offset then adds its weight slice times the shifted map, one
+    matrix product per group, so no k*k-fold patch matrix is built.
+    """
+    c, h, wd = x.shape
+    c_out, c_g, kx, ky = w.shape
+    if c_g == c:
+        g = 1
+    elif c_g == 1 and c_out == c:
+        g = c
+    else:
+        raise ValueError(f"weight {w.shape} is neither dense nor depthwise for {c} input channels")
+    dx, dy = (kx - 1) // 2, (ky - 1) // 2
+    xpad = np.zeros((c, h + 2 * dx, wd + 2 * dy))
+    xpad[:, dx : dx + h, dy : dy + wd] = x
+    wg = w.reshape(g, c_out // g, c_g, kx, ky)
+    out = np.zeros((g, c_out // g, h * wd))
+    for i in range(kx):
+        for j in range(ky):
+            shifted = xpad[:, i : i + h, j : j + wd].reshape(g, c_g, h * wd)
+            out += np.ascontiguousarray(wg[..., i, j]) @ shifted
+    return out.reshape(c_out, h, wd)
+
+
 def conv_direct(kernel: Kernel4D, x: Array) -> Array:
-    """Direct convolution of a feature map with a 4-D kernel.
+    """Direct convolution of a feature map with a 4-D kernel: the checked
+    front of :func:`conv`, which validates the map and its channel count.
 
     Stride 1, zero padding of width ``kernel.delta``, so the output has the
     same spatial dims as the input.  Bias is not applied.
@@ -106,18 +138,7 @@ def conv_direct(kernel: Kernel4D, x: Array) -> Array:
         raise ValueError(
             f"input has {x.shape[0]} channels, kernel expects {kernel.s}"
         )
-    t, s, k, _ = kernel.data.shape
-    d = kernel.delta
-    _, h, w = x.shape
-    xpad = np.zeros((s, h + 2 * d, w + 2 * d))
-    xpad[:, d : d + h, d : d + w] = x
-    out = np.zeros((t, h, w))
-    for dx in range(k):
-        for dy in range(k):
-            out += np.einsum(
-                "ts,shw->thw", kernel.data[:, :, dx, dy], xpad[:, dx : dx + h, dy : dy + w]
-            )
-    return out
+    return conv(kernel.data, x)
 
 
 def matricize_weight(kernel: Kernel4D) -> Array:

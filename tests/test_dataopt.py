@@ -79,6 +79,31 @@ class TestSamplePatches:
         predicted = batch.inputs @ kernel.as_matrix().T
         assert_allclose(predicted, batch.ref_outputs, atol=1e-10)
 
+    def test_rows_are_zero_padded_neighbourhoods(self):
+        """On non-square maps at k=5, each row is the k x k neighbourhood cut
+        by hand around its drawn location, zeros outside the map.  The
+        reference maps hold (map index, x, y), so each row names its own
+        location."""
+        rng = np.random.default_rng(5)
+        s, h, w, k, d = 2, 6, 11, 5, 2
+        inputs = [rng.normal(size=(s, h, w)) for _ in range(2)]
+        maps = [(xin, np.stack([np.full((h, w), idx), *np.indices((h, w))]).astype(float))
+                for idx, xin in enumerate(inputs)]
+        batch = sample_patches(maps, per_image=30, k=k, seed=6)
+        locations = batch.ref_outputs.astype(int)
+        assert np.array_equal(np.unique(locations[:, 0]), [0, 1])
+        border = (np.minimum(locations[:, 1], h - 1 - locations[:, 1]) < d) | (
+            np.minimum(locations[:, 2], w - 1 - locations[:, 2]) < d
+        )
+        assert border.any() and not border.all()
+        for row, (idx, x0, y0) in zip(batch.inputs, locations):
+            want = np.zeros((s, k, k))
+            for i in range(k):
+                for j in range(k):
+                    if 0 <= x0 + i - d < h and 0 <= y0 + j - d < w:
+                        want[:, i, j] = inputs[idx][:, x0 + i - d, y0 + j - d]
+            assert np.array_equal(row, want.ravel())
+
     def test_empty_maps_rejected(self):
         with pytest.raises(ValueError, match="no feature maps"):
             sample_patches([], per_image=3, k=3)

@@ -14,6 +14,7 @@ from convcompress.decomp import (
     tt_svd,
     tucker_hooi,
     weight_svd,
+    with_factors,
 )
 from convcompress.kernel import (
     Kernel4D,
@@ -28,6 +29,7 @@ from _oracles import (
     asym3d_reconstruct_naive,
     cp_als_einsum,
     cp_reconstruct_naive,
+    naive_conv,
     spatial_reconstruct_naive,
     tt_reconstruct_naive,
     tucker_hooi_einsum,
@@ -42,6 +44,27 @@ def rel_err(a, b):
 
 def random_kernel(rng, t=4, s=3, k=3):
     return Kernel4D(rng.normal(size=(t, s, k, k)))
+
+
+def random_layer(rng, method, order, ranks, t, s, k):
+    """A layer of Gaussian factors in ``method``'s layout."""
+    shapes = factor_shapes(method, s, t, k, ranks)
+    meta = {} if order is None else {"order": order}
+    names = tuple(LAYOUTS[method][order].stages)
+    factors = {n: rng.normal(size=shape) for n, shape in zip(names, shapes)}
+    return DecomposedLayer(method, factors, ranks, (t, s, k), meta=meta)
+
+
+#: (method, order, ranks, loop reconstruction taking the factors in stage order)
+NAIVE_ORACLES = [
+    ("weight_svd", None, (5,), weight_reconstruct_naive),
+    ("spatial_svd", "hv", (5,), lambda a, b: spatial_reconstruct_naive(a, b, "hv")),
+    ("spatial_svd", "vh", (5,), lambda a, b: spatial_reconstruct_naive(a, b, "vh")),
+    ("cp", None, (4,), lambda ws, wy, wx, wt: cp_reconstruct_naive(ws, wy, wx, wt)),
+    ("tucker", None, (3, 4), lambda w1, core, w2: tucker_reconstruct_naive(core, w1, w2)),
+    ("tt", None, (2, 3, 2), tt_reconstruct_naive),
+    ("asym3d", None, (3, 2), asym3d_reconstruct_naive),
+]
 
 
 def make_layer(method, kernel, ranks, seed=0):
@@ -306,6 +329,21 @@ class TestDecomposedForward:
         with pytest.raises(ValueError, match="channels"):
             decomposed_forward(layer, np.zeros((4, 5, 5)))
 
+    @pytest.mark.parametrize("method", ["tt", "cp"])
+    def test_factor_of_wrong_rank_raises(self, method):
+        """A stage weight that is neither dense nor depthwise for the channels
+        it receives is rejected, not run as a grouped convolution."""
+        rng = np.random.default_rng(28)
+        kernel = random_kernel(rng, t=6, s=4, k=3)
+        if method == "tt":
+            layer = tt_svd(kernel, 4, 4, 2)  # w2 cut to r1 = 2 under a w1 of r1 = 4
+            layer = with_factors(layer, w2=layer.factors["w2"][:2])
+        else:
+            layer = cp_als(kernel, 3, max_iters=2)  # wy cut to rank 2 under rank 3
+            layer = with_factors(layer, wy=layer.factors["wy"][:, :2])
+        with pytest.raises(ValueError):
+            decomposed_forward(layer, rng.normal(size=(4, 8, 8)))
+
 
 class TestCostAgreement:
     @pytest.mark.parametrize("method,ranks", CASES)
@@ -354,25 +392,28 @@ class TestPairwiseContractions:
         want = tucker_hooi_einsum(kernel.data, r1, r2, sweeps=3)
         assert rel_err(reconstruct(layer).data, want) <= 1e-10
 
-    @pytest.mark.parametrize(
-        "method,order,ranks,oracle",
-        [
-            ("weight_svd", None, (5,), weight_reconstruct_naive),
-            ("spatial_svd", "hv", (5,), lambda a, b: spatial_reconstruct_naive(a, b, "hv")),
-            ("spatial_svd", "vh", (5,), lambda a, b: spatial_reconstruct_naive(a, b, "vh")),
-            ("cp", None, (4,), lambda ws, wy, wx, wt: cp_reconstruct_naive(ws, wy, wx, wt)),
-            ("tucker", None, (3, 4), lambda w1, core, w2: tucker_reconstruct_naive(core, w1, w2)),
-            ("tt", None, (2, 3, 2), tt_reconstruct_naive),
-            ("asym3d", None, (3, 2), asym3d_reconstruct_naive),
-        ],
-    )
+    @pytest.mark.parametrize("method,order,ranks,oracle", NAIVE_ORACLES)
     def test_reconstruct_matches_naive_oracle(self, method, order, ranks, oracle):
         t, s, k = 24, 16, 3
         rng = np.random.default_rng(320)
-        shapes = factor_shapes(method, s, t, k, ranks)
-        meta = {} if order is None else {"order": order}
-        names = tuple(LAYOUTS[method][order].stages)
-        factors = {n: rng.normal(size=shape) for n, shape in zip(names, shapes)}
-        layer = DecomposedLayer(method, factors, ranks, (t, s, k), meta=meta)
-        want = oracle(*(factors[n] for n in names))
+        layer = random_layer(rng, method, order, ranks, t, s, k)
+        want = oracle(*(layer.factors[n] for n in layer.layout.stages))
         assert rel_err(reconstruct(layer).data, want) <= 1e-12
+
+
+class TestStagedForwardOracle:
+    """Each layout's staged forward against the loop convolution of the loop
+    reconstruction, on a non-square map, so that a view that swaps the x and
+    y axes of a stage's weight cannot pass."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("method,order,ranks,oracle", NAIVE_ORACLES)
+    def test_forward_matches_naive_conv_of_naive_reconstruction(
+        self, method, order, ranks, oracle, k
+    ):
+        t, s = 6, 4
+        rng = np.random.default_rng(330 + k)
+        layer = random_layer(rng, method, order, ranks, t, s, k)
+        x = rng.normal(size=(s, 5, 9))
+        want = naive_conv(oracle(*(layer.factors[n] for n in layer.layout.stages)), x)
+        assert rel_err(decomposed_forward(layer, x), want) <= 1e-12

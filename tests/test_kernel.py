@@ -60,10 +60,14 @@ class TestConvDirect:
         for cx, cy in [(0, 0), (0, 3), (3, 0), (3, 3)]:
             assert y[0, cx, cy] == pytest.approx(4.0)
 
-    def test_matches_naive_triple_loop(self):
+    @pytest.mark.parametrize("k", [1, 3, 5], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize(
+        "shape", [(3, 6, 6), (3, 5, 9), (1, 7, 4)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_matches_naive_triple_loop(self, shape, k):
         rng = np.random.default_rng(7)
-        kernel = Kernel4D(rng.normal(size=(4, 3, 3, 3)))
-        x = rng.normal(size=(3, 6, 6))
+        kernel = Kernel4D(rng.normal(size=(4, shape[0], k, k)))
+        x = rng.normal(size=shape)
         got = conv_direct(kernel, x)
         want = naive_conv(kernel.data, x)
         assert np.max(np.abs(got - want)) <= 1e-6
