@@ -271,7 +271,7 @@ def _cmd_gates(args) -> dict:
         seed=args.seed,
     )
     crit = result.gates.criteria()
-    kept = [int(i) for i in np.flatnonzero(crit >= args.threshold)]
+    kept = gates_mod.kept_by_criteria(crit, args.threshold)
     out = cio.Container()
     cio.add_gates(out, "gates", result.gates)
     cio.write_container(out, args.out)
@@ -281,7 +281,7 @@ def _cmd_gates(args) -> dict:
         "lambda": args.lambda_reg,
         "criteria": [float(c) for c in crit],
         "threshold": args.threshold,
-        "kept": kept,
+        "kept": list(kept),
         "final_loss": result.loss_trace[-1],
         "out": args.out,
     }

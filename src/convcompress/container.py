@@ -9,12 +9,15 @@ Malformed containers raise :class:`ContainerError` with a stable ``code``:
 ``bad_manifest``, ``duplicate_name``, ``shape_mismatch``, ``truncated``,
 ``overlap`` or ``missing``.  Decomposed layers are checked against the
 method tables: method, spatial order, rank arity, factor names and shapes.
+Gate vectors are checked for kind, shape, finite values, sigma > 0 and
+``lambda_reg``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -318,12 +321,28 @@ def read_gates(container: Container, name: str) -> GateVector:
     e = container.entry(name)
     if e.kind != "gates":
         raise ContainerError("bad_manifest", f"entry {name!r} is not a gate vector")
+    kind = e.metadata.get("kind")
+    if kind not in ("l0", "vib"):
+        raise ContainerError("bad_manifest", f"gate vector {name!r} has unknown kind {kind!r}")
+    lam = e.metadata.get("lambda_reg", 0.0)
+    # a finite float, or an int that converts to one
+    if not (_is_int(lam) or isinstance(lam, float)) or not abs(lam) <= sys.float_info.max:
+        raise ContainerError("bad_manifest", f"gate vector {name!r}: bad lambda_reg {lam!r}")
     payload = container.get(name)
-    if e.metadata.get("kind") == "l0":
+    if payload.shape != ((payload.size,) if kind == "l0" else (payload.size // 2, 2)):
+        want = "(n,)" if kind == "l0" else "(n, 2)"
+        raise ContainerError(
+            "shape_mismatch", f"{kind} gate vector {name!r} must be {want}, got {payload.shape}"
+        )
+    if not np.all(np.isfinite(payload)):
+        raise ContainerError("bad_manifest", f"gate vector {name!r} holds non-finite values")
+    if kind == "l0":
         gate_list = [HardConcreteGate(log_alpha=float(a)) for a in payload]
     else:
+        if np.any(payload[:, 1] <= 0):
+            raise ContainerError("bad_manifest", f"gate vector {name!r} has sigma <= 0")
         gate_list = [VibGate(mu=float(m), sigma=float(s)) for m, s in payload]
-    return GateVector(gates=gate_list, lambda_reg=float(e.metadata.get("lambda_reg", 0.0)))
+    return GateVector(gates=gate_list, lambda_reg=float(lam))
 
 
 def add_plan(container: Container, name: str, plan: RankPlan) -> None:

@@ -8,10 +8,13 @@ inactive can be removed.  The hard-concrete sample path is
     sb = s * (zeta - gamma) + gamma
     z  = clip(sb, 0, 1)
 
-with the standard constants beta=2/3, zeta=1.1, gamma=-0.1, and penalty
+with the fixed constants beta=2/3, zeta=1.1, gamma=-0.1, and penalty
 term sigmoid(log_alpha - beta * log(-gamma / zeta)) per gate, which equals
 the probability that the gate is sampled nonzero.  The Gaussian gate is
 z = mu + eps * sigma with penalty log(1 + mu^2 / sigma^2) per gate.
+
+Each formula, with its gradient, is written once as an array-valued
+private function that the scalar helpers, the criteria and the trainer share.
 
 A small full-batch trainer exercises the gates on planted-feature
 regression tasks; it is deterministic given a seed and logs every noise
@@ -30,6 +33,8 @@ from .kernel import Array, Kernel4D, mac_cost, LayerCost
 HC_BETA = 2.0 / 3.0
 HC_ZETA = 1.1
 HC_GAMMA = -0.1
+_HC_WIDTH = HC_ZETA - HC_GAMMA
+_HC_LOG_RATIO = HC_BETA * math.log(-HC_GAMMA / HC_ZETA)
 
 
 def _sigmoid(x):
@@ -37,24 +42,44 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-@dataclass
+def _logit(u):
+    """log(u) - log(1 - u) of noise u, checked to lie strictly inside (0, 1)."""
+    if not np.all((0.0 < u) & (u < 1.0)):
+        raise ValueError(f"u must be strictly inside (0, 1), got {u}")
+    return np.log(u) - np.log1p(-u)
+
+
+def _hc_stretch(logit, log_alpha):
+    """Hard-concrete sample z and dz/dlog_alpha (0 where clipped) at noise ``logit``."""
+    s = _sigmoid((logit + log_alpha) / HC_BETA)
+    sb = s * _HC_WIDTH + HC_GAMMA
+    dz = np.where((sb > 0.0) & (sb < 1.0), _HC_WIDTH * s * (1.0 - s) / HC_BETA, 0.0)
+    return np.clip(sb, 0.0, 1.0), dz
+
+
+def _hc_active(log_alpha):
+    """P(z != 0) of hard-concrete gates: the L0 penalty term."""
+    return _sigmoid(log_alpha - _HC_LOG_RATIO)
+
+
+def _vib_term(mu, sigma):
+    """VIB penalty log(1 + mu^2 / sigma^2) per gate and its (d/dmu, d/dsigma)."""
+    denom = sigma**2 + mu**2
+    return np.log1p(mu**2 / sigma**2), 2.0 * mu / denom, -2.0 * mu**2 / (sigma * denom)
+
+
+@dataclass(frozen=True)
 class HardConcreteGate:
     """Clipped, stretched concrete gate with learnable log_alpha."""
 
     log_alpha: float
-    beta: float = HC_BETA
-    zeta: float = HC_ZETA
-    gamma: float = HC_GAMMA
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if not self.gamma < 0.0 < 1.0 < self.zeta:
-            raise ValueError("stretch must satisfy gamma < 0 < 1 < zeta")
+    beta = HC_BETA  # fixed constants, not fields
+    zeta = HC_ZETA
+    gamma = HC_GAMMA
 
     def active_probability(self) -> float:
         """P(z != 0) under the sampling distribution; the penalty term."""
-        return float(_sigmoid(self.log_alpha - self.beta * math.log(-self.gamma / self.zeta)))
+        return float(_hc_active(self.log_alpha))
 
 
 @dataclass
@@ -96,17 +121,13 @@ class GateVector:
     def criteria(self) -> Array:
         """Per-gate keep criterion: P(z != 0) for L0 gates, snr for VIB."""
         if self.kind == "l0":
-            return np.array([g.active_probability() for g in self.gates])
+            return _hc_active(np.array([g.log_alpha for g in self.gates]))
         return np.array([g.snr() for g in self.gates])
 
 
 def hc_sample(gate: HardConcreteGate, u: float) -> float:
     """Sample z in [0, 1] from the hard-concrete distribution at noise u."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must be strictly inside (0, 1), got {u}")
-    s = _sigmoid((math.log(u) - math.log(1.0 - u) + gate.log_alpha) / gate.beta)
-    sb = s * (gate.zeta - gate.gamma) + gate.gamma
-    return float(min(1.0, max(0.0, sb)))
+    return float(_hc_stretch(_logit(u), gate.log_alpha)[0])
 
 
 def hc_deterministic(gate: HardConcreteGate, mode: str = "clipped_mean") -> float:
@@ -121,19 +142,15 @@ def hc_deterministic(gate: HardConcreteGate, mode: str = "clipped_mean") -> floa
         return hc_sample(gate, 0.5)
     if mode == "expected":
         u = (np.arange(20_000) + 0.5) / 20_000
-        s = _sigmoid((np.log(u) - np.log1p(-u) + gate.log_alpha) / gate.beta)
-        z = np.clip(s * (gate.zeta - gate.gamma) + gate.gamma, 0.0, 1.0)
-        return float(np.mean(z))
+        return float(np.mean(_hc_stretch(_logit(u), gate.log_alpha)[0]))
     raise ValueError(f"mode must be 'clipped_mean' or 'expected', got {mode!r}")
 
 
 def hc_penalty(gates: GateVector) -> float:
     """Sum of per-gate active probabilities (the L0 relaxation penalty)."""
-    if gates.kind == "empty":
-        return 0.0
-    if gates.kind != "l0":
+    if gates.kind not in ("l0", "empty"):
         raise ValueError("hc_penalty needs hard-concrete gates")
-    return float(sum(g.active_probability() for g in gates.gates))
+    return float(np.sum(gates.criteria()))
 
 
 def hc_grads(gate: HardConcreteGate, u: float) -> tuple[float, float]:
@@ -141,16 +158,9 @@ def hc_grads(gate: HardConcreteGate, u: float) -> tuple[float, float]:
 
     The sample gradient is zero wherever the stretched sample is clipped.
     """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must be strictly inside (0, 1), got {u}")
-    s = float(_sigmoid((math.log(u) - math.log(1.0 - u) + gate.log_alpha) / gate.beta))
-    sb = s * (gate.zeta - gate.gamma) + gate.gamma
-    if 0.0 < sb < 1.0:
-        dz = (gate.zeta - gate.gamma) * s * (1.0 - s) / gate.beta
-    else:
-        dz = 0.0
-    p = gate.active_probability()
-    return dz, p * (1.0 - p)
+    _, dz = _hc_stretch(_logit(u), gate.log_alpha)
+    p = _hc_active(gate.log_alpha)
+    return float(dz), float(p * (1.0 - p))
 
 
 def vib_sample(gate: VibGate, eps: float) -> float:
@@ -160,17 +170,15 @@ def vib_sample(gate: VibGate, eps: float) -> float:
 
 def vib_penalty(gates: GateVector) -> float:
     """Sum of log(1 + mu^2 / sigma^2) over the gates."""
-    if gates.kind == "empty":
-        return 0.0
-    if gates.kind != "vib":
+    if gates.kind not in ("vib", "empty"):
         raise ValueError("vib_penalty needs Gaussian gates")
-    return float(sum(math.log1p(g.snr()) for g in gates.gates))
+    return float(sum(_vib_term(g.mu, g.sigma)[0] for g in gates.gates))
 
 
 def vib_grads(gate: VibGate) -> tuple[float, float]:
     """(dF_term/dmu, dF_term/dsigma) of the penalty term of one gate."""
-    denom = gate.sigma**2 + gate.mu**2
-    return 2.0 * gate.mu / denom, -2.0 * gate.mu**2 / (gate.sigma * denom)
+    _, dmu, dsigma = _vib_term(gate.mu, gate.sigma)
+    return float(dmu), float(dsigma)
 
 
 @dataclass(frozen=True)
@@ -178,6 +186,13 @@ class GatePruneResult:
     kernel: Kernel4D
     kept: tuple[int, ...]
     cost: LayerCost
+
+
+def kept_by_criteria(crit: Array, threshold: float) -> tuple[int, ...]:
+    """Indices of the gates whose keep criterion reaches ``threshold`` (> 0)."""
+    if not threshold > 0:  # also rejects NaN
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    return tuple(int(i) for i in np.flatnonzero(crit >= threshold))
 
 
 def prune_by_gates(
@@ -188,12 +203,10 @@ def prune_by_gates(
     Reports the achieved MAC reduction: the cost model's original layer
     with t reduced to the kept count.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     crit = gates.criteria()
     if crit.size != kernel.t:
         raise ValueError(f"{crit.size} gates for {kernel.t} output channels")
-    kept = tuple(int(i) for i in np.flatnonzero(crit >= threshold))
+    kept = kept_by_criteria(crit, threshold)
     if not kept:
         raise ValueError("threshold prunes every channel")
     pruned = Kernel4D(
@@ -221,6 +234,13 @@ class ToyRegressionTask:
     n_features: int = 8
     n_informative: int = 4
     noise_std: float = 0.05
+
+    def __post_init__(self):
+        if not 1 <= self.n_informative <= self.n_features:
+            raise ValueError(
+                f"need 1 <= n_informative <= n_features, got {self.n_informative} "
+                f"informative of {self.n_features} features"
+            )
 
     def materialize(self, rng: np.random.Generator) -> tuple[Array, Array, Array]:
         x = rng.normal(size=(self.n_samples, self.n_features))
@@ -257,42 +277,34 @@ def train_toy_gated(
     """
     if kind not in ("l0", "vib"):
         raise ValueError(f"kind must be 'l0' or 'vib', got {kind!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     rng = np.random.default_rng(seed)
     x, y, _ = task.materialize(rng)
     n, p = x.shape
     weights = rng.normal(scale=0.1, size=p)
-    if kind == "l0":
-        log_alpha = np.full(p, 1.0)
-        log_ratio = HC_BETA * math.log(-HC_GAMMA / HC_ZETA)
-    else:
-        mu = np.full(p, 1.0)
-        log_sigma = np.full(p, math.log(0.5))
     loss_trace = []
     # every step's noise in one draw: the same stream as one draw per step
     if kind == "l0":
+        log_alpha = np.full(p, 1.0)
         draws = np.clip(rng.uniform(size=(steps, p)), 1e-12, 1.0 - 1e-12)
-        logits = np.log(draws) - np.log1p(-draws)
+        logits = _logit(draws)
     else:
+        mu = np.full(p, 1.0)
+        log_sigma = np.full(p, math.log(0.5))
         draws = rng.normal(size=(steps, p))
     for step in range(steps):
         if kind == "l0":
-            s = _sigmoid((logits[step] + log_alpha) / HC_BETA)
-            sb = s * (HC_ZETA - HC_GAMMA) + HC_GAMMA
-            z = np.clip(sb, 0.0, 1.0)
-            dz_dla = np.where(
-                (sb > 0.0) & (sb < 1.0), (HC_ZETA - HC_GAMMA) * s * (1.0 - s) / HC_BETA, 0.0
-            )
-            p_active = _sigmoid(log_alpha - log_ratio)
+            z, dz_dla = _hc_stretch(logits[step], log_alpha)
+            p_active = _hc_active(log_alpha)
             penalty = float(np.sum(p_active))
             dpen = p_active * (1.0 - p_active)
         else:
             eps = draws[step]
             sigma = np.exp(log_sigma)
             z = mu + eps * sigma
-            denom = sigma**2 + mu**2
-            penalty = float(np.sum(np.log1p(mu**2 / sigma**2)))
-            dpen_dmu = 2.0 * mu / denom
-            dpen_dsigma = -2.0 * mu**2 / (sigma * denom)
+            terms, dpen_dmu, dpen_dsigma = _vib_term(mu, sigma)
+            penalty = float(np.sum(terms))
         pred = x @ (weights * z)
         err = pred - y
         with np.errstate(over="ignore"):  # divergence saturates to inf and is caught below

@@ -7,6 +7,8 @@ is used to check (plain loops, brute-force search, textbook formulas).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -306,3 +308,74 @@ def lasso_cd_sample_space(x, y, lam: float, tol: float = 1e-8, max_sweeps: int =
         if max_change <= tol:
             break
     return beta
+
+
+def train_toy_gated_inline(task, kind: str, lambda_reg: float, steps: int, lr: float = 0.05,
+                           seed: int = 0):
+    """The toy gate trainer with the hard-concrete and VIB formulas written
+    out inline in its loop, with the standard constants beta = 2/3,
+    zeta = 1.1, gamma = -0.1.  Same draws, update order and arithmetic as
+    the library's ``train_toy_gated``; returns ``draws``, ``loss_trace``,
+    ``weights`` and the per-gate keep ``criteria`` (P(z != 0) per L0 gate,
+    computed one gate at a time; mu^2 / sigma^2 per VIB gate)."""
+    beta, zeta, gamma = 2.0 / 3.0, 1.1, -0.1
+
+    def sigmoid(x):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+    rng = np.random.default_rng(seed)
+    x, y, _ = task.materialize(rng)
+    n, p = x.shape
+    weights = rng.normal(scale=0.1, size=p)
+    log_ratio = beta * math.log(-gamma / zeta)
+    if kind == "l0":
+        log_alpha = np.full(p, 1.0)
+        draws = np.clip(rng.uniform(size=(steps, p)), 1e-12, 1.0 - 1e-12)
+        logits = np.log(draws) - np.log1p(-draws)
+    else:
+        mu = np.full(p, 1.0)
+        log_sigma = np.full(p, math.log(0.5))
+        draws = rng.normal(size=(steps, p))
+    loss_trace = []
+    for step in range(steps):
+        if kind == "l0":
+            s = sigmoid((logits[step] + log_alpha) / beta)
+            sb = s * (zeta - gamma) + gamma
+            z = np.clip(sb, 0.0, 1.0)
+            dz_dla = np.where((sb > 0.0) & (sb < 1.0), (zeta - gamma) * s * (1.0 - s) / beta, 0.0)
+            p_active = sigmoid(log_alpha - log_ratio)
+            penalty = float(np.sum(p_active))
+            dpen = p_active * (1.0 - p_active)
+        else:
+            eps = draws[step]
+            sigma = np.exp(log_sigma)
+            z = mu + eps * sigma
+            denom = sigma**2 + mu**2
+            penalty = float(np.sum(np.log1p(mu**2 / sigma**2)))
+            dpen_dmu = 2.0 * mu / denom
+            dpen_dsigma = -2.0 * mu**2 / (sigma * denom)
+        err = x @ (weights * z) - y
+        with np.errstate(over="ignore"):
+            loss = float(err @ err) / n + lambda_reg * penalty
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"loss diverged at step {step}")
+        loss_trace.append(loss)
+        g_wz = (2.0 / n) * (x.T @ err)
+        grad_w = g_wz * z
+        if kind == "l0":
+            grad_la = g_wz * weights * dz_dla + lambda_reg * dpen
+            weights = weights - lr * grad_w
+            log_alpha = log_alpha - lr * grad_la
+        else:
+            grad_mu = g_wz * weights + lambda_reg * dpen_dmu
+            grad_ls = (g_wz * weights * eps + lambda_reg * dpen_dsigma) * sigma
+            weights = weights - lr * grad_w
+            mu = mu - lr * grad_mu
+            log_sigma = log_sigma - lr * grad_ls
+    if kind == "l0":
+        criteria = np.array([float(sigmoid(float(a) - log_ratio)) for a in log_alpha])
+    else:
+        criteria = np.array([float(m) ** 2 / float(np.exp(ls)) ** 2
+                             for m, ls in zip(mu, log_sigma)])
+    return {"draws": draws, "loss_trace": loss_trace, "weights": weights, "criteria": criteria}

@@ -264,6 +264,25 @@ class TestGatesCli:
         assert len(rep["criteria"]) == 8
         assert rep["kept"] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--steps", "0"], "steps must be at least 1"),
+            (["--features", "3", "--informative", "5"], "n_informative <= n_features"),
+            (["--informative", "0"], "n_informative <= n_features"),
+            (["--threshold", "-1"], "threshold must be positive"),
+        ],
+        ids=["steps-0", "informative-over-features", "informative-0", "threshold-negative"],
+    )
+    def test_bad_arguments_fail_and_write_nothing(self, capsys, tmp_path, argv, message):
+        code, _, err = run(
+            capsys, "gates", "--kind", "l0", "--lambda", "0.05", "--steps", "50",
+            *argv, "--out", tmp_path / "g",
+        )
+        assert code == 1
+        assert message in json.loads(err)["error"]
+        assert not (tmp_path / "g").exists()
+
 
 class TestRankSelectCli:
     def test_both_strategies(self, capsys, tmp_path):
@@ -361,6 +380,8 @@ class TestDeterminism:
             "asym": ["dataopt", model_dir, "--layer", "wide", "--mode", "asym",
                      "--batch", wide_batch, "--rank", "24"],
             "prune": ["prune", model_dir, "--layer", "thin", "--keep", "4", "--batch", thin_batch],
+            "gates-l0": ["gates", "--kind", "l0", "--lambda", "0.05", "--steps", "300"],
+            "gates-vib": ["gates", "--kind", "vib", "--lambda", "0.05", "--steps", "300"],
         }
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
         src = str(Path(convcompress.__file__).resolve().parents[1])

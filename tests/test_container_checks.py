@@ -20,6 +20,7 @@ from convcompress.container import (
     add_kernel,
     add_layer,
     read_container,
+    read_gates,
     read_kernel,
     read_layer,
     write_container,
@@ -183,6 +184,53 @@ class TestManifestGaps:
         _edit(path, lambda m: m["entries"][0].update(shape=[T * S * K * K]))
         with pytest.raises(ContainerError) as err:
             read_kernel(read_container(path), "conv1")
+        assert err.value.code == "shape_mismatch"
+
+
+class TestGateVectors:
+    NAN, INF = float("nan"), float("inf")
+    L0 = {"kind": "l0", "lambda_reg": 0.1}
+    VIB = {"kind": "vib", "lambda_reg": 0.1}
+
+    @pytest.mark.parametrize(
+        "payload, metadata, code",
+        [
+            ([0.5, -1.0], {"kind": "l1", "lambda_reg": 0.1}, "bad_manifest"),
+            ([[0.5, 1.0]], {"lambda_reg": 0.1}, "bad_manifest"),
+            ([0.5, NAN], L0, "bad_manifest"),
+            ([[0.5, 1.0], [INF, 1.0]], VIB, "bad_manifest"),
+            ([[0.5, 1.0], [0.5, 0.0]], VIB, "bad_manifest"),
+            ([[0.5, -2.0]], VIB, "bad_manifest"),
+            ([0.5], {"kind": "l0", "lambda_reg": "abc"}, "bad_manifest"),
+            ([0.5], {"kind": "l0", "lambda_reg": None}, "bad_manifest"),
+            ([0.5], {"kind": "l0", "lambda_reg": True}, "bad_manifest"),
+            ([0.5], {"kind": "l0", "lambda_reg": NAN}, "bad_manifest"),
+            ([0.5], {"kind": "l0", "lambda_reg": 10**400}, "bad_manifest"),
+            ([0.5, 1.0, 2.0], VIB, "shape_mismatch"),
+            ([[0.5, 1.0], [0.5, 1.0]], L0, "shape_mismatch"),
+            ([[0.5, 1.0, 1.0]], VIB, "shape_mismatch"),
+        ],
+        ids=["unknown-kind", "missing-kind", "nan-log-alpha", "inf-mu", "zero-sigma",
+             "negative-sigma", "lambda-string", "lambda-null", "lambda-bool", "lambda-nan",
+             "lambda-huge-int", "vib-1d", "l0-2d", "vib-3-columns"],
+    )
+    def test_malformed_gate_vector(self, tmp_path, payload, metadata, code):
+        """Each cause gives its coded error, never a raw TypeError or
+        ValueError, and no input is silently read as another gate kind."""
+        c = Container()
+        c.add("gates", "gates", np.array(payload), metadata=metadata)
+        write_container(c, tmp_path / "g")
+        with pytest.raises(ContainerError) as err:
+            read_gates(read_container(tmp_path / "g"), "gates")
+        assert err.value.code == code
+
+    def test_zero_dim_payload(self, tmp_path):
+        c = Container()
+        c.add("gates", "gates", np.array([0.5]), metadata=self.L0)
+        write_container(c, tmp_path / "g")
+        _edit(tmp_path / "g", lambda m: m["entries"][0].update(shape=[]))
+        with pytest.raises(ContainerError) as err:
+            read_gates(read_container(tmp_path / "g"), "gates")
         assert err.value.code == "shape_mismatch"
 
 

@@ -1,10 +1,12 @@
 """Stochastic gates: sampling chains, penalties, gradients, toy training."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from _oracles import train_toy_gated_inline
 from convcompress.gates import (
     GateVector,
     HardConcreteGate,
@@ -14,6 +16,7 @@ from convcompress.gates import (
     hc_grads,
     hc_penalty,
     hc_sample,
+    kept_by_criteria,
     prune_by_gates,
     train_toy_gated,
     vib_grads,
@@ -71,6 +74,19 @@ class TestHcSample:
         assert abs(hc_deterministic(g, "expected") - mc) <= 0.01
         with pytest.raises(ValueError, match="mode"):
             hc_deterministic(g, "median")
+
+
+class TestHardConcreteConstants:
+    def test_constants_are_fixed(self):
+        """beta, zeta and gamma read as the standard constants and cannot be
+        set per gate, so a gate is fully described by its log_alpha."""
+        g = HardConcreteGate(log_alpha=0.0)
+        assert (g.beta, g.zeta, g.gamma) == (2.0 / 3.0, 1.1, -0.1)
+        with pytest.raises(TypeError):
+            HardConcreteGate(0.0, beta=0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.beta = 0.3
+        assert [f.name for f in dataclasses.fields(HardConcreteGate)] == ["log_alpha"]
 
 
 class TestHcPenalty:
@@ -197,6 +213,15 @@ class TestPruneByGates:
         with pytest.raises(ValueError, match="prunes every channel"):
             prune_by_gates(gv, kernel, threshold=0.5)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_threshold_must_be_positive(self, threshold):
+        kernel = Kernel4D(np.ones((2, 2, 1, 1)))
+        gv = GateVector(gates=[VibGate(mu=1.0, sigma=1.0)] * 2)
+        for call in (lambda: prune_by_gates(gv, kernel, threshold),
+                     lambda: kept_by_criteria(gv.criteria(), threshold)):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                call()
+
     def test_reports_mac_ratio(self):
         kernel = Kernel4D(np.ones((4, 3, 3, 3)))
         gv = GateVector(
@@ -265,3 +290,45 @@ class TestToyTraining:
         p_active = 1.0 / (1.0 + np.exp(-(1.0 - (2.0 / 3.0) * math.log(0.1 / 1.1))))
         loss = float(np.sum((pred - y) ** 2)) / task.n_samples + 0.3 * 8 * p_active
         assert loss == pytest.approx(res.loss_trace[0], rel=1e-12)
+
+    def test_steps_must_be_positive(self):
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            train_toy_gated(ToyRegressionTask(), "l0", lambda_reg=0.1, steps=0)
+
+    @pytest.mark.parametrize("features, informative", [(3, 5), (4, 0), (0, 0)])
+    def test_informative_features_must_fit(self, features, informative):
+        with pytest.raises(ValueError, match="n_informative <= n_features"):
+            ToyRegressionTask(n_features=features, n_informative=informative)
+
+
+class TestTrainerOracle:
+    @pytest.mark.parametrize("kind, lam", [("l0", 0.5), ("vib", 0.02)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_inline_loop_exactly(self, kind, lam, seed):
+        """The trainer, built on the shared gate functions, reproduces the
+        loop with the formulas written inline bit for bit."""
+        task = ToyRegressionTask()
+        got = train_toy_gated(task, kind, lambda_reg=lam, steps=300, lr=0.05, seed=seed)
+        want = train_toy_gated_inline(task, kind, lambda_reg=lam, steps=300, lr=0.05, seed=seed)
+        assert np.array_equal(got.draws, want["draws"])
+        assert got.loss_trace == want["loss_trace"]
+        assert np.array_equal(got.weights, want["weights"])
+        assert np.array_equal(got.gates.criteria(), want["criteria"])
+
+    def test_scalar_helpers_use_the_trainer_arithmetic(self):
+        """hc_sample, hc_grads and hc_deterministic equal the trainer's
+        inline formulas exactly at noise values whose 1 - u is inexact,
+        where log1p(-u) and log(1 - u) round differently."""
+        beta, zeta, gamma = 2.0 / 3.0, 1.1, -0.1
+        u = np.arange(1, 1000) / 1000
+        for la in (-1.3, 0.0, 0.7):
+            s = 1.0 / (1.0 + np.exp(-((np.log(u) - np.log1p(-u) + la) / beta)))
+            sb = s * (zeta - gamma) + gamma
+            dz = np.where((sb > 0.0) & (sb < 1.0), (zeta - gamma) * s * (1.0 - s) / beta, 0.0)
+            g = HardConcreteGate(log_alpha=la)
+            assert [hc_sample(g, float(ui)) for ui in u] == np.clip(sb, 0.0, 1.0).tolist()
+            assert [hc_grads(g, float(ui))[0] for ui in u] == dz.tolist()
+            mid = (np.arange(20_000) + 0.5) / 20_000
+            s = 1.0 / (1.0 + np.exp(-((np.log(mid) - np.log1p(-mid) + la) / beta)))
+            assert hc_deterministic(g, "expected") == np.mean(
+                np.clip(s * (zeta - gamma) + gamma, 0.0, 1.0))
