@@ -8,12 +8,15 @@ Conventions: ``--ratio`` always means the retained MAC fraction
 (compressed / original); reports print both that and the saved fraction
 to keep the two conventions apart.  Reruns with identical arguments,
 inputs and ``--seed`` produce byte-identical output containers, given the
-same numpy/BLAS build and the same BLAS thread count.
+same numpy/BLAS build and the same BLAS thread count.  ``cli_dispatch``
+may be called any number of times in one process; the argument parser is
+built on the first call and reused, since parsing leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,6 +38,7 @@ EXTRACTORS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convcompress",

@@ -329,10 +329,12 @@ def read_gates(container: Container, name: str) -> GateVector:
     if not (_is_int(lam) or isinstance(lam, float)) or not abs(lam) <= sys.float_info.max:
         raise ContainerError("bad_manifest", f"gate vector {name!r}: bad lambda_reg {lam!r}")
     payload = container.get(name)
-    if payload.shape != ((payload.size,) if kind == "l0" else (payload.size // 2, 2)):
+    n = payload.size if kind == "l0" else payload.size // 2
+    if n == 0 or payload.shape != ((n,) if kind == "l0" else (n, 2)):
         want = "(n,)" if kind == "l0" else "(n, 2)"
         raise ContainerError(
-            "shape_mismatch", f"{kind} gate vector {name!r} must be {want}, got {payload.shape}"
+            "shape_mismatch",
+            f"{kind} gate vector {name!r} must be {want} with n >= 1, got {payload.shape}",
         )
     if not np.all(np.isfinite(payload)):
         raise ContainerError("bad_manifest", f"gate vector {name!r} holds non-finite values")

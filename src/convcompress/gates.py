@@ -15,6 +15,11 @@ z = mu + eps * sigma with penalty log(1 + mu^2 / sigma^2) per gate.
 
 Each formula, with its gradient, is written once as an array-valued
 private function that the scalar helpers, the criteria and the trainer share.
+The sigmoid saturates to exactly 0 or 1 when its exp overflows; that
+overflow is ignored once per public call (``np.errstate`` on
+``train_toy_gated``, ``hc_sample``, ``hc_grads``, ``hc_deterministic``,
+``HardConcreteGate.active_probability`` and ``GateVector.criteria``), not
+inside the private functions, which run about ten times per training step.
 
 A small full-batch trainer exercises the gates on planted-feature
 regression tasks; it is deterministic given a seed and logs every noise
@@ -38,8 +43,8 @@ _HC_LOG_RATIO = HC_BETA * math.log(-HC_GAMMA / HC_ZETA)
 
 
 def _sigmoid(x):
-    with np.errstate(over="ignore"):  # saturates cleanly to 0/1
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    """Logistic function; callers ignore the overflow of its saturated tails."""
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
 def _logit(u):
@@ -54,7 +59,7 @@ def _hc_stretch(logit, log_alpha):
     s = _sigmoid((logit + log_alpha) / HC_BETA)
     sb = s * _HC_WIDTH + HC_GAMMA
     dz = np.where((sb > 0.0) & (sb < 1.0), _HC_WIDTH * s * (1.0 - s) / HC_BETA, 0.0)
-    return np.clip(sb, 0.0, 1.0), dz
+    return np.minimum(np.maximum(sb, 0.0), 1.0), dz
 
 
 def _hc_active(log_alpha):
@@ -64,8 +69,9 @@ def _hc_active(log_alpha):
 
 def _vib_term(mu, sigma):
     """VIB penalty log(1 + mu^2 / sigma^2) per gate and its (d/dmu, d/dsigma)."""
-    denom = sigma**2 + mu**2
-    return np.log1p(mu**2 / sigma**2), 2.0 * mu / denom, -2.0 * mu**2 / (sigma * denom)
+    mu2, sigma2 = mu**2, sigma**2
+    denom = sigma2 + mu2
+    return np.log1p(mu2 / sigma2), 2.0 * mu / denom, -2.0 * mu2 / (sigma * denom)
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,7 @@ class HardConcreteGate:
     zeta = HC_ZETA
     gamma = HC_GAMMA
 
+    @np.errstate(over="ignore")
     def active_probability(self) -> float:
         """P(z != 0) under the sampling distribution; the penalty term."""
         return float(_hc_active(self.log_alpha))
@@ -118,6 +125,7 @@ class GateVector:
             return "empty"
         return "l0" if isinstance(self.gates[0], HardConcreteGate) else "vib"
 
+    @np.errstate(over="ignore")
     def criteria(self) -> Array:
         """Per-gate keep criterion: P(z != 0) for L0 gates, snr for VIB."""
         if self.kind == "l0":
@@ -125,11 +133,13 @@ class GateVector:
         return np.array([g.snr() for g in self.gates])
 
 
+@np.errstate(over="ignore")
 def hc_sample(gate: HardConcreteGate, u: float) -> float:
     """Sample z in [0, 1] from the hard-concrete distribution at noise u."""
     return float(_hc_stretch(_logit(u), gate.log_alpha)[0])
 
 
+@np.errstate(over="ignore")
 def hc_deterministic(gate: HardConcreteGate, mode: str = "clipped_mean") -> float:
     """Deterministic test-time value of a hard-concrete gate.
 
@@ -150,9 +160,10 @@ def hc_penalty(gates: GateVector) -> float:
     """Sum of per-gate active probabilities (the L0 relaxation penalty)."""
     if gates.kind not in ("l0", "empty"):
         raise ValueError("hc_penalty needs hard-concrete gates")
-    return float(np.sum(gates.criteria()))
+    return float(gates.criteria().sum())
 
 
+@np.errstate(over="ignore")
 def hc_grads(gate: HardConcreteGate, u: float) -> tuple[float, float]:
     """(dz/dlog_alpha, dF_term/dlog_alpha) at noise u.
 
@@ -260,6 +271,7 @@ class ToyTrainResult:
     task: ToyRegressionTask
 
 
+@np.errstate(over="ignore")  # sigmoid saturation; a diverged loss is caught below
 def train_toy_gated(
     task: ToyRegressionTask,
     kind: str,
@@ -273,12 +285,17 @@ def train_toy_gated(
     Minimizes mean squared error plus ``lambda_reg`` times the gate penalty,
     with analytic reparameterized gradients.  Deterministic given the seed;
     the per-step noise draws are returned for replay.  Raises if the loss
-    goes non-finite (divergent learning rate).
+    goes non-finite (divergent learning rate).  ``lr`` must be finite and
+    positive and ``lambda_reg`` finite and nonnegative.
     """
     if kind not in ("l0", "vib"):
         raise ValueError(f"kind must be 'l0' or 'vib', got {kind!r}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+    if not (math.isfinite(lambda_reg) and lambda_reg >= 0):
+        raise ValueError(f"lambda_reg must be finite and nonnegative, got {lambda_reg}")
     rng = np.random.default_rng(seed)
     x, y, _ = task.materialize(rng)
     n, p = x.shape
@@ -297,18 +314,17 @@ def train_toy_gated(
         if kind == "l0":
             z, dz_dla = _hc_stretch(logits[step], log_alpha)
             p_active = _hc_active(log_alpha)
-            penalty = float(np.sum(p_active))
+            penalty = float(p_active.sum())
             dpen = p_active * (1.0 - p_active)
         else:
             eps = draws[step]
             sigma = np.exp(log_sigma)
             z = mu + eps * sigma
             terms, dpen_dmu, dpen_dsigma = _vib_term(mu, sigma)
-            penalty = float(np.sum(terms))
+            penalty = float(terms.sum())
         pred = x @ (weights * z)
         err = pred - y
-        with np.errstate(over="ignore"):  # divergence saturates to inf and is caught below
-            loss = float(err @ err) / n + lambda_reg * penalty
+        loss = float(err @ err) / n + lambda_reg * penalty
         if not math.isfinite(loss):
             raise FloatingPointError(f"loss diverged at step {step}; lower the learning rate")
         loss_trace.append(loss)

@@ -6,6 +6,9 @@ and lasso are built on top.  Singular-vector and eigenvector signs are
 fixed (the largest-magnitude entry of every U / eigenvector column is
 made nonnegative), so reruns with the same inputs, the same numpy/BLAS
 build and the same BLAS thread count produce byte-identical factors.
+``eig_sym`` symmetrizes its input only when the input is not exactly
+symmetric; the Gram matrices the library passes it are, and go to LAPACK
+unchanged, which gives the same bits as symmetrizing them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ def _check_matrix(a, what: str = "matrix") -> Array:
     m = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
     if m.ndim != 2:
         raise ValueError(f"{what} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
     return m
 
@@ -46,7 +49,7 @@ class SvdResult:
 def _fix_signs(u: Array, *others: Array) -> tuple[Array, ...]:
     """Flip columns so the largest-magnitude entry of each ``u`` column is
     nonnegative; the same columns of ``others`` flip with them."""
-    rows = np.argmax(np.abs(u), axis=0)
+    rows = np.abs(u).argmax(axis=0)
     signs = np.where(u[rows, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
     return (u * signs, *(o * signs for o in others))
 
@@ -92,16 +95,23 @@ def eig_sym(a, sym_tol: float = 1e-8) -> tuple[Array, Array]:
     """Eigendecomposition of a symmetric matrix (LAPACK via ``np.linalg.eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
-    eigenvectors in the columns.  Raises on asymmetric input.
+    eigenvectors in the columns.  Raises on empty input and on input whose
+    asymmetry exceeds ``sym_tol`` relative to its largest entry (at least 1);
+    input within that tolerance is symmetrized as ``0.5 * (a + a.T)``, and an
+    exactly symmetric matrix, which that would return bit for bit, is not.
     """
     m = _check_matrix(a)
     n, n2 = m.shape
     if n != n2:
         raise ValueError(f"matrix must be square, got {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > sym_tol * scale:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    if n == 0:
+        raise ValueError("matrix must not be empty")
+    if (m != m.T).any():
+        scale = max(1.0, float(np.abs(m).max()))
+        if np.abs(m - m.T).max() > sym_tol * scale:
+            raise ValueError("matrix is not symmetric")
+        m = 0.5 * (m + m.T)
+    vals, vecs = np.linalg.eigh(m)
     (vecs,) = _fix_signs(vecs[:, ::-1])
     return vals[::-1], vecs
 

@@ -271,8 +271,13 @@ class TestGatesCli:
             (["--features", "3", "--informative", "5"], "n_informative <= n_features"),
             (["--informative", "0"], "n_informative <= n_features"),
             (["--threshold", "-1"], "threshold must be positive"),
+            (["--lr", "-1"], "lr must be finite and positive"),
+            (["--lr", "nan"], "lr must be finite and positive"),
+            (["--lambda", "-0.5"], "lambda_reg must be finite and nonnegative"),
+            (["--lambda", "nan"], "lambda_reg must be finite and nonnegative"),
         ],
-        ids=["steps-0", "informative-over-features", "informative-0", "threshold-negative"],
+        ids=["steps-0", "informative-over-features", "informative-0", "threshold-negative",
+             "lr-negative", "lr-nan", "lambda-negative", "lambda-nan"],
     )
     def test_bad_arguments_fail_and_write_nothing(self, capsys, tmp_path, argv, message):
         code, _, err = run(
@@ -319,6 +324,33 @@ class TestRankSelectCli:
         assert "--acc-table" in err
 
 
+class TestParserReuse:
+    """cli_dispatch builds its parser once per process; no call may see
+    another call's arguments or state."""
+
+    def test_omitted_flag_takes_its_default_after_a_call_that_set_it(
+        self, capsys, model_dir, tmp_path
+    ):
+        """A compress without --seed right after one with --seed 5 runs
+        with seed 0: it writes what an explicit --seed 0 writes."""
+        path, _ = model_dir
+        common = ["compress", path, "--layer", "conv1", "--method", "cp", "--rank", "2"]
+        for out, seed in (("seed5", ["--seed", "5"]), ("default", []), ("seed0", ["--seed", "0"])):
+            assert run(capsys, *common, *seed, "--out", tmp_path / out)[0] == 0
+        blob = {out: (tmp_path / out / "blob.bin").read_bytes()
+                for out in ("seed5", "default", "seed0")}
+        assert blob["default"] == blob["seed0"]
+        assert blob["default"] != blob["seed5"]
+
+    def test_valid_call_after_a_usage_error(self, capsys, model_dir, tmp_path):
+        path, _ = model_dir
+        code, _, _ = run(capsys, "compress", path, "--method", "nope", "--out", tmp_path / "o")
+        assert code == 2
+        code, rep, _ = run(capsys, "report", path)
+        assert code == 0
+        assert rep["entries"][0]["name"] == "conv1"
+
+
 _RERUN = """
 import json, sys
 from convcompress.cli import cli_dispatch
@@ -353,6 +385,26 @@ class TestDeterminism:
             a = (tmp_path / "r1" / fname).read_bytes()
             b = (tmp_path / "r2" / fname).read_bytes()
             assert a == b
+
+    def test_in_process_reruns_are_byte_identical(self, capsys, model_dir, tmp_path):
+        """Each subcommand run twice in one process, with the other runs in
+        between, writes the same bytes both times."""
+        path, _ = model_dir
+        pipelines = {
+            "tt": ["compress", path, "--layer", "conv1", "--method", "tt", "--rank", "2,2,3"],
+            "spatial": ["compress", path, "--layer", "conv1", "--method", "spatial-svd",
+                        "--ratio", "0.5"],
+            "gates-l0": ["gates", "--kind", "l0", "--lambda", "0.05", "--steps", "200"],
+            "gates-vib": ["gates", "--kind", "vib", "--lambda", "0.05", "--steps", "200",
+                          "--seed", "3"],
+        }
+        for run_id in ("a", "b"):
+            for name, argv in pipelines.items():
+                assert run(capsys, *argv, "--out", tmp_path / f"{name}-{run_id}")[0] == 0
+        for name in pipelines:
+            for fname in ("manifest.json", "blob.bin"):
+                a = (tmp_path / f"{name}-a" / fname).read_bytes()
+                assert a == (tmp_path / f"{name}-b" / fname).read_bytes(), (name, fname)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_reruns_in_fresh_processes_are_byte_identical(self, tmp_path, threads):

@@ -209,10 +209,12 @@ class TestGateVectors:
             ([0.5, 1.0, 2.0], VIB, "shape_mismatch"),
             ([[0.5, 1.0], [0.5, 1.0]], L0, "shape_mismatch"),
             ([[0.5, 1.0, 1.0]], VIB, "shape_mismatch"),
+            (np.empty(0), L0, "shape_mismatch"),
+            (np.empty((0, 2)), VIB, "shape_mismatch"),
         ],
         ids=["unknown-kind", "missing-kind", "nan-log-alpha", "inf-mu", "zero-sigma",
              "negative-sigma", "lambda-string", "lambda-null", "lambda-bool", "lambda-nan",
-             "lambda-huge-int", "vib-1d", "l0-2d", "vib-3-columns"],
+             "lambda-huge-int", "vib-1d", "l0-2d", "vib-3-columns", "l0-empty", "vib-empty"],
     )
     def test_malformed_gate_vector(self, tmp_path, payload, metadata, code):
         """Each cause gives its coded error, never a raw TypeError or

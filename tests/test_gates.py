@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,22 @@ class TestToyTraining:
         loss = float(np.sum((pred - y) ** 2)) / task.n_samples + 0.3 * 8 * p_active
         assert loss == pytest.approx(res.loss_trace[0], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "lr, lam, message",
+        [
+            (-1.0, 0.1, "lr must be finite and positive"),
+            (0.0, 0.1, "lr must be finite and positive"),
+            (math.nan, 0.1, "lr must be finite and positive"),
+            (math.inf, 0.1, "lr must be finite and positive"),
+            (0.05, -0.5, "lambda_reg must be finite and nonnegative"),
+            (0.05, math.nan, "lambda_reg must be finite and nonnegative"),
+            (0.05, math.inf, "lambda_reg must be finite and nonnegative"),
+        ],
+    )
+    def test_lr_and_lambda_validated(self, lr, lam, message):
+        with pytest.raises(ValueError, match=message):
+            train_toy_gated(ToyRegressionTask(), "l0", lambda_reg=lam, steps=5, lr=lr)
+
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError, match="steps must be at least 1"):
             train_toy_gated(ToyRegressionTask(), "l0", lambda_reg=0.1, steps=0)
@@ -299,6 +316,27 @@ class TestToyTraining:
     def test_informative_features_must_fit(self, features, informative):
         with pytest.raises(ValueError, match="n_informative <= n_features"):
             ToyRegressionTask(n_features=features, n_informative=informative)
+
+
+class TestSaturation:
+    def test_extreme_log_alpha_saturates_without_warning(self):
+        """At log_alpha = +-1000 the sigmoid's exp overflows; every public
+        helper still returns exactly 0 or 1 and leaks no RuntimeWarning."""
+        open_gate, shut_gate = HardConcreteGate(1000.0), HardConcreteGate(-1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hc_sample(open_gate, 0.5) == 1.0
+            assert hc_sample(shut_gate, 0.5) == 0.0
+            for mode in ("clipped_mean", "expected"):
+                assert hc_deterministic(open_gate, mode) == 1.0
+                assert hc_deterministic(shut_gate, mode) == 0.0
+            assert hc_grads(open_gate, 0.3) == (0.0, 0.0)
+            assert hc_grads(shut_gate, 0.3) == (0.0, 0.0)
+            assert open_gate.active_probability() == 1.0
+            assert shut_gate.active_probability() == 0.0
+            gates = GateVector([open_gate, shut_gate])
+            assert gates.criteria().tolist() == [1.0, 0.0]
+            assert hc_penalty(gates) == 1.0
 
 
 class TestTrainerOracle:

@@ -127,6 +127,30 @@ class TestEigSym:
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_slight_asymmetry_is_symmetrized_and_larger_raises(self):
+        """Input asymmetric within sym_tol gives exactly the result of its
+        symmetrized copy, which takes the exactly symmetric path; beyond
+        sym_tol it raises."""
+        rng = np.random.default_rng(4)
+        b = rng.normal(size=(5, 5))
+        a = b.T @ b
+        a[0, 3] += 1e-12
+        vals, vecs = eig_sym(a)
+        want_vals, want_vecs = eig_sym(0.5 * (a + a.T))
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+        a[0, 3] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            eig_sym(a)
+
+    @pytest.mark.parametrize(
+        "a, message", [(np.full((2, 2), np.nan), "non-finite"), (np.zeros((0, 0)), "empty")],
+        ids=["nan", "0x0"],
+    )
+    def test_rejects_nan_and_empty(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            eig_sym(a)
+
 
 class TestRidgeSolve:
     def test_y_equals_z_gives_identity(self):
