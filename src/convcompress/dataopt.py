@@ -280,6 +280,9 @@ def relu_asym(
 
     Alternates an analytic elementwise Z-step with a reduced-rank (M, b)
     fit to the auxiliary variable, over an increasing penalty schedule.
+    Every fit regresses on the same centered current responses, which are
+    checked and whitened once per call, at the first fit
+    (:func:`convcompress.linalg.rrr_fitter`).
     At fixed penalty the relaxed objective is nonincreasing across steps;
     the trace is recorded in ``meta["objective_trace"]``.
     """
@@ -294,29 +297,25 @@ def relu_asym(
     z_hat = batch.cur_outputs
     ry = _relu(y_raw)
     z_hat_mean = z_hat.mean(axis=0)
-    zc_hat = (z_hat - z_hat_mean).T
+    fit_m = linalg.rrr_fitter((z_hat - z_hat_mean).T, r, eps=eps)
 
-    def fit(target: Array) -> tuple[Array, Array]:
+    def fit(target: Array) -> tuple[Array, Array, Array]:
+        """M, b and the anchor ``z_hat @ M.T + b`` fitted to ``target``."""
         t_mean = target.mean(axis=0)
-        rrr = linalg.reduced_rank_regression((target - t_mean).T, zc_hat, r, eps=eps)
-        return rrr.M, t_mean - rrr.M @ z_hat_mean
+        m = fit_m((target - t_mean).T)
+        b = t_mean - m @ z_hat_mean
+        return m, b, z_hat @ m.T + b
 
-    m, b = fit(y_raw)
+    m, b, anchor = fit(y_raw)
     trace = []
     for lam in lambda_schedule:
         for _ in range(max_outer):
-            anchor = z_hat @ m.T + b
             z_aux = relu_z_step(y_raw, anchor, lam)
-            trace.append(
-                (lam, float(np.sum((ry - _relu(z_aux)) ** 2) + lam * np.sum((z_aux - anchor) ** 2)))
-            )
-            m, b = fit(z_aux)
-            anchor = z_hat @ m.T + b
-            trace.append(
-                (lam, float(np.sum((ry - _relu(z_aux)) ** 2) + lam * np.sum((z_aux - anchor) ** 2)))
-            )
-    pred = z_hat @ m.T + b
-    residual = float(np.linalg.norm(ry - _relu(pred)))
+            fit_term = np.sum((ry - _relu(z_aux)) ** 2)
+            trace.append((lam, float(fit_term + lam * np.sum((z_aux - anchor) ** 2))))
+            m, b, anchor = fit(z_aux)
+            trace.append((lam, float(fit_term + lam * np.sum((z_aux - anchor) ** 2))))
+    residual = float(np.linalg.norm(ry - _relu(anchor)))
     return RefinedLayer(
         M=m,
         new_bias=b,

@@ -290,9 +290,11 @@ def tucker_hooi(
         if err_prev - err < tol:
             break
         err_prev = err
+    if not errors:  # no sweep ran: the core of the HOSVD start
+        core = times_u1(u1).swapaxes(2, 3) @ u2
     return DecomposedLayer(
         method="tucker",
-        factors={"w1": u1, "core": times_u1(u1).swapaxes(2, 3) @ u2, "w2": u2},
+        factors={"w1": u1, "core": core, "w2": u2},
         ranks=(r1, r2),
         source_dims=(t, s, k),
         bias=kernel.bias,

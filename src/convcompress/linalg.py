@@ -9,12 +9,15 @@ build and the same BLAS thread count produce byte-identical factors.
 ``eig_sym`` symmetrizes its input only when the input is not exactly
 symmetric; the Gram matrices the library passes it are, and go to LAPACK
 unchanged, which gives the same bits as symmetrizing them.
+:func:`rrr_fitter` checks and whitens a fixed Z once for many
+reduced-rank fits.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +171,53 @@ class RrrResult:
     residual: float
 
 
+def _whitener(z: Array, eps: float) -> Array:
+    """``C^{-1/2}`` for ``C = Z Z^T + eps*I`` (zero on C's null space)."""
+    vals, vecs = _spd_inverse_factors(z @ z.T, eps)
+    sqrt_vals = np.sqrt(vals)
+    inv_sqrt = np.where(sqrt_vals > 0, 1.0 / np.where(sqrt_vals > 0, sqrt_vals, 1.0), 0.0)
+    return (vecs * inv_sqrt) @ vecs.T
+
+
+def _check_rrr(y: Array, z: Array, r: int) -> None:
+    if y.shape[1] != z.shape[1]:
+        raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {z.shape}")
+    if not 1 <= r <= y.shape[0]:
+        raise ValueError(f"rank {r} out of range [1, {y.shape[0]}]")
+
+
+def _rrr_map(y: Array, z: Array, r: int, c_neg_half: Array) -> Array:
+    """Rank-``r`` M for checked Y and Z, given Z's whitener ``C^{-1/2}``."""
+    whitened = (y @ z.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
+    res = svd(whitened)
+    ur, sr, vr = res.truncate(min(r, res.S.size))
+    return (ur * sr) @ vr.T @ c_neg_half
+
+
+def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
+    """``fit(y)``, the M of ``reduced_rank_regression(y, z, r, eps)``, for a
+    fixed Z that the first fit checks and whitens and the later fits reuse.
+
+    Every fit checks in :func:`reduced_rank_regression`'s order (its Y, then
+    Z, the shapes and the rank, then the whitening, where ``eps=0`` on a
+    rank-deficient Z raises), so it raises what that call would; it skips
+    the residual.
+    """
+    zc = c_neg_half = None
+
+    def fit(y) -> Array:
+        nonlocal zc, c_neg_half
+        y = _check_matrix(y, "Y")
+        if c_neg_half is None:
+            zc = _check_matrix(z, "Z")
+        _check_rrr(y, zc, r)
+        if c_neg_half is None:
+            c_neg_half = _whitener(zc, default_ridge_eps(zc) if eps is None else eps)
+        return _rrr_map(y, zc, r, c_neg_half)
+
+    return fit
+
+
 def reduced_rank_regression(y, z, r: int, eps: float | None = None) -> RrrResult:
     """Best rank-``r`` map M minimizing ``||Y - M @ Z||_F`` (plus eps ridge).
 
@@ -178,20 +228,10 @@ def reduced_rank_regression(y, z, r: int, eps: float | None = None) -> RrrResult
     """
     y = _check_matrix(y, "Y")
     z = _check_matrix(z, "Z")
-    if y.shape[1] != z.shape[1]:
-        raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {z.shape}")
-    if not 1 <= r <= y.shape[0]:
-        raise ValueError(f"rank {r} out of range [1, {y.shape[0]}]")
+    _check_rrr(y, z, r)
     if eps is None:
         eps = default_ridge_eps(z)
-    vals, vecs = _spd_inverse_factors(z @ z.T, eps)
-    sqrt_vals = np.sqrt(vals)
-    inv_sqrt = np.where(sqrt_vals > 0, 1.0 / np.where(sqrt_vals > 0, sqrt_vals, 1.0), 0.0)
-    c_neg_half = (vecs * inv_sqrt) @ vecs.T
-    whitened = (y @ z.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
-    res = svd(whitened)
-    ur, sr, vr = res.truncate(min(r, res.S.size))
-    m = (ur * sr) @ vr.T @ c_neg_half
+    m = _rrr_map(y, z, r, _whitener(z, eps))
     residual = float(np.linalg.norm(y - m @ z))
     return RrrResult(M=m, rank=r, residual=residual)
 

@@ -3,6 +3,9 @@
 Everything here is written from scratch against the mathematical
 definitions, deliberately *not* importing the production code paths it
 is used to check (plain loops, brute-force search, textbook formulas).
+The exceptions are the ``*_reference_loop`` functions at the end: verbatim
+copies of earlier solver loops, kept to pin the current solvers to them
+bit for bit.  They call the same ``linalg`` primitives the loops called.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from convcompress import linalg
 
 
 def naive_conv(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -379,3 +384,96 @@ def train_toy_gated_inline(task, kind: str, lambda_reg: float, steps: int, lr: f
         criteria = np.array([float(m) ** 2 / float(np.exp(ls)) ** 2
                              for m, ls in zip(mu, log_sigma)])
     return {"draws": draws, "loss_trace": loss_trace, "weights": weights, "criteria": criteria}
+
+
+def relu_asym_reference_loop(batch, r: int, lambda_schedule=(0.01, 0.1, 1.0, 10.0, 100.0),
+                             max_outer: int = 2, eps=None):
+    """``relu_asym`` with one full ``linalg.reduced_rank_regression`` per
+    fit (Z re-whitened and the residual computed every time) and the anchor
+    and fit term recomputed where they are used.  Returns ``M``,
+    ``new_bias``, ``residual`` and ``objective_trace``."""
+
+    def relu(a):
+        return np.maximum(a, 0.0)
+
+    def z_step(ref, anchor, lam):
+        ry = relu(ref)
+        z_pos = np.maximum((ry + lam * anchor) / (1.0 + lam), 0.0)
+        obj_pos = (ry - z_pos) ** 2 + lam * (z_pos - anchor) ** 2
+        z_neg = np.minimum(anchor, 0.0)
+        obj_neg = ry**2 + lam * (z_neg - anchor) ** 2
+        return np.where(obj_pos <= obj_neg, z_pos, z_neg)
+
+    y_raw = batch.ref_outputs
+    z_hat = batch.cur_outputs
+    ry = relu(y_raw)
+    z_hat_mean = z_hat.mean(axis=0)
+    zc_hat = (z_hat - z_hat_mean).T
+
+    def fit(target):
+        t_mean = target.mean(axis=0)
+        rrr = linalg.reduced_rank_regression((target - t_mean).T, zc_hat, r, eps=eps)
+        return rrr.M, t_mean - rrr.M @ z_hat_mean
+
+    m, b = fit(y_raw)
+    trace = []
+    for lam in tuple(float(v) for v in lambda_schedule):
+        for _ in range(max_outer):
+            anchor = z_hat @ m.T + b
+            z_aux = z_step(y_raw, anchor, lam)
+            trace.append(
+                (lam, float(np.sum((ry - relu(z_aux)) ** 2) + lam * np.sum((z_aux - anchor) ** 2)))
+            )
+            m, b = fit(z_aux)
+            anchor = z_hat @ m.T + b
+            trace.append(
+                (lam, float(np.sum((ry - relu(z_aux)) ** 2) + lam * np.sum((z_aux - anchor) ** 2)))
+            )
+    pred = z_hat @ m.T + b
+    residual = float(np.linalg.norm(ry - relu(pred)))
+    return {"M": m, "new_bias": b, "residual": residual, "objective_trace": trace}
+
+
+def tucker_hooi_reference_loop(kernel, r1: int, r2: int, max_iters: int = 50,
+                               tol: float = 1e-10):
+    """``tucker_hooi`` with the returned core recomputed from the final
+    factors after the sweeps.  Returns the factors (w1, core, w2) and the
+    ``meta`` the library reports."""
+
+    def lead(m, r):
+        res = linalg.svd(m)
+        if r <= res.S.size:
+            return res.U[:, :r]
+        return linalg.orthonormal_extend(res.U, r)
+
+    def unfold(a, mode):
+        return np.moveaxis(a, mode, 0).reshape(a.shape[mode], -1)
+
+    tens = kernel.data.transpose(2, 3, 1, 0).copy()  # (x, y, s, t)
+    norm_t = float(np.linalg.norm(tens))
+
+    def times_u1(u1):
+        return np.tensordot(tens, u1, axes=(2, 0))
+
+    u1 = lead(unfold(tens, 2), r1)
+    u2 = lead(unfold(tens, 3), r2)
+    err_prev = np.inf
+    errors = []
+    for _ in range(max_iters):
+        u1 = lead(unfold(tens @ u2, 2), r1)
+        tens_u1 = times_u1(u1)
+        u2 = lead(unfold(tens_u1, 2), r2)
+        core = tens_u1.swapaxes(2, 3) @ u2
+        approx = u1 @ core @ u2.T
+        err = float(np.linalg.norm(tens - approx)) / (norm_t if norm_t > 0 else 1.0)
+        errors.append(err)
+        if err_prev - err < tol:
+            break
+        err_prev = err
+    factors = {"w1": u1, "core": times_u1(u1).swapaxes(2, 3) @ u2, "w2": u2}
+    meta = {
+        "iterations": len(errors),
+        "rel_error": errors[-1] if errors else None,
+        "converged": len(errors) < max_iters,
+    }
+    return factors, meta

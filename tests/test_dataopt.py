@@ -21,7 +21,7 @@ from convcompress.decomp import decomposed_forward, reconstruct, spatial_svd
 from convcompress.kernel import Kernel4D, conv_direct
 from convcompress.linalg import eig_sym, ridge_solve
 
-from _oracles import best_rank1_projector_residual, relu_zstep_grid
+from _oracles import best_rank1_projector_residual, relu_asym_reference_loop, relu_zstep_grid
 
 
 def make_setup(seed, t=5, s=4, k=3, n=300, prefix_noise=0.1):
@@ -389,3 +389,72 @@ class TestSpatialRefine:
 
         with pytest.raises(ValueError, match="spatial_svd"):
             spatial_refine(weight_svd(kernel, 2), batch)
+
+
+class TestReluAsymPinned:
+    """relu_asym whitens its fixed Z once and reuses each anchor and fit
+    term; it is pinned bit for bit to the loop that ran a full reduced-rank
+    regression per fit."""
+
+    @staticmethod
+    def assert_same(res, want):
+        assert np.array_equal(res.M, want["M"])
+        assert np.array_equal(res.new_bias, want["new_bias"])
+        assert res.residual == want["residual"]
+        assert res.meta["objective_trace"] == want["objective_trace"]
+
+    @pytest.mark.parametrize("t,s,k,n", [(5, 4, 3, 300), (8, 8, 3, 200), (12, 6, 1, 400)])
+    @pytest.mark.parametrize("rank", ["one", "half", "full"])
+    @pytest.mark.parametrize("eps", [None, 1e-12])
+    def test_equals_reference_loop(self, t, s, k, n, rank, eps):
+        kernel, batch = make_setup(60 + t, t=t, s=s, k=k, n=n)
+        r = {"one": 1, "half": t // 2, "full": t}[rank]
+        res = relu_asym(batch, kernel, r, eps=eps)
+        self.assert_same(res, relu_asym_reference_loop(batch, r, eps=eps))
+
+    def test_custom_schedule_equals_reference_loop(self):
+        kernel, batch = make_setup(61)
+        res = relu_asym(batch, kernel, 2, lambda_schedule=(0.5, 3.0, 40.0), max_outer=3)
+        want = relu_asym_reference_loop(batch, 2, lambda_schedule=(0.5, 3.0, 40.0), max_outer=3)
+        assert len(want["objective_trace"]) == 18
+        self.assert_same(res, want)
+
+    def test_zero_eps_on_rank_deficient_z_raises_as_before(self):
+        kernel, batch = make_setup(62)
+        cur = batch.cur_outputs.copy()
+        cur[:, 1] = cur[:, 0]
+        batch = PatchBatch(inputs=batch.inputs, ref_outputs=batch.ref_outputs, cur_outputs=cur)
+        with pytest.raises(ValueError) as want:
+            relu_asym_reference_loop(batch, 2, eps=0.0)
+        with pytest.raises(ValueError) as got:
+            relu_asym(batch, kernel, 2, eps=0.0)
+        assert str(got.value) == str(want.value)
+        assert "rank deficient" in str(got.value)
+
+    @pytest.mark.parametrize(
+        "nan_ref,nan_cur,r",
+        [(True, False, 2), (True, True, 2), (True, False, 6), (False, True, 6), (False, False, 6)],
+        ids=["nan-ref", "nan-both", "nan-ref-bad-rank", "nan-cur-bad-rank", "bad-rank"],
+    )
+    def test_errors_come_in_the_reference_loop_order(self, nan_ref, nan_cur, r):
+        """With eps=0 on a rank-deficient Z, the first error is still the
+        one the per-fit regression raised first."""
+        kernel, batch = make_setup(64)
+        ref = batch.ref_outputs.copy()
+        cur = batch.cur_outputs.copy()
+        cur[:, 1] = cur[:, 0]
+        if nan_ref:
+            ref[3, 2] = np.nan
+        if nan_cur:
+            cur[4, 1] = np.nan
+        batch = PatchBatch(inputs=batch.inputs, ref_outputs=ref, cur_outputs=cur)
+        with pytest.raises(ValueError) as want:
+            relu_asym_reference_loop(batch, r, eps=0.0)
+        with pytest.raises(ValueError) as got:
+            relu_asym(batch, kernel, r, eps=0.0)
+        assert str(got.value) == str(want.value)
+
+    def test_rank_out_of_range(self):
+        kernel, batch = make_setup(63)
+        with pytest.raises(ValueError, match="rank 6 out of range"):
+            relu_asym(batch, kernel, 6)

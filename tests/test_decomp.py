@@ -33,6 +33,7 @@ from _oracles import (
     spatial_reconstruct_naive,
     tt_reconstruct_naive,
     tucker_hooi_einsum,
+    tucker_hooi_reference_loop,
     tucker_reconstruct_naive,
     weight_reconstruct_naive,
 )
@@ -417,3 +418,24 @@ class TestStagedForwardOracle:
         x = rng.normal(size=(s, 5, 9))
         want = naive_conv(oracle(*(layer.factors[n] for n in layer.layout.stages)), x)
         assert rel_err(decomposed_forward(layer, x), want) <= 1e-12
+
+
+def assert_same_layer(layer, factors, meta):
+    """Factors and meta equal to the reference loop's, bit for bit."""
+    assert list(layer.factors) == list(factors)
+    for name, want in factors.items():
+        assert np.array_equal(layer.factors[name], want), name
+    assert layer.meta == meta
+
+
+class TestSolverLoopsPinned:
+    """tucker_hooi returns the core its last sweep computed; it is pinned
+    bit for bit to the loop that recomputed it."""
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 5])
+    @pytest.mark.parametrize("t,s,r1,r2", [(6, 5, 2, 3), (16, 8, 4, 8), (24, 16, 8, 12)])
+    def test_tucker_hooi_equals_reference_loop(self, t, s, r1, r2, max_iters):
+        kernel = random_kernel(np.random.default_rng(420 + t), t=t, s=s, k=3)
+        layer = tucker_hooi(kernel, r1, r2, max_iters=max_iters, tol=-np.inf)
+        factors, meta = tucker_hooi_reference_loop(kernel, r1, r2, max_iters=max_iters, tol=-np.inf)
+        assert_same_layer(layer, factors, meta)

@@ -1,9 +1,13 @@
 """Dense linear algebra: SVD, symmetric eig, ridge, reduced-rank, lasso."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import convcompress
 from convcompress.linalg import (
     eig_sym,
     lasso_cd,
@@ -12,6 +16,7 @@ from convcompress.linalg import (
     pinv,
     reduced_rank_regression,
     ridge_solve,
+    rrr_fitter,
     svd,
 )
 
@@ -361,3 +366,81 @@ class TestRidgeSingularGuard:
         with pytest.raises(ValueError, match="singular system"):
             ridge_solve(np.ones((2, 5)), z, eps=0.0)
         assert calls == []
+
+
+class TestRrrFitter:
+    def test_fit_equals_reduced_rank_regression(self):
+        rng = np.random.default_rng(30)
+        z = rng.normal(size=(5, 60)).T.copy().T  # a non-contiguous Z
+        fit = rrr_fitter(z, 2)
+        for _ in range(3):
+            y = rng.normal(size=(4, 60))
+            assert np.array_equal(fit(y), reduced_rank_regression(y, z, 2).M)
+
+    def test_zero_eps_rank_deficient_raises_at_the_first_fit(self):
+        z = np.random.default_rng(31).normal(size=(3, 40))
+        z = np.vstack([z, z[:1]])
+        fit = rrr_fitter(z, 1, eps=0.0)
+        with pytest.raises(ValueError, match="rank deficient"):
+            fit(np.ones((2, 40)))
+
+    @pytest.mark.parametrize(
+        "y,z,r",
+        [
+            (np.full((2, 40), np.nan), "deficient", 1),
+            (np.full((2, 40), np.nan), np.full((4, 40), np.nan), 1),
+            (np.ones((2, 40)), np.full((4, 40), np.nan), 5),
+            (np.full((2, 40), np.nan), "deficient", 5),
+            (np.ones((2, 39)), "deficient", 1),
+            (np.ones((2, 40)), "deficient", 3),
+        ],
+        ids=["nan-y", "nan-both", "nan-z-bad-rank", "nan-y-bad-rank", "columns", "rank"],
+    )
+    def test_raises_what_reduced_rank_regression_raises(self, y, z, r):
+        """Checks run in the same order, so the first error is the same."""
+        if isinstance(z, str):
+            z = np.random.default_rng(33).normal(size=(3, 40))
+            z = np.vstack([z, z[:1]])
+        with pytest.raises(ValueError) as want:
+            reduced_rank_regression(y, z, r, eps=0.0)
+        with pytest.raises(ValueError) as got:
+            rrr_fitter(z, r, eps=0.0)(y)
+        assert str(got.value) == str(want.value)
+
+    def test_each_fit_checks_y_and_rank(self):
+        fit = rrr_fitter(np.random.default_rng(32).normal(size=(3, 20)), 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(np.full((3, 20), np.nan))
+        with pytest.raises(ValueError, match="column counts"):
+            fit(np.ones((3, 19)))
+        with pytest.raises(ValueError, match="rank 3 out of range"):
+            fit(np.ones((2, 20)))
+
+
+class TestBackendGuard:
+    def test_only_linalg_calls_numpy_linalg(self):
+        """linalg.py is the one linear-algebra backend: no other module
+        imports numpy.linalg or calls an ``np.linalg`` function but ``norm``."""
+        offenders = []
+        for path in sorted(Path(convcompress.__file__).parent.glob("*.py")):
+            if path.name == "linalg.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                    "numpy.linalg"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} from {node.module} import")
+                elif isinstance(node, ast.Import) and any(
+                    a.name.startswith("numpy.linalg") for a in node.names
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} import numpy.linalg")
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg"
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id in ("np", "numpy")
+                    and node.attr != "norm"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} np.linalg.{node.attr}")
+        assert offenders == []
