@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -162,35 +163,17 @@ def _cmd_compress(args) -> dict:
     return report
 
 
-def _refined_as_weight_layer(refined: dataopt.RefinedLayer) -> decomp.DecomposedLayer:
-    """Pack a refined dense kernel as a weight-SVD-architecture layer."""
-    kernel = refined.wrapped
-    w1_flat, w2_flat = dataopt.weight_factors(refined)  # (t, r), (r, s*k*k)
-    w1 = w2_flat.reshape(refined.rank, kernel.s, kernel.k, kernel.k).transpose(2, 3, 1, 0)
-    return decomp.DecomposedLayer(
-        method="weight_svd",
-        factors={"w1": w1, "w2": w1_flat.T},
-        ranks=(refined.rank,),
-        source_dims=(kernel.t, kernel.s, kernel.k),
-        bias=refined.functional_bias(),
-    )
-
-
 def _cmd_dataopt(args) -> dict:
     cont = cio.read_container(args.input)
     batch = cio.read_batch(cio.read_container(args.batch), "batch")
-    report = {"command": "dataopt", "mode": args.mode, "layer": args.layer, "out": args.out}
     out = cio.Container()
     if args.mode == "spatial-refine":
-        layer = cio.read_layer(cont, f"{args.layer}/decomposed")
-        refined = dataopt.spatial_refine(layer, batch)
+        refined = dataopt.spatial_refine(cio.read_layer(cont, f"{args.layer}/decomposed"), batch)
+        layer, residual, method = refined.wrapped, refined.residual, refined.wrapped.method
         h, w = _map_size(cont, args.layer)
         if cont.has(args.layer):
             kernel, _ = cio.read_kernel(cont, args.layer)
             cio.add_kernel(out, args.layer, kernel, h=h, w=w)
-        cio.add_layer(out, f"{args.layer}/decomposed", refined.wrapped)
-        report["residual"] = refined.residual
-        report.update(_layer_report(refined.wrapped, h, w))
     else:
         kernel, kmeta = cio.read_kernel(cont, args.layer)
         h, w = kmeta.get("h", 1), kmeta.get("w", 1)
@@ -201,28 +184,25 @@ def _cmd_dataopt(args) -> dict:
             if len(ranks) != 2:
                 raise UsageError("asym3d takes --rank rs,rd")
             layer = dataopt.asym3d(kernel, batch, *ranks)
-            cio.add_layer(out, f"{args.layer}/decomposed", layer)
-            report["residual"] = layer.meta.get("fit_residual")
-            report.update(_layer_report(layer, h, w))
+            residual, method = layer.meta["fit_residual"], layer.method
         else:
             (r,) = ranks
             if args.mode == "data-svd":
                 refined = dataopt.data_svd(kernel, batch.ref_outputs, r)
-            elif args.mode == "asym":
+                residual = math.sqrt(refined.residual)  # summed eigenvalues are squared units
+            else:
                 if batch.cur_outputs is None:
                     batch = dataopt.attach_current_outputs(batch, kernel)
-                refined = dataopt.asym_data_svd(batch, kernel, r)
-            else:  # relu-asym
-                if batch.cur_outputs is None:
-                    batch = dataopt.attach_current_outputs(batch, kernel)
-                refined = dataopt.relu_asym(batch, kernel, r)
-            layer = _refined_as_weight_layer(refined)
-            cio.add_layer(out, f"{args.layer}/decomposed", layer)
-            report["residual"] = refined.residual
-            report.update(_layer_report(layer, h, w))
-            report["method"] = args.mode.replace("-", "_")
+                fit = dataopt.asym_data_svd if args.mode == "asym" else dataopt.relu_asym
+                refined = fit(batch, kernel, r)
+                residual = refined.residual
+            # M W has rank <= r, so its rank-r weight SVD is exact
+            layer = decomp.weight_svd(dataopt.refined_kernel(refined), r)
+            method = args.mode.replace("-", "_")
+    cio.add_layer(out, f"{args.layer}/decomposed", layer)
     cio.write_container(out, args.out)
-    return report
+    return {"command": "dataopt", "mode": args.mode, "layer": args.layer, "out": args.out,
+            "residual": residual, **_layer_report(layer, h, w), "method": method}
 
 
 def _cmd_prune(args) -> dict:
@@ -344,8 +324,9 @@ def _cmd_report(args) -> dict:
             h, w = _map_size(cont, base.rsplit("/", 1)[0])
             items.append({"name": base, "kind": "layer", **_layer_report(layer, h, w)})
         elif e.kind in ("patchbatch", "gates", "plan"):
+            # nested: a gate vector's metadata has a "kind" key of its own
             items.append(
-                {"name": e.name, "kind": e.kind, "shape": list(e.shape), **e.metadata}
+                {"name": e.name, "kind": e.kind, "shape": list(e.shape), "metadata": e.metadata}
             )
     return {"command": "report", "input": args.input, "entries": items}
 

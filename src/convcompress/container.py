@@ -10,7 +10,8 @@ Malformed containers raise :class:`ContainerError` with a stable ``code``:
 ``overlap`` or ``missing``.  Decomposed layers are checked against the
 method tables: method, spatial order, rank arity, factor names and shapes.
 Gate vectors are checked for kind, shape, finite values, sigma > 0 and
-``lambda_reg``.
+``lambda_reg``; rank plans and rank-selection tables for the type of each
+metadata field.
 """
 
 from __future__ import annotations
@@ -52,6 +53,22 @@ def _ints(value, what: str, minimum: int) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _int_field(meta: dict, key: str, where: str) -> int:
+    """``meta[key]`` as an int, else ``bad_manifest``."""
+    value = meta.get(key)
+    if not _is_int(value):
+        raise ContainerError("bad_manifest", f"{where}: {key} must be an int, got {value!r}")
+    return value
+
+
+def _number_field(meta: dict, key: str, where: str) -> float:
+    """``meta[key]`` (an int or a float) as a float, else ``bad_manifest``."""
+    value = meta.get(key)
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ContainerError("bad_manifest", f"{where}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class Entry:
     name: str
@@ -67,9 +84,6 @@ class Entry:
 class Container:
     entries: list[Entry] = field(default_factory=list)
     blob: bytes = b""
-
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
 
     def entry(self, name: str) -> Entry:
         for e in self.entries:
@@ -365,19 +379,30 @@ def add_plan(container: Container, name: str, plan: RankPlan) -> None:
 
 
 def read_plan(container: Container, name: str) -> RankPlan:
+    """Read a rank plan: ``bad_manifest`` for missing or ill-typed metadata,
+    or an ``arity`` that does not sum to the payload length."""
     e = container.entry(name)
+    where = f"plan {name!r}"
+    arity = _ints(e.metadata.get("arity"), f"{where} arity", 1)
     flat = [int(round(v)) for v in container.get(name)]
+    if sum(arity) != len(flat):
+        raise ContainerError(
+            "bad_manifest", f"{where}: arity {list(arity)} does not sum to {len(flat)} ranks"
+        )
+    strategy = e.metadata.get("strategy")
+    if not isinstance(strategy, str):
+        raise ContainerError("bad_manifest", f"{where}: strategy must be a string")
     ranks = []
     pos = 0
-    for a in e.metadata["arity"]:
+    for a in arity:
         ranks.append(tuple(flat[pos : pos + a]))
         pos += a
     return RankPlan(
         ranks=tuple(ranks),
-        tau=float(e.metadata["tau"]),
-        achieved_macs=int(e.metadata["achieved_macs"]),
-        achieved_ratio=float(e.metadata["achieved_ratio"]),
-        strategy=str(e.metadata["strategy"]),
+        tau=_number_field(e.metadata, "tau", where),
+        achieved_macs=_int_field(e.metadata, "achieved_macs", where),
+        achieved_ratio=_number_field(e.metadata, "achieved_ratio", where),
+        strategy=strategy,
     )
 
 
@@ -412,26 +437,42 @@ def add_acc_tables(
         )
 
 
+def _read_tables(
+    container: Container, name: str, what: str
+) -> list[tuple[Entry, Array, GridCosts]]:
+    """Entries ``name/layer0``, ``name/layer1``, ... with their payloads and
+    the :class:`GridCosts` in their metadata (``macs``, ``macs_original``)."""
+    found = []
+    while container.has(f"{name}/layer{len(found)}"):
+        e = container.entry(f"{name}/layer{len(found)}")
+        where = f"table {e.name!r}"
+        macs = e.metadata.get("macs")
+        if not isinstance(macs, dict) or not all(_is_int(v) for v in macs.values()):
+            raise ContainerError("bad_manifest", f"{where}: macs must map rank keys to ints")
+        orig = _int_field(e.metadata, "macs_original", where)
+        try:
+            keyed = {_parse_ranks_key(key): value for key, value in macs.items()}
+            cost = GridCosts(macs=keyed, macs_original=orig)
+        except ValueError as exc:  # a rank key that is not ints, or macs_original <= 0
+            raise ContainerError("bad_manifest", f"{where}: {exc}") from exc
+        found.append((e, container.get(e.name), cost))
+    if not found:
+        raise ContainerError("missing", f"no {what} tables under {name!r}")
+    return found
+
+
 def read_acc_tables(container: Container, name: str) -> tuple[list[AccTable], list[GridCosts]]:
     tables, costs = [], []
-    i = 0
-    while container.has(f"{name}/layer{i}"):
-        e = container.entry(f"{name}/layer{i}")
-        payload = container.get(f"{name}/layer{i}")
+    for e, payload, cost in _read_tables(container, name, "accuracy"):
         accs = {}
         for row in np.atleast_2d(payload):
-            ranks = tuple(int(round(v)) for v in row[:-1])
-            accs[ranks] = float(row[-1])
-        tables.append(AccTable(accuracies=accs, p_orig=float(e.metadata["p_orig"])))
-        costs.append(
-            GridCosts(
-                macs={_parse_ranks_key(k): int(v) for k, v in e.metadata["macs"].items()},
-                macs_original=int(e.metadata["macs_original"]),
-            )
-        )
-        i += 1
-    if not tables:
-        raise ContainerError("missing", f"no accuracy tables under {name!r}")
+            accs[tuple(int(round(v)) for v in row[:-1])] = float(row[-1])
+        p_orig = _number_field(e.metadata, "p_orig", f"table {e.name!r}")
+        try:
+            tables.append(AccTable(accuracies=accs, p_orig=p_orig))
+        except ValueError as exc:  # an accuracy outside [0, 1]
+            raise ContainerError("bad_manifest", f"table {e.name!r}: {exc}") from exc
+        costs.append(cost)
     return tables, costs
 
 
@@ -456,18 +497,5 @@ def add_sv_tables(
 
 
 def read_sv_tables(container: Container, name: str) -> tuple[list, list[GridCosts]]:
-    svs, costs = [], []
-    i = 0
-    while container.has(f"{name}/layer{i}"):
-        e = container.entry(f"{name}/layer{i}")
-        svs.append(container.get(f"{name}/layer{i}"))
-        costs.append(
-            GridCosts(
-                macs={_parse_ranks_key(k): int(v) for k, v in e.metadata["macs"].items()},
-                macs_original=int(e.metadata["macs_original"]),
-            )
-        )
-        i += 1
-    if not svs:
-        raise ContainerError("missing", f"no singular-value tables under {name!r}")
-    return svs, costs
+    found = _read_tables(container, name, "singular-value")
+    return [payload for _, payload, _ in found], [cost for _, _, cost in found]

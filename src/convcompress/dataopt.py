@@ -13,6 +13,14 @@ which as an affine map of raw responses has bias ``y_mean - M @ z_mean``.
 The ``new_bias`` field of :class:`RefinedLayer` keeps the documented
 mean-correction convention ``z_mean - M @ y_mean`` (the two coincide in the
 symmetric case z = y); ``predict`` and all residuals use the centered form.
+
+The layer a fit returns (:func:`refined_kernel`, the :func:`asym3d` layer
+and the layer :func:`spatial_refine` wraps) is ``M W`` for the fitted
+layer's weights ``W`` and bias ``b``, with bias ``y_mean - M @ (z_mean - b)``:
+it maps patches ``x`` to ``predict(W x + b)``.  Its error on the fitting
+batch is therefore the fit's ``residual`` (after the ReLU for
+:func:`relu_asym`; the square root of the residual for :func:`data_svd`,
+whose responses are the layer's own).
 """
 
 from __future__ import annotations
@@ -65,10 +73,6 @@ class PatchBatch:
                 f"({ref.shape[1]}); fits will be underdetermined",
                 stacklevel=2,
             )
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
 
     @property
     def y_mean(self) -> Array:
@@ -195,13 +199,30 @@ def data_svd(kernel: Kernel4D, ref_outputs: Array, r: int) -> RefinedLayer:
     )
 
 
+def _returned_bias(layer: RefinedLayer) -> Array:
+    """Bias of the returned layer ``M W``: ``y_mean - M (z_mean - b)``.
+
+    ``b`` is the bias of ``layer.wrapped``, whose responses ``z = W x + b``
+    were fitted, so that the returned layer computes ``predict(z)``.  With
+    no bias this is :meth:`RefinedLayer.functional_bias`.
+    """
+    b = layer.wrapped.bias
+    return layer.y_mean - layer.M @ (layer.z_mean if b is None else layer.z_mean - b)
+
+
+def _rank_split(m: Array, r: int) -> tuple[Array, Array]:
+    """``(u, right)`` with ``u @ right`` the rank-``r`` SVD truncation of ``m``."""
+    u, s, v = linalg.svd(m).truncate(r)
+    return u, s[:, None] * v.T
+
+
 def refined_kernel(layer: RefinedLayer) -> Kernel4D:
     """Dense kernel M @ W of a refined layer wrapping a Kernel4D."""
     if not isinstance(layer.wrapped, Kernel4D):
         raise ValueError("refined layer does not wrap a dense kernel")
     k4 = layer.wrapped
     data = (layer.M @ k4.as_matrix()).reshape(k4.t, k4.s, k4.k, k4.k)
-    return Kernel4D(data, bias=layer.functional_bias())
+    return Kernel4D(data, bias=_returned_bias(layer))
 
 
 def weight_factors(layer: RefinedLayer) -> tuple[Array, Array]:
@@ -212,13 +233,12 @@ def weight_factors(layer: RefinedLayer) -> tuple[Array, Array]:
     """
     if not isinstance(layer.wrapped, Kernel4D):
         raise ValueError("refined layer does not wrap a dense kernel")
-    res = linalg.svd(layer.M)
-    u, s, v = res.truncate(layer.rank)
-    return u, (s[:, None] * v.T) @ layer.wrapped.as_matrix()
+    u, right = _rank_split(layer.M, layer.rank)
+    return u, right @ layer.wrapped.as_matrix()
 
 
 def asym_data_svd(
-    batch: PatchBatch, kernel: Kernel4D, r: int, eps: float | None = None
+    batch: PatchBatch, kernel: Kernel4D | DecomposedLayer, r: int, eps: float | None = None
 ) -> RefinedLayer:
     """Reduced-rank fit of reference responses from compressed-prefix responses.
 
@@ -338,36 +358,26 @@ def asym3d(
 ) -> DecomposedLayer:
     """Double decomposition: spatial SVD, then a data-optimized channel cut.
 
-    The kernel is first split vertical-then-horizontal at rank ``r_s``; a
-    rank-``r_d`` regression from the decomposed responses to the reference
-    responses is factored into the last two stages.  The result runs as a
-    k x 1 filter (r_s outputs), a 1 x k filter (r_d outputs) and a 1 x 1
-    layer (t outputs).
+    The kernel is first split vertical-then-horizontal at rank ``r_s``; the
+    rank-``r_d`` :func:`asym_data_svd` fit from the decomposed responses to
+    the reference responses is factored into the last two stages.  The
+    result runs as a k x 1 filter (r_s outputs), a 1 x k filter (r_d
+    outputs) and a 1 x 1 layer (t outputs).
     """
     t = kernel.t
     if not 1 <= r_d <= t:
         raise ValueError(f"data rank {r_d} out of range [1, {t}]")
     sp = spatial_svd(kernel, r_s, order="vh")
-    w_sp = reconstruct(sp).as_matrix()
-    z = batch.inputs @ w_sp.T
-    if kernel.bias is not None:
-        z = z + kernel.bias
-    y_mean = batch.y_mean
-    z_mean = z.mean(axis=0)
-    rrr = linalg.reduced_rank_regression(
-        (batch.ref_outputs - y_mean).T, (z - z_mean).T, r_d, eps=eps
-    )
-    res = linalg.svd(rrr.M)
-    u, sv, v = res.truncate(r_d)
-    right = (sv[:, None] * v.T)  # (r_d, t), together with u: M = u @ right
+    res = asym_data_svd(attach_current_outputs(batch, reconstruct(sp)), sp, r_d, eps=eps)
+    u, right = _rank_split(res.M, r_d)  # (t, r_d), (r_d, t)
     wh = np.einsum("dt,rxt->rxd", right, sp.factors["wh"])
     return DecomposedLayer(
         method="asym3d",
         factors={"wv": sp.factors["wv"], "wh": wh, "wp": u.T},
         ranks=(r_s, r_d),
         source_dims=(t, kernel.s, kernel.k),
-        bias=y_mean - rrr.M @ z_mean,
-        meta={"method": "asym3d", "fit_residual": rrr.residual},
+        bias=_returned_bias(res),
+        meta={"method": "asym3d", "fit_residual": res.residual},
     )
 
 
@@ -377,32 +387,30 @@ def spatial_refine(
     """Full-rank data refinement of a spatial-SVD layer's second factor.
 
     Fits an unconstrained map M from the decomposed responses to the
-    reference responses and folds it into the second (output-side) factor;
-    the architecture and MAC count are unchanged and the batch residual
-    cannot increase.
+    reference responses and folds it into the second (output-side) factor,
+    with the bias of :func:`refined_kernel`; the architecture and MAC count
+    are unchanged and the batch residual cannot increase.
     """
     if layer.method != "spatial_svd":
         raise ValueError(f"spatial_refine needs a spatial_svd layer, got {layer.method!r}")
-    w_dec = reconstruct(layer).as_matrix()
-    z = batch.inputs @ w_dec.T
-    if layer.bias is not None:
-        z = z + layer.bias
+    batch = attach_current_outputs(batch, reconstruct(layer))
     y_mean = batch.y_mean
-    z_mean = z.mean(axis=0)
+    z_mean = batch.z_mean
     yc = (batch.ref_outputs - y_mean).T
-    zc = (z - z_mean).T
+    zc = (batch.cur_outputs - z_mean).T
     m = linalg.ridge_solve(yc, zc, eps=eps)
     second_name = list(layer.layout.stages)[1]
     new_second = np.einsum("ut,rxt->rxu", m, layer.factors[second_name])
-    refined = with_factors(layer, **{second_name: new_second})
-    refined = replace(refined, meta={**layer.meta, "refined": True})
-    return RefinedLayer(
+    res = RefinedLayer(
         M=m,
         new_bias=y_mean - m @ z_mean,
-        wrapped=refined,
+        wrapped=layer,
         rank=layer.t,
         residual=float(np.linalg.norm(yc - m @ zc)),
         y_mean=y_mean,
         z_mean=z_mean,
         meta={"method": "spatial_refine"},
     )
+    refined = with_factors(layer, **{second_name: new_second})
+    refined = replace(refined, bias=_returned_bias(res), meta={**layer.meta, "refined": True})
+    return replace(res, wrapped=refined)

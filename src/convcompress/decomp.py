@@ -196,11 +196,13 @@ def cp_als(
     Factors are fitted to the kernel reordered as (s, y, x, t).  Each sweep
     updates ws, wy, wx, wt in turn; the column norms of the first three are
     absorbed into wt.  Iteration stops when the relative reconstruction
-    error changes by less than ``tol`` or after ``max_iters`` sweeps;
+    error changes by less than ``tol`` or after ``max_iters`` (>= 1) sweeps;
     non-convergence is reported in ``meta``, not raised.
     """
     if r < 1:
         raise ValueError(f"CP rank must be >= 1, got {r}")
+    if max_iters < 1:  # ws is only filled by the first sweep
+        raise ValueError(f"CP max_iters must be >= 1, got {max_iters}")
     t, s, k = kernel.t, kernel.s, kernel.k
     tens = kernel.data.transpose(1, 3, 2, 0)  # (s, y, x, t)
     # mode-n unfoldings, the other modes kept in (s, y, x, t) order

@@ -194,11 +194,6 @@ class LayerCost:
     def ratio(self) -> float:
         return 1.0 - self.macs_compressed / self.macs_original
 
-    @property
-    def retained(self) -> float:
-        """Retained MAC fraction ``macs_compressed / macs_original``."""
-        return self.macs_compressed / self.macs_original
-
 
 class MethodCost(NamedTuple):
     """Cost-side table entry: rank names, ``shapes(s, t, k, *ranks)`` of the

@@ -51,10 +51,6 @@ class AccTable:
         if not 0.0 <= self.p_orig <= 1.0:
             raise ValueError(f"original accuracy {self.p_orig} outside [0, 1]")
 
-    @property
-    def grid(self) -> list[tuple[int, ...]]:
-        return list(self.accuracies.keys())
-
 
 @dataclass(frozen=True)
 class GridCosts:

@@ -3,9 +3,10 @@
 Everything here is written from scratch against the mathematical
 definitions, deliberately *not* importing the production code paths it
 is used to check (plain loops, brute-force search, textbook formulas).
-The exceptions are the ``*_reference_loop`` functions at the end: verbatim
-copies of earlier solver loops, kept to pin the current solvers to them
-bit for bit.  They call the same ``linalg`` primitives the loops called.
+The exceptions are the ``*_reference_loop`` and ``*_reference_fit``
+functions at the end: verbatim copies of earlier solver loops and
+data-optimized fits, kept to pin the current code to them bit for bit.
+They call the same ``linalg`` and ``decomp`` primitives the copies called.
 """
 
 from __future__ import annotations
@@ -477,3 +478,55 @@ def tucker_hooi_reference_loop(kernel, r1: int, r2: int, max_iters: int = 50,
         "converged": len(errors) < max_iters,
     }
     return factors, meta
+
+
+def asym3d_reference_fit(kernel, batch, r_s: int, r_d: int, eps=None):
+    """``asym3d`` with its own response product, centring and reduced-rank
+    regression, and its bias ``y_mean - M z_mean``.  Returns the factors,
+    the bias and the ``meta`` of its layer."""
+    from convcompress.decomp import reconstruct, spatial_svd
+
+    sp = spatial_svd(kernel, r_s, order="vh")
+    w_sp = reconstruct(sp).as_matrix()
+    z = batch.inputs @ w_sp.T
+    if kernel.bias is not None:
+        z = z + kernel.bias
+    y_mean = batch.y_mean
+    z_mean = z.mean(axis=0)
+    rrr = linalg.reduced_rank_regression(
+        (batch.ref_outputs - y_mean).T, (z - z_mean).T, r_d, eps=eps
+    )
+    res = linalg.svd(rrr.M)
+    u, sv, v = res.truncate(r_d)
+    right = (sv[:, None] * v.T)  # (r_d, t), together with u: M = u @ right
+    wh = np.einsum("dt,rxt->rxd", right, sp.factors["wh"])
+    factors = {"wv": sp.factors["wv"], "wh": wh, "wp": u.T}
+    meta = {"method": "asym3d", "fit_residual": rrr.residual}
+    return factors, y_mean - rrr.M @ z_mean, meta
+
+
+def spatial_refine_reference_fit(layer, batch, eps=None):
+    """``spatial_refine`` with its own response product and centring.
+    Returns ``M``, ``new_bias``, ``residual``, ``y_mean``, ``z_mean`` and
+    the refined second factor; its layer kept the input layer's bias."""
+    from convcompress.decomp import reconstruct
+
+    w_dec = reconstruct(layer).as_matrix()
+    z = batch.inputs @ w_dec.T
+    if layer.bias is not None:
+        z = z + layer.bias
+    y_mean = batch.y_mean
+    z_mean = z.mean(axis=0)
+    yc = (batch.ref_outputs - y_mean).T
+    zc = (z - z_mean).T
+    m = linalg.ridge_solve(yc, zc, eps=eps)
+    second_name = list(layer.layout.stages)[1]
+    new_second = np.einsum("ut,rxt->rxu", m, layer.factors[second_name])
+    return {
+        "M": m,
+        "new_bias": y_mean - m @ z_mean,
+        "residual": float(np.linalg.norm(yc - m @ zc)),
+        "y_mean": y_mean,
+        "z_mean": z_mean,
+        second_name: new_second,
+    }

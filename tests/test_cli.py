@@ -1,6 +1,7 @@
 """CLI surface: subcommand flows, exit codes, report fields, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,16 +16,21 @@ from convcompress.container import (
     Container,
     add_acc_tables,
     add_batch,
+    add_gates,
     add_kernel,
+    add_plan,
     add_sv_tables,
+    read_batch,
     read_container,
     read_kernel,
     read_layer,
     write_container,
 )
-from convcompress.dataopt import PatchBatch, sample_patches
+from convcompress.dataopt import PatchBatch, data_svd, sample_patches
+from convcompress.decomp import reconstruct
+from convcompress.gates import GateVector, HardConcreteGate
 from convcompress.kernel import Kernel4D, conv_direct, mac_cost, matricize_spatial
-from convcompress.rankselect import AccTable, GridCosts
+from convcompress.rankselect import AccTable, GridCosts, RankPlan
 
 
 @pytest.fixture
@@ -197,6 +203,95 @@ class TestDataoptCli:
         assert item["macs_after"] == rep["macs_after"]
 
 
+@pytest.fixture
+def biased_dirs(tmp_path):
+    """A kernel with a 3-sigma bias, and two batches on noisy patches: one
+    holding the responses of clean patches, one the layer's own responses."""
+    rng = np.random.default_rng(14)
+    kernel = Kernel4D(rng.normal(size=(6, 4, 3, 3)), bias=3.0 * rng.normal(size=6))
+    model = Container()
+    add_kernel(model, "conv1", kernel, h=8, w=8)
+    write_container(model, tmp_path / "model")
+    x = rng.normal(size=(400, 4 * 9))
+    x_hat = x + 0.1 * rng.normal(size=x.shape)
+    for name, clean in (("prefixed", x), ("own", x_hat)):
+        c = Container()
+        y = clean @ kernel.as_matrix().T + kernel.bias
+        add_batch(c, "batch", PatchBatch(inputs=x_hat, ref_outputs=y))
+        write_container(c, tmp_path / name)
+    return tmp_path
+
+
+class TestDataoptStoredLayer:
+    """Every mode stores a layer whose error on the fitting batch is the
+    reported residual, for a kernel with a bias (containers hold float32)."""
+
+    @pytest.mark.parametrize(
+        "mode,rank,batch",
+        [("data-svd", "3", "own"), ("asym", "3", "prefixed"), ("relu-asym", "3", "prefixed"),
+         ("asym3d", "5,4", "prefixed"), ("spatial-refine", None, "prefixed")],
+    )
+    def test_stored_layer_error_is_the_residual(self, capsys, biased_dirs, mode, rank, batch):
+        tmp_path = biased_dirs
+        model = tmp_path / "model"
+        if mode == "spatial-refine":
+            assert run(capsys, "compress", model, "--layer", "conv1", "--method", "spatial-svd",
+                       "--rank", "5", "--out", tmp_path / "sp")[0] == 0
+            model = tmp_path / "sp"
+        argv = ["dataopt", model, "--layer", "conv1", "--mode", mode,
+                "--batch", tmp_path / batch, "--out", tmp_path / "d"]
+        code, rep, _ = run(capsys, *argv, *(["--rank", rank] if rank else []))
+        assert code == 0
+        stored = reconstruct(read_layer(read_container(tmp_path / "d"), "conv1/decomposed"))
+        fitted = read_batch(read_container(tmp_path / batch), "batch")
+
+        def act(a):
+            return np.maximum(a, 0.0) if mode == "relu-asym" else a
+
+        out = fitted.inputs @ stored.as_matrix().T + stored.bias
+        err = float(np.linalg.norm(act(fitted.ref_outputs) - act(out)))
+        assert rep["residual"] == pytest.approx(err, rel=1e-5)
+
+    def test_data_svd_residual_is_a_frobenius_norm(self, capsys, biased_dirs):
+        """The root of the summed discarded eigenvalues, in the units of
+        every other mode's residual."""
+        tmp_path = biased_dirs
+        code, rep, _ = run(capsys, "dataopt", tmp_path / "model", "--layer", "conv1",
+                           "--mode", "data-svd", "--batch", tmp_path / "own", "--rank", "3",
+                           "--out", tmp_path / "d")
+        assert code == 0
+        kernel, _ = read_kernel(read_container(tmp_path / "model"), "conv1")
+        fitted = read_batch(read_container(tmp_path / "own"), "batch")
+        assert rep["residual"] == math.sqrt(data_svd(kernel, fitted.ref_outputs, 3).residual)
+
+
+class TestReportOtherEntries:
+    def test_batch_gates_and_plan(self, capsys, tmp_path):
+        """Patch batches, gate vectors and rank plans are listed with their
+        entry kind, name, shape and metadata."""
+        rng = np.random.default_rng(15)
+        c = Container()
+        add_batch(c, "batch", PatchBatch(inputs=rng.normal(size=(10, 36)),
+                                         ref_outputs=rng.normal(size=(10, 6)),
+                                         cur_outputs=rng.normal(size=(10, 6))))
+        add_gates(c, "gates", GateVector([HardConcreteGate(0.5), HardConcreteGate(-1.0)], 0.25))
+        add_plan(c, "plan", RankPlan(ranks=((3,), (2, 4)), tau=0.05, achieved_macs=1200,
+                                     achieved_ratio=0.4, strategy="equal_acc"))
+        write_container(c, tmp_path / "c")
+        code, rep, _ = run(capsys, "report", tmp_path / "c")
+        assert code == 0
+        assert rep["entries"] == [
+            {"name": "batch/inputs", "kind": "patchbatch", "shape": [10, 36], "metadata": {}},
+            {"name": "batch/ref_outputs", "kind": "patchbatch", "shape": [10, 6], "metadata": {}},
+            {"name": "batch/cur_outputs", "kind": "patchbatch", "shape": [10, 6], "metadata": {}},
+            {"name": "gates", "kind": "gates", "shape": [2],
+             "metadata": {"kind": "l0", "lambda_reg": 0.25}},
+            {"name": "plan", "kind": "plan", "shape": [3],
+             "metadata": {"role": "rank-plan", "arity": [1, 2], "tau": 0.05, "achieved_macs": 1200,
+                          "achieved_ratio": 0.4, "strategy": "equal_acc"}},
+        ]
+
+
 class TestPruneCli:
     def test_magnitude(self, capsys, model_dir, tmp_path):
         path, kernel = model_dir
@@ -314,6 +409,20 @@ class TestRankSelectCli:
         )
         assert code == 0
         assert rep2["retained"] <= 0.7
+
+    def test_table_without_p_orig_is_a_coded_error(self, capsys, tmp_path):
+        c = Container()
+        costs = [GridCosts(macs={(1,): 100, (2,): 200}, macs_original=400)]
+        add_acc_tables(c, "acc", [AccTable(accuracies={(1,): 0.6, (2,): 0.8}, p_orig=0.9)], costs)
+        del c.entry("acc/layer0").metadata["p_orig"]
+        write_container(c, tmp_path / "tables")
+        code, out, err = run(
+            capsys, "rank-select", "--strategy", "equal-acc", "--ratio", "0.7",
+            "--acc-table", tmp_path / "tables", "--out", tmp_path / "plan",
+        )
+        assert code == 1 and out is None
+        assert json.loads(err)["code"] == "bad_manifest"
+        assert not (tmp_path / "plan").exists()
 
     def test_strategy_table_mismatch(self, capsys, tmp_path):
         code, _, err = run(

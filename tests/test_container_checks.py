@@ -17,12 +17,18 @@ from convcompress.cli import cli_dispatch
 from convcompress.container import (
     Container,
     ContainerError,
+    add_acc_tables,
     add_kernel,
     add_layer,
+    add_plan,
+    add_sv_tables,
+    read_acc_tables,
     read_container,
     read_gates,
     read_kernel,
     read_layer,
+    read_plan,
+    read_sv_tables,
     write_container,
 )
 from convcompress.dataopt import asym3d, sample_patches
@@ -35,6 +41,7 @@ from convcompress.decomp import (
     weight_svd,
 )
 from convcompress.kernel import Kernel4D, conv_direct
+from convcompress.rankselect import AccTable, GridCosts, RankPlan
 
 #: The codes the container module documents.
 CODES = {"bad_manifest", "duplicate_name", "shape_mismatch", "truncated", "overlap", "missing"}
@@ -234,6 +241,92 @@ class TestGateVectors:
         with pytest.raises(ContainerError) as err:
             read_gates(read_container(tmp_path / "g"), "gates")
         assert err.value.code == "shape_mismatch"
+
+
+class TestRankTables:
+    """Rank plans and rank-selection tables fail with ``bad_manifest`` for
+    each missing or ill-typed metadata field, never a raw exception."""
+
+    NAN = float("nan")
+
+    @staticmethod
+    def _tables(tmp_path, edit):
+        costs = [GridCosts(macs={(1,): 100, (2,): 200}, macs_original=400)]
+        c = Container()
+        add_acc_tables(c, "acc", [AccTable(accuracies={(1,): 0.6, (2,): 0.8}, p_orig=0.9)], costs)
+        add_sv_tables(c, "sv", [np.array([3.0, 1.0])], costs)
+        write_container(c, tmp_path / "t")
+        _edit(tmp_path / "t", lambda m: [edit(e["metadata"]) for e in m["entries"]])
+        return read_container(tmp_path / "t")
+
+    @pytest.mark.parametrize("value", [None, "0.9", True, 1.5, NAN],
+                             ids=["missing", "string", "bool", "above-one", "nan"])
+    def test_bad_p_orig(self, tmp_path, value):
+        def edit(meta):
+            if meta["role"] != "acc-table":
+                return
+            if value is None:
+                meta.pop("p_orig")
+            else:
+                meta["p_orig"] = value
+
+        cont = self._tables(tmp_path, edit)
+        with pytest.raises(ContainerError) as err:
+            read_acc_tables(cont, "acc")
+        assert err.value.code == "bad_manifest"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("macs", None), ("macs", [100, 200]), ("macs", {"1": 100, "2": "200"}),
+         ("macs", {"1": 100, "2": 2.5}), ("macs", {"1": 100, "two": 200}),
+         ("macs_original", None), ("macs_original", 400.0), ("macs_original", "400"),
+         ("macs_original", 0)],
+        ids=["macs-missing", "macs-list", "macs-string", "macs-float", "rank-key-not-int",
+             "orig-missing", "orig-float", "orig-string", "orig-zero"],
+    )
+    @pytest.mark.parametrize("table", ["acc", "sv"])
+    def test_bad_grid_costs(self, tmp_path, key, value, table):
+        def edit(meta):
+            if value is None:
+                meta.pop(key)
+            else:
+                meta[key] = value
+
+        cont = self._tables(tmp_path, edit)
+        reader = read_acc_tables if table == "acc" else read_sv_tables
+        with pytest.raises(ContainerError) as err:
+            reader(cont, table)
+        assert err.value.code == "bad_manifest"
+
+    @staticmethod
+    def _plan(tmp_path, edit):
+        c = Container()
+        add_plan(c, "plan", RankPlan(ranks=((3,), (2, 4)), tau=0.05, achieved_macs=1200,
+                                     achieved_ratio=0.4, strategy="equal_acc"))
+        write_container(c, tmp_path / "p")
+        _edit(tmp_path / "p", lambda m: edit(m["entries"][0]["metadata"]))
+        return read_container(tmp_path / "p")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("arity", None), ("arity", 3), ("arity", [1, "2"]), ("arity", [1, 0, 2]),
+         ("arity", [1, 1]), ("arity", [2, 2]), ("tau", None), ("tau", "0.05"),
+         ("achieved_macs", None), ("achieved_macs", 1200.5), ("achieved_ratio", None),
+         ("achieved_ratio", [0.4]), ("strategy", None), ("strategy", 7)],
+        ids=["arity-missing", "arity-int", "arity-string", "arity-zero", "arity-short",
+             "arity-long", "tau-missing", "tau-string", "macs-missing", "macs-float",
+             "ratio-missing", "ratio-list", "strategy-missing", "strategy-int"],
+    )
+    def test_bad_plan(self, tmp_path, key, value):
+        def edit(meta):
+            if value is None:
+                meta.pop(key)
+            else:
+                meta[key] = value
+
+        with pytest.raises(ContainerError) as err:
+            read_plan(self._plan(tmp_path, edit), "plan")
+        assert err.value.code == "bad_manifest"
 
 
 # ---------------------------------------------------------------------------

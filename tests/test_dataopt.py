@@ -21,7 +21,13 @@ from convcompress.decomp import decomposed_forward, reconstruct, spatial_svd
 from convcompress.kernel import Kernel4D, conv_direct
 from convcompress.linalg import eig_sym, ridge_solve
 
-from _oracles import best_rank1_projector_residual, relu_asym_reference_loop, relu_zstep_grid
+from _oracles import (
+    asym3d_reference_fit,
+    best_rank1_projector_residual,
+    relu_asym_reference_loop,
+    relu_zstep_grid,
+    spatial_refine_reference_fit,
+)
 
 
 def make_setup(seed, t=5, s=4, k=3, n=300, prefix_noise=0.1):
@@ -458,3 +464,129 @@ class TestReluAsymPinned:
         kernel, batch = make_setup(63)
         with pytest.raises(ValueError, match="rank 6 out of range"):
             relu_asym(batch, kernel, 6)
+
+
+def make_biased_setup(seed, t=6, s=4, k=3, n=400):
+    """Kernel with a 3-sigma bias; reference responses ``W x + b`` of clean
+    patches, stored with the noisy patches the layer is fitted on."""
+    rng = np.random.default_rng(seed)
+    kernel = Kernel4D(rng.normal(size=(t, s, k, k)), bias=3.0 * rng.normal(size=t))
+    x = rng.normal(size=(n, s * k * k))
+    y = x @ kernel.as_matrix().T + kernel.bias
+    x_hat = x + 0.1 * rng.normal(size=x.shape)
+    batch = PatchBatch(inputs=x_hat, ref_outputs=y)
+    return kernel, batch
+
+
+def layer_error(dense, batch, act=lambda a: a):
+    """Frobenius error on the batch of the layer ``dense`` (a Kernel4D)."""
+    out = batch.inputs @ dense.as_matrix().T + dense.bias
+    return float(np.linalg.norm(act(batch.ref_outputs) - act(out)))
+
+
+class TestReturnedLayerBias:
+    """The layer a data path returns computes ``predict`` of its fitted
+    responses, so its error on the fitting batch is the reported
+    ``residual``: its bias is ``y_mean - M (z_mean - b)``."""
+
+    def test_current_outputs_carry_the_bias(self):
+        kernel, batch = make_biased_setup(70)
+        cur = attach_current_outputs(batch, kernel).cur_outputs
+        assert np.array_equal(cur, batch.inputs @ kernel.as_matrix().T + kernel.bias)
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_refined_kernel_of_asym_data_svd(self, seed):
+        kernel, batch = make_biased_setup(seed)
+        res = asym_data_svd(attach_current_outputs(batch, kernel), kernel, 3)
+        assert layer_error(refined_kernel(res), batch) == pytest.approx(res.residual, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_refined_kernel_of_relu_asym(self, seed):
+        kernel, batch = make_biased_setup(seed)
+        res = relu_asym(attach_current_outputs(batch, kernel), kernel, 3)
+        err = layer_error(refined_kernel(res), batch, act=lambda a: np.maximum(a, 0.0))
+        assert err == pytest.approx(res.residual, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_refined_kernel_of_data_svd(self, seed):
+        """data_svd projects the layer's own responses; its residual is the
+        squared error."""
+        kernel, batch = make_biased_setup(seed)
+        own = PatchBatch(batch.inputs, attach_current_outputs(batch, kernel).cur_outputs)
+        res = data_svd(kernel, own.ref_outputs, 3)
+        assert layer_error(refined_kernel(res), own) ** 2 == pytest.approx(res.residual, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_asym3d(self, seed):
+        kernel, batch = make_biased_setup(seed)
+        layer = asym3d(kernel, batch, 5, 4)
+        err = layer_error(reconstruct(layer), batch)
+        assert err == pytest.approx(layer.meta["fit_residual"], rel=1e-9)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_spatial_refine_wrapped_layer(self, seed, bias):
+        kernel, batch = make_biased_setup(seed)
+        if not bias:  # the layer that kept no bias errs by the responses' offset
+            kernel = Kernel4D(kernel.data)
+        res = spatial_refine(spatial_svd(kernel, 5), batch)
+        err = layer_error(reconstruct(res.wrapped), batch)
+        assert err == pytest.approx(res.residual, rel=1e-9)
+
+
+class TestDataPathsPinned:
+    """asym3d and spatial_refine take their responses from
+    attach_current_outputs and asym3d its map from asym_data_svd; what they
+    return is the earlier, self-contained fit bit for bit, but for the bias
+    of the returned layer where the kernel has one (and, for spatial_refine,
+    where it has none: that layer kept no bias)."""
+
+    SHAPES = [(5, 4, 3, 300, 4, 3), (8, 8, 3, 200, 6, 5), (6, 8, 1, 400, 6, 4),
+              (4, 3, 3, 400, 9, 4)]
+
+    @pytest.mark.parametrize("t,s,k,n,r_s,r_d", SHAPES)
+    @pytest.mark.parametrize("eps", [None, 0.0, 1e-6])
+    def test_asym3d_equals_reference_fit(self, t, s, k, n, r_s, r_d, eps):
+        kernel, batch = make_setup(80 + t, t=t, s=s, k=k, n=n)
+        layer = asym3d(kernel, batch, r_s, r_d, eps=eps)
+        factors, bias, meta = asym3d_reference_fit(kernel, batch, r_s, r_d, eps=eps)
+        assert list(layer.factors) == list(factors)
+        for name, want in factors.items():
+            assert np.array_equal(layer.factors[name], want), name
+        assert np.array_equal(layer.bias, bias)
+        assert layer.meta == meta
+        assert layer.ranks == (r_s, r_d)
+
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    def test_biased_asym3d_moves_only_its_bias(self, seed):
+        kernel, batch = make_biased_setup(seed)
+        layer = asym3d(kernel, batch, 5, 4)
+        factors, bias, meta = asym3d_reference_fit(kernel, batch, 5, 4)
+        for name, want in factors.items():
+            assert np.array_equal(layer.factors[name], want), name
+        assert layer.meta == meta
+        sp = reconstruct(spatial_svd(kernel, 5, order="vh"))
+        m = asym_data_svd(attach_current_outputs(batch, sp), kernel, 4).M
+        assert_allclose(layer.bias, bias + m @ kernel.bias, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("t,s,k,n", [(5, 4, 3, 300), (8, 8, 3, 200), (6, 3, 1, 400)])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("order", ["hv", "vh"])
+    def test_spatial_refine_equals_reference_fit(self, t, s, k, n, bias, order):
+        if bias:
+            kernel, batch = make_biased_setup(90 + t, t=t, s=s, k=k, n=n)
+        else:
+            kernel, batch = make_setup(90 + t, t=t, s=s, k=k, n=n)
+        layer = spatial_svd(kernel, min(s * k, t * k) - 1, order=order)
+        res = spatial_refine(layer, batch)
+        want = spatial_refine_reference_fit(layer, batch)
+        for name in ("M", "new_bias", "y_mean", "z_mean"):
+            assert np.array_equal(getattr(res, name), want[name]), name
+        assert res.residual == want["residual"]
+        assert res.rank == t and res.meta == {"method": "spatial_refine"}
+        first, second = layer.layout.stages
+        assert np.array_equal(res.wrapped.factors[first], layer.factors[first])
+        assert np.array_equal(res.wrapped.factors[second], want[second])
+        assert res.wrapped.meta == {**layer.meta, "refined": True}
+        if not bias:
+            assert np.array_equal(res.wrapped.bias, res.functional_bias())

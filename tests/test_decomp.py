@@ -178,6 +178,13 @@ class TestCpAls:
         layer = cp_als(random_kernel(np.random.default_rng(11)), 2, max_iters=3, seed=0)
         assert "iterations" in layer.meta and "rel_error" in layer.meta
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_sweep_is_rejected(self, max_iters):
+        """ws is only filled by the first sweep, so no sweep would return
+        uninitialised memory."""
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            cp_als(random_kernel(np.random.default_rng(13)), 2, max_iters=max_iters)
+
     def test_rank_one_reconstruct_is_outer_product(self):
         rng = np.random.default_rng(12)
         kernel = random_kernel(rng, t=3, s=2, k=3)
