@@ -25,7 +25,7 @@ import numpy as np
 
 from . import container as cio
 from . import dataopt, decomp, gates as gates_mod, pruning, rankselect
-from .kernel import mac_cost
+from .kernel import METHOD_COSTS, mac_cost
 
 #: --method flag -> (method name, extractor(kernel, ranks, seed)).  Each
 #: extractor looks its function up on ``decomp`` when called, so a rebound
@@ -105,13 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_ranks(text: str) -> tuple[int, ...]:
+def _parse_ranks(text: str, method: str, choice: str) -> tuple[int, ...]:
+    """``--rank`` as one int per rank of ``method`` in the cost table; a
+    wrong count is a usage error of ``choice``, the command's method flag."""
     try:
         ranks = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse ranks from {text!r}")
-    if not ranks:
-        raise ValueError("empty rank list")
+    names = METHOD_COSTS[method].ranks
+    if len(ranks) != len(names):
+        raise UsageError(f"{choice} takes --rank {','.join(names)}, got {len(ranks)} value(s)")
     return ranks
 
 
@@ -146,7 +149,7 @@ def _cmd_compress(args) -> dict:
     if (args.rank is None) == (args.ratio is None):
         raise UsageError("exactly one of --rank and --ratio is required")
     if args.rank is not None:
-        ranks = _parse_ranks(args.rank)
+        ranks = _parse_ranks(args.rank, method, f"--method {args.method}")
     else:
         ranks = rankselect.ranks_from_ratio(method, kernel.s, kernel.t, kernel.k, args.ratio)
     layer = extract(kernel, ranks, args.seed)
@@ -179,14 +182,14 @@ def _cmd_dataopt(args) -> dict:
         h, w = kmeta.get("h", 1), kmeta.get("w", 1)
         if args.rank is None:
             raise UsageError(f"--rank is required for mode {args.mode}")
-        ranks = _parse_ranks(args.rank)
+        # every mode but asym3d stores a weight SVD of the refined kernel
+        stored = "asym3d" if args.mode == "asym3d" else "weight_svd"
+        ranks = _parse_ranks(args.rank, stored, f"--mode {args.mode}")
         if args.mode == "asym3d":
-            if len(ranks) != 2:
-                raise UsageError("asym3d takes --rank rs,rd")
             layer = dataopt.asym3d(kernel, batch, *ranks)
             residual, method = layer.meta["fit_residual"], layer.method
         else:
-            (r,) = ranks
+            r = ranks[0]
             if args.mode == "data-svd":
                 refined = dataopt.data_svd(kernel, batch.ref_outputs, r)
                 residual = math.sqrt(refined.residual)  # summed eigenvalues are squared units
@@ -336,7 +339,8 @@ def _cmd_reconstruct(args) -> dict:
     layer = cio.read_layer(cont, f"{args.layer}/decomposed")
     recon = decomp.reconstruct(layer)
     out = cio.Container()
-    cio.add_kernel(out, args.layer, recon)
+    h, w = _map_size(cont, args.layer)
+    cio.add_kernel(out, args.layer, recon, h=h, w=w)
     cio.write_container(out, args.out)
     report = {
         "command": "reconstruct",

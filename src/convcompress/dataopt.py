@@ -210,12 +210,6 @@ def _returned_bias(layer: RefinedLayer) -> Array:
     return layer.y_mean - layer.M @ (layer.z_mean if b is None else layer.z_mean - b)
 
 
-def _rank_split(m: Array, r: int) -> tuple[Array, Array]:
-    """``(u, right)`` with ``u @ right`` the rank-``r`` SVD truncation of ``m``."""
-    u, s, v = linalg.svd(m).truncate(r)
-    return u, s[:, None] * v.T
-
-
 def refined_kernel(layer: RefinedLayer) -> Kernel4D:
     """Dense kernel M @ W of a refined layer wrapping a Kernel4D."""
     if not isinstance(layer.wrapped, Kernel4D):
@@ -233,8 +227,8 @@ def weight_factors(layer: RefinedLayer) -> tuple[Array, Array]:
     """
     if not isinstance(layer.wrapped, Kernel4D):
         raise ValueError("refined layer does not wrap a dense kernel")
-    u, right = _rank_split(layer.M, layer.rank)
-    return u, right @ layer.wrapped.as_matrix()
+    res = linalg.svd(layer.M, layer.rank)
+    return res.U, (res.S[:, None] * res.V.T) @ layer.wrapped.as_matrix()
 
 
 def asym_data_svd(
@@ -369,11 +363,11 @@ def asym3d(
         raise ValueError(f"data rank {r_d} out of range [1, {t}]")
     sp = spatial_svd(kernel, r_s, order="vh")
     res = asym_data_svd(attach_current_outputs(batch, reconstruct(sp)), sp, r_d, eps=eps)
-    u, right = _rank_split(res.M, r_d)  # (t, r_d), (r_d, t)
-    wh = np.einsum("dt,rxt->rxd", right, sp.factors["wh"])
+    cut = linalg.svd(res.M, r_d)  # M = U_d S_d V_d^T, U_d (t, r_d)
+    wh = np.einsum("dt,rxt->rxd", cut.S[:, None] * cut.V.T, sp.factors["wh"])
     return DecomposedLayer(
         method="asym3d",
-        factors={"wv": sp.factors["wv"], "wh": wh, "wp": u.T},
+        factors={"wv": sp.factors["wv"], "wh": wh, "wp": cut.U.T},
         ranks=(r_s, r_d),
         source_dims=(t, kernel.s, kernel.k),
         bias=_returned_bias(res),

@@ -103,11 +103,6 @@ class DecomposedLayer:
         return LAYOUTS[self.method][self.meta.get("order")]
 
 
-def _svd_rank_check(r: int, bound: int, what: str) -> None:
-    if not 1 <= r <= bound:
-        raise ValueError(f"{what} rank {r} out of range [1, {bound}]")
-
-
 def weight_svd(kernel: Kernel4D, r: int) -> DecomposedLayer:
     """Truncated SVD of the weight matricization, square-root split.
 
@@ -115,12 +110,10 @@ def weight_svd(kernel: Kernel4D, r: int) -> DecomposedLayer:
     w1 = U_r sqrt(S_r), w2 = sqrt(S_r) V_r^T.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
-    _svd_rank_check(r, min(k * k * s, t), "weight SVD")
-    res = linalg.svd(matricize_weight(kernel))
-    ur, sr, vr = res.truncate(r)
-    root = np.sqrt(sr)
-    w1 = (ur * root).reshape(k, k, s, r)
-    w2 = root[:, None] * vr.T
+    res = linalg.svd(matricize_weight(kernel), r)
+    root = np.sqrt(res.S)
+    w1 = (res.U * root).reshape(k, k, s, r)
+    w2 = root[:, None] * res.V.T
     return DecomposedLayer(
         method="weight_svd",
         factors={"w1": w1, "w2": w2},
@@ -139,18 +132,16 @@ def spatial_svd(kernel: Kernel4D, r: int, order: str = "hv") -> DecomposedLayer:
     Asym3D architecture: vertical first (s -> r), horizontal second (r -> t).
     """
     t, s, k = kernel.t, kernel.s, kernel.k
-    _svd_rank_check(r, min(s * k, t * k), "spatial SVD")
     if order not in ("hv", "vh"):
         raise ValueError(f"order must be 'hv' or 'vh', got {order!r}")
     if order == "hv":
         m = matricize_spatial(kernel)  # rows (s, x), cols (t, y)
     else:
         m = kernel.data.transpose(1, 3, 0, 2).reshape(s * k, t * k)  # rows (s, y), cols (t, x)
-    res = linalg.svd(m)
-    ur, sr, vr = res.truncate(r)
-    root = np.sqrt(sr)
-    first = (ur * root).reshape(s, k, r)
-    second = (root[:, None] * vr.T).reshape(r, t, k).transpose(0, 2, 1)
+    res = linalg.svd(m, r)
+    root = np.sqrt(res.S)
+    first = (res.U * root).reshape(s, k, r)
+    second = (root[:, None] * res.V.T).reshape(r, t, k).transpose(0, 2, 1)
     names = LAYOUTS["spatial_svd"][order].stages
     return DecomposedLayer(
         method="spatial_svd",
@@ -160,19 +151,6 @@ def spatial_svd(kernel: Kernel4D, r: int, order: str = "hv") -> DecomposedLayer:
         bias=kernel.bias,
         meta={"order": order},
     )
-
-
-def _solve_gram(gram: Array, rhs: Array) -> Array:
-    """Solve ``x @ gram = rhs`` for a symmetric PSD gram, ridging if needed.
-
-    When the gram condition number exceeds 1e12 a 1e-10 ridge keeps the
-    ALS update stable (CP factorizations are ill-posed in general).
-    """
-    vals, vecs = linalg.eig_sym(gram)
-    if vals[0] <= 0 or vals[-1] <= vals[0] / 1e12:
-        vals, vecs = linalg.eig_sym(gram + 1e-10 * np.eye(gram.shape[0]))
-    inv = (vecs / vals) @ vecs.T
-    return rhs @ inv
 
 
 def _khatri_rao(*mats: Array) -> Array:
@@ -214,11 +192,16 @@ def cp_als(
 
     err_prev = np.inf
     errors = []
+    converged = False
     for _ in range(max_iters):
         for mode in range(4):
             others = fs[:mode] + fs[mode + 1 :]
             gram = reduce(np.multiply, (f.T @ f for f in others))
-            fs[mode] = _solve_gram(gram, unf[mode] @ _khatri_rao(*others))
+            try:
+                inv = linalg.psd_inverse(gram)
+            except ValueError:  # CP is ill-posed in general: a tiny ridge keeps ALS stable
+                inv = linalg.psd_inverse(gram, 1e-10)
+            fs[mode] = unf[mode] @ _khatri_rao(*others) @ inv
         # Normalize, absorbing scales into wt.
         for f in fs[:3]:
             norms = np.linalg.norm(f, axis=0)
@@ -229,6 +212,7 @@ def cp_als(
         err = float(np.linalg.norm(unf[0] - approx)) / (norm_t if norm_t > 0 else 1.0)
         errors.append(err)
         if abs(err_prev - err) < tol:
+            converged = True
             break
         err_prev = err
     ws, wy, wx, wt = fs
@@ -242,18 +226,10 @@ def cp_als(
             "seed": seed,
             "iterations": len(errors),
             "rel_error": errors[-1] if errors else None,
-            "converged": len(errors) < max_iters,
+            "converged": converged,
             "init": "uniform[-1,1]",
         },
     )
-
-
-def _leading_left_vectors(m: Array, r: int) -> Array:
-    res = linalg.svd(m)
-    if r <= res.S.size:
-        return res.U[:, :r]
-    # more directions requested than the unfolding has; pad the basis
-    return linalg.orthonormal_extend(res.U, r)
 
 
 def tucker_hooi(
@@ -266,30 +242,36 @@ def tucker_hooi(
     the reconstruction error is nonincreasing over iterations.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
-    _svd_rank_check(r1, s, "tucker r1")
-    _svd_rank_check(r2, t, "tucker r2")
+    for name, r, bound in (("r1", r1, s), ("r2", r2, t)):
+        if not 1 <= r <= bound:
+            raise ValueError(f"tucker {name} rank {r} out of range [1, {bound}]")
     tens = kernel.data.transpose(2, 3, 1, 0).copy()  # (x, y, s, t)
     norm_t = float(np.linalg.norm(tens))
-
-    def unfold(a: Array, mode: int) -> Array:
-        return np.moveaxis(a, mode, 0).reshape(a.shape[mode], -1)
 
     def times_u1(u1: Array) -> Array:  # (x, y, t, a)
         return np.tensordot(tens, u1, axes=(2, 0))
 
-    u1 = _leading_left_vectors(unfold(tens, 2), r1)
-    u2 = _leading_left_vectors(unfold(tens, 3), r2)
+    def leading(a: Array, mode: int, r: int) -> Array:
+        """The r leading left singular vectors of the mode-``mode`` unfolding,
+        padded when the unfolding has fewer than r."""
+        m = np.moveaxis(a, mode, 0).reshape(a.shape[mode], -1)
+        return linalg.orthonormal_extend(linalg.svd(m, min(r, m.shape[1])).U, r)
+
+    u1 = leading(tens, 2, r1)
+    u2 = leading(tens, 3, r2)
     err_prev = np.inf
     errors = []
+    converged = False
     for _ in range(max_iters):
-        u1 = _leading_left_vectors(unfold(tens @ u2, 2), r1)
+        u1 = leading(tens @ u2, 2, r1)
         tens_u1 = times_u1(u1)
-        u2 = _leading_left_vectors(unfold(tens_u1, 2), r2)
+        u2 = leading(tens_u1, 2, r2)
         core = tens_u1.swapaxes(2, 3) @ u2  # (x, y, a, b)
         approx = u1 @ core @ u2.T
         err = float(np.linalg.norm(tens - approx)) / (norm_t if norm_t > 0 else 1.0)
         errors.append(err)
         if err_prev - err < tol:
+            converged = True
             break
         err_prev = err
     if not errors:  # no sweep ran: the core of the HOSVD start
@@ -303,7 +285,7 @@ def tucker_hooi(
         meta={
             "iterations": len(errors),
             "rel_error": errors[-1] if errors else None,
-            "converged": len(errors) < max_iters,
+            "converged": converged,
         },
     )
 
@@ -315,25 +297,19 @@ def tt_svd(kernel: Kernel4D, r1: int, r2: int, r3: int) -> DecomposedLayer:
     bond rank must respect its unfolding bound given the ranks before it.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
-    _svd_rank_check(r1, min(s, k * k * t), "tt r1")
-    _svd_rank_check(r2, min(r1 * k, k * t), "tt r2")
-    _svd_rank_check(r3, min(r2 * k, t), "tt r3")
     tens = kernel.data.transpose(1, 2, 3, 0).copy()  # (s, x, y, t)
 
-    res = linalg.svd(tens.reshape(s, k * k * t))
-    u, sv, v = res.truncate(r1)
-    w1 = u
-    carry = (sv[:, None] * v.T).reshape(r1 * k, k * t)
+    res = linalg.svd(tens.reshape(s, k * k * t), r1)
+    w1 = res.U
+    carry = (res.S[:, None] * res.V.T).reshape(r1 * k, k * t)
 
-    res = linalg.svd(carry)
-    u, sv, v = res.truncate(r2)
-    w2 = u.reshape(r1, k, r2)
-    carry = (sv[:, None] * v.T).reshape(r2 * k, t)
+    res = linalg.svd(carry, r2)
+    w2 = res.U.reshape(r1, k, r2)
+    carry = (res.S[:, None] * res.V.T).reshape(r2 * k, t)
 
-    res = linalg.svd(carry)
-    u, sv, v = res.truncate(r3)
-    w3 = u.reshape(r2, k, r3)
-    w4 = sv[:, None] * v.T
+    res = linalg.svd(carry, r3)
+    w3 = res.U.reshape(r2, k, r3)
+    w4 = res.S[:, None] * res.V.T
 
     return DecomposedLayer(
         method="tt",

@@ -11,6 +11,15 @@ symmetric; the Gram matrices the library passes it are, and go to LAPACK
 unchanged, which gives the same bits as symmetrizing them.
 :func:`rrr_fitter` checks and whitens a fixed Z once for many
 reduced-rank fits.
+
+Two rules are written once here.  Truncation: ``svd(a, r)`` checks
+1 <= r <= min(m, n) and returns the leading r triplets; every truncating
+decomposition asks it for r.  PSD inverse: :func:`psd_inverse` returns
+``(C + eps*I)^-power``, zero on C's null space, and with ``eps=0`` refuses a C
+whose condition number exceeds 1e12.  An explicit ``eps=0`` in
+:func:`ridge_solve`, :func:`reduced_rank_regression` or :func:`rrr_fitter`
+therefore refuses such a ``Z @ Z.T``; ``cp_als`` catches the refusal and
+solves with a 1e-10 ridge.
 """
 
 from __future__ import annotations
@@ -57,13 +66,20 @@ def _fix_signs(u: Array, *others: Array) -> tuple[Array, ...]:
     return (u * signs, *(o * signs for o in others))
 
 
-def svd(a) -> SvdResult:
+def svd(a, r: int | None = None) -> SvdResult:
     """Thin singular value decomposition (LAPACK via ``np.linalg.svd``).
 
     Returns U (m x p), S (p, descending, nonnegative) and V (n x p) with
     p = min(m, n); reconstruction and orthogonality hold to ~1e-12 relative.
+    With ``r`` (1 <= r <= p) only the leading r triplets are returned, the
+    same bits as ``svd(a).truncate(r)``.
     """
-    u, s, vt = np.linalg.svd(_check_matrix(a), full_matrices=False)
+    m = _check_matrix(a)
+    if r is not None and not 1 <= r <= min(m.shape):
+        raise ValueError(f"rank {r} out of range [1, {min(m.shape)}]")
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if r is not None:
+        u, s, vt = u[:, :r], s[:r], vt[:r]
     u, v = _fix_signs(u, vt.T)
     return SvdResult(U=u, S=s, V=v)
 
@@ -130,15 +146,29 @@ def default_ridge_eps(z: Array) -> float:
     return 1e-8 * float(np.sum(z * z)) / max(rows, 1)
 
 
-def _spd_inverse_factors(c: Array, eps: float) -> tuple[Array, Array]:
-    """Eigendecomposition of ``C + eps*I`` with eigenvalues clipped at 0."""
-    creg = c + eps * np.eye(c.shape[0])
-    vals, vecs = eig_sym(creg)
-    vals = np.maximum(vals, 0.0)
-    top = vals[0] if vals.size else 0.0
-    if eps == 0.0 and (top == 0.0 or vals[-1] <= c.shape[0] * np.finfo(np.float64).eps * top):
-        raise ValueError("singular system: Z @ Z.T is rank deficient and eps is 0")
-    return vals, vecs
+def psd_inverse(
+    c: Array, eps: float = 0.0, power: float = 1.0, left: Array | None = None
+) -> Array:
+    """``(C + eps*I)^-power`` of a symmetric PSD ``C``, zero on its null space;
+    ``left @ (C + eps*I)^-power`` when ``left`` is given.
+
+    With ``V diag(vals) V^T`` the eigendecomposition of ``C + eps*I``, this is
+    ``(left @ (V / vals**power)) @ V.T``: applying ``left`` before ``V.T``
+    keeps its components along C's large eigenvalues when a tiny eps meets
+    a singular C.  With ``eps=0`` a C whose condition number exceeds 1e12
+    raises; with ``eps > 0`` eigenvalues that still read <= 0 are left out.
+    """
+    if eps == 0:
+        vals, vecs = eig_sym(c)
+        if not vals[-1] > vals[0] / 1e12:
+            raise ValueError("singular system: matrix is rank deficient "
+                             "(condition number above 1e12) and eps is 0")
+    else:
+        vals, vecs = eig_sym(c + eps * np.eye(c.shape[0]))
+        live = vals > 0
+        vals, vecs = vals[live], vecs[:, live]
+    scaled = vecs / vals**power
+    return (scaled if left is None else left @ scaled) @ vecs.T
 
 
 def ridge_solve(y, z, eps: float | None = None) -> Array:
@@ -157,9 +187,7 @@ def ridge_solve(y, z, eps: float | None = None) -> Array:
         raise ValueError("eps must be >= 0")
     if eps == 0 and z.shape[0] > z.shape[1]:
         raise ValueError("singular system: Z has more rows than columns and eps is 0")
-    vals, vecs = _spd_inverse_factors(z @ z.T, eps)
-    inv_vals = np.where(vals > 0, 1.0 / np.where(vals > 0, vals, 1.0), 0.0)
-    return (y @ z.T) @ (vecs * inv_vals) @ vecs.T
+    return psd_inverse(z @ z.T, eps, left=y @ z.T)
 
 
 @dataclass(frozen=True)
@@ -169,14 +197,6 @@ class RrrResult:
     M: Array
     rank: int
     residual: float
-
-
-def _whitener(z: Array, eps: float) -> Array:
-    """``C^{-1/2}`` for ``C = Z Z^T + eps*I`` (zero on C's null space)."""
-    vals, vecs = _spd_inverse_factors(z @ z.T, eps)
-    sqrt_vals = np.sqrt(vals)
-    inv_sqrt = np.where(sqrt_vals > 0, 1.0 / np.where(sqrt_vals > 0, sqrt_vals, 1.0), 0.0)
-    return (vecs * inv_sqrt) @ vecs.T
 
 
 def _check_rrr(y: Array, z: Array, r: int) -> None:
@@ -189,9 +209,8 @@ def _check_rrr(y: Array, z: Array, r: int) -> None:
 def _rrr_map(y: Array, z: Array, r: int, c_neg_half: Array) -> Array:
     """Rank-``r`` M for checked Y and Z, given Z's whitener ``C^{-1/2}``."""
     whitened = (y @ z.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
-    res = svd(whitened)
-    ur, sr, vr = res.truncate(min(r, res.S.size))
-    return (ur * sr) @ vr.T @ c_neg_half
+    res = svd(whitened, min(r, whitened.shape[1]))
+    return (res.U * res.S) @ res.V.T @ c_neg_half
 
 
 def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
@@ -212,7 +231,7 @@ def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
             zc = _check_matrix(z, "Z")
         _check_rrr(y, zc, r)
         if c_neg_half is None:
-            c_neg_half = _whitener(zc, default_ridge_eps(zc) if eps is None else eps)
+            c_neg_half = psd_inverse(zc @ zc.T, default_ridge_eps(zc) if eps is None else eps, 0.5)
         return _rrr_map(y, zc, r, c_neg_half)
 
     return fit
@@ -231,7 +250,7 @@ def reduced_rank_regression(y, z, r: int, eps: float | None = None) -> RrrResult
     _check_rrr(y, z, r)
     if eps is None:
         eps = default_ridge_eps(z)
-    m = _rrr_map(y, z, r, _whitener(z, eps))
+    m = _rrr_map(y, z, r, psd_inverse(z @ z.T, eps, 0.5))
     residual = float(np.linalg.norm(y - m @ z))
     return RrrResult(M=m, rank=r, residual=residual)
 

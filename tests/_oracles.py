@@ -3,14 +3,16 @@
 Everything here is written from scratch against the mathematical
 definitions, deliberately *not* importing the production code paths it
 is used to check (plain loops, brute-force search, textbook formulas).
-The exceptions are the ``*_reference_loop`` and ``*_reference_fit``
-functions at the end: verbatim copies of earlier solver loops and
-data-optimized fits, kept to pin the current code to them bit for bit.
+The exceptions are ``solve_gram`` and the ``*_reference_loop`` and
+``*_reference_fit`` functions at the end: verbatim copies of earlier
+solvers, solver loops and data-optimized fits, kept to pin the current
+code to them bit for bit.
 They call the same ``linalg`` and ``decomp`` primitives the copies called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -433,6 +435,54 @@ def relu_asym_reference_loop(batch, r: int, lambda_schedule=(0.01, 0.1, 1.0, 10.
     pred = z_hat @ m.T + b
     residual = float(np.linalg.norm(ry - relu(pred)))
     return {"M": m, "new_bias": b, "residual": residual, "objective_trace": trace}
+
+
+def solve_gram(gram, rhs):
+    """Solve ``x @ gram = rhs`` for a symmetric PSD gram, ridging if needed.
+
+    When the gram condition number exceeds 1e12 a 1e-10 ridge keeps the
+    ALS update stable (CP factorizations are ill-posed in general).
+    """
+    vals, vecs = linalg.eig_sym(gram)
+    if vals[0] <= 0 or vals[-1] <= vals[0] / 1e12:
+        vals, vecs = linalg.eig_sym(gram + 1e-10 * np.eye(gram.shape[0]))
+    inv = (vecs / vals) @ vecs.T
+    return rhs @ inv
+
+
+def cp_als_reference_loop(kernel, r: int, max_iters: int = 200, tol: float = 1e-8,
+                          seed: int = 0):
+    """``cp_als`` with each normal equation solved by :func:`solve_gram`, the
+    solver's own eigendecomposition and ridge fallback.  Returns the factors
+    (ws, wy, wx, wt) and the ``iterations`` and ``rel_error`` of its meta."""
+    from convcompress.decomp import _khatri_rao
+
+    t, s, k = kernel.t, kernel.s, kernel.k
+    tens = kernel.data.transpose(1, 3, 2, 0)  # (s, y, x, t)
+    unf = [np.moveaxis(tens, mode, 0).reshape(tens.shape[mode], -1) for mode in range(4)]
+    norm_t = float(np.linalg.norm(unf[0]))
+    rng = np.random.default_rng(seed)
+    fs = [np.empty((s, r))] + [rng.uniform(-1.0, 1.0, size=(n, r)) for n in (k, k, t)]
+    err_prev = np.inf
+    errors = []
+    for _ in range(max_iters):
+        for mode in range(4):
+            others = fs[:mode] + fs[mode + 1 :]
+            gram = functools.reduce(np.multiply, (f.T @ f for f in others))
+            fs[mode] = solve_gram(gram, unf[mode] @ _khatri_rao(*others))
+        for f in fs[:3]:
+            norms = np.linalg.norm(f, axis=0)
+            norms = np.where(norms > 0, norms, 1.0)
+            f /= norms
+            fs[3] *= norms
+        approx = fs[0] @ _khatri_rao(*fs[1:]).T
+        err = float(np.linalg.norm(unf[0] - approx)) / (norm_t if norm_t > 0 else 1.0)
+        errors.append(err)
+        if abs(err_prev - err) < tol:
+            break
+        err_prev = err
+    factors = dict(zip(("ws", "wy", "wx", "wt"), fs))
+    return factors, {"iterations": len(errors), "rel_error": errors[-1]}
 
 
 def tucker_hooi_reference_loop(kernel, r1: int, r2: int, max_iters: int = 50,

@@ -100,6 +100,30 @@ class TestUsageErrors:
         assert code == 1
         assert "rank" in err
 
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["compress", "--method", "weight-svd", "--rank", "3,4"], "r"),
+            (["compress", "--method", "tucker", "--rank", "3"], "r1,r2"),
+            (["compress", "--method", "tt", "--rank", "3,4"], "r1,r2,r3"),
+            (["dataopt", "--mode", "asym", "--rank", "3,4"], "r"),
+        ],
+        ids=["weight-svd", "tucker", "tt", "dataopt-asym"],
+    )
+    def test_wrong_rank_count_is_a_usage_error(
+        self, capsys, model_dir, batch_dir, tmp_path, argv, names
+    ):
+        path, _ = model_dir
+        command, *flags = argv
+        if command == "dataopt":
+            flags += ["--batch", batch_dir]
+        code, _, err = run(
+            capsys, command, path, "--layer", "conv1", *flags, "--out", tmp_path / "o"
+        )
+        assert code == 2
+        assert f"takes --rank {names}," in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_container_exits_1(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "compress", tmp_path / "nope", "--layer", "x", "--method", "cp",
@@ -149,6 +173,24 @@ class TestCompressReconstruct:
         r1, r2, r3 = rep["ranks"]
         assert r2 <= r1 * kernel.k and r3 <= r2 * kernel.k
         assert read_layer(read_container(tmp_path / "comp"), "conv1").ranks == (r1, r2, r3)
+
+    def test_reconstruct_keeps_the_map_size(self, capsys, tmp_path):
+        """compress -> reconstruct -> prune counts MACs at the stored map
+        size, as the original container does."""
+        model = Container()
+        kernel = Kernel4D(np.random.default_rng(15).normal(size=(16, 8, 3, 3)))
+        add_kernel(model, "conv1", kernel, h=32, w=32)
+        write_container(model, tmp_path / "model")
+        steps = [
+            ["compress", tmp_path / "model", "--method", "weight-svd", "--rank", "4"],
+            ["reconstruct", tmp_path / "comp"],
+            ["prune", tmp_path / "recon", "--keep", "4", "--mode", "magnitude"],
+        ]
+        for argv, out in zip(steps, ("comp", "recon", "pruned")):
+            code, rep, _ = run(capsys, *argv, "--layer", "conv1", "--out", tmp_path / out)
+            assert code == 0
+        code, original, _ = run(capsys, "report", tmp_path / "model")
+        assert rep["macs_before"] == original["entries"][0]["macs"] == 16 * 8 * 9 * 32 * 32
 
     def test_report_macs_match_cost_model(self, capsys, model_dir, tmp_path):
         path, kernel = model_dir

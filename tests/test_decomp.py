@@ -28,6 +28,7 @@ from convcompress.kernel import (
 from _oracles import (
     asym3d_reconstruct_naive,
     cp_als_einsum,
+    cp_als_reference_loop,
     cp_reconstruct_naive,
     naive_conv,
     spatial_reconstruct_naive,
@@ -437,7 +438,8 @@ def assert_same_layer(layer, factors, meta):
 
 class TestSolverLoopsPinned:
     """tucker_hooi returns the core its last sweep computed; it is pinned
-    bit for bit to the loop that recomputed it."""
+    bit for bit to the loop that recomputed it.  cp_als is pinned to the
+    loop that solved its normal equations with its own Gram solver."""
 
     @pytest.mark.parametrize("max_iters", [0, 1, 5])
     @pytest.mark.parametrize("t,s,r1,r2", [(6, 5, 2, 3), (16, 8, 4, 8), (24, 16, 8, 12)])
@@ -446,3 +448,43 @@ class TestSolverLoopsPinned:
         layer = tucker_hooi(kernel, r1, r2, max_iters=max_iters, tol=-np.inf)
         factors, meta = tucker_hooi_reference_loop(kernel, r1, r2, max_iters=max_iters, tol=-np.inf)
         assert_same_layer(layer, factors, meta)
+
+    def test_cp_als_equals_gram_solve_loop_well_conditioned(self):
+        kernel = random_kernel(np.random.default_rng(430), t=6, s=4, k=3)
+        layer = cp_als(kernel, 2, seed=0)
+        factors, meta = cp_als_reference_loop(kernel, 2, seed=0)
+        assert_same_layer(layer, factors, {**layer.meta, **meta})
+
+    def test_cp_als_equals_gram_solve_loop_over_ranked(self, monkeypatch):
+        """A rank-2 planted kernel fitted above its rank: some Gram matrices
+        exceed condition number 1e12, and their solves take the ridge."""
+        import convcompress.linalg as la
+
+        rng = np.random.default_rng(4)
+        ws, wy, wx, wt = (rng.normal(size=(d, 2)) for d in (4, 3, 3, 6))
+        kernel = Kernel4D(np.einsum("sr,yr,xr,tr->tsxy", ws, wy, wx, wt))
+        eig_sym, calls = la.eig_sym, []
+        monkeypatch.setattr(la, "eig_sym", lambda a: calls.append(a) or eig_sym(a))
+        layers = {r: cp_als(kernel, r, max_iters=300, tol=1e-14, seed=0) for r in (3, 4, 6)}
+        monkeypatch.undo()
+        # one eigendecomposition per solve, and one more per ridged solve
+        solves = 4 * sum(layer.meta["iterations"] for layer in layers.values())
+        assert len(calls) > solves * 1.05
+        for r, layer in layers.items():
+            factors, meta = cp_als_reference_loop(kernel, r, max_iters=300, tol=1e-14, seed=0)
+            assert_same_layer(layer, factors, {**layer.meta, **meta})
+
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda kernel, **kw: cp_als(kernel, 2, **kw),
+         lambda kernel, **kw: tucker_hooi(kernel, 2, 3, **kw)],
+        ids=["cp", "tucker"],
+    )
+    def test_converged_when_the_stop_test_passes_on_the_last_sweep(self, solve):
+        """Rerun with max_iters equal to the sweeps a converged solve took,
+        the same factors come back, still reported converged."""
+        kernel = random_kernel(np.random.default_rng(440), t=6, s=4, k=3)
+        first = solve(kernel)
+        n = first.meta["iterations"]
+        assert first.meta["converged"] and n > 1
+        assert_same_layer(solve(kernel, max_iters=n), first.factors, first.meta)

@@ -86,6 +86,19 @@ class TestSvd:
         with pytest.raises(ValueError, match="non-finite"):
             svd(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 7), (4, 4), (1, 6)])
+    def test_rank_r_equals_truncated_full_svd(self, shape):
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        for r in range(1, min(shape) + 1):
+            res = svd(a, r)
+            for got, want in zip((res.U, res.S, res.V), svd(a).truncate(r)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("r", [0, -1, 5])
+    def test_rank_r_out_of_range_raises(self, r):
+        with pytest.raises(ValueError, match=f"rank {r} out of range \\[1, 4\\]"):
+            svd(np.ones((4, 6)), r)
+
     def test_pinv_satisfies_penrose_identities(self):
         rng = np.random.default_rng(31)
         a = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 5))  # rank-deficient
@@ -183,6 +196,30 @@ class TestRidgeSolve:
         z[0] = 1.0
         with pytest.raises(ValueError, match="singular"):
             ridge_solve(np.ones((2, 5)), z, eps=0.0)
+
+    def test_wide_z_default_ridge_fits_to_its_bias(self):
+        """More rows than columns: Z Z^T is singular and the default ridge
+        is 1e-8 of its mean eigenvalue.  Y = W Z is fitted to about that
+        ridge's bias (3e-9 here); forming the inverse before applying it to
+        Y Z^T would leave 1e-7."""
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=(200, 50))
+        y = rng.normal(size=(8, 200)) @ z
+        m = ridge_solve(y, z)
+        assert np.linalg.norm(y - m @ z) <= 1e-8 * np.linalg.norm(y)
+
+    def test_zero_eps_refuses_condition_number_above_1e12(self):
+        """Z Z^T with eigenvalues 1 and 1e-13 has full numerical rank, but
+        its condition number exceeds the one singular rule's 1e12."""
+        rng = np.random.default_rng(40)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        v, _ = np.linalg.qr(rng.normal(size=(30, 2)))
+        z = (q * [1.0, 10**-6.5]) @ v.T
+        vals = np.linalg.eigvalsh(z @ z.T)
+        assert 5e12 <= vals[1] / vals[0] <= 2e13
+        with pytest.raises(ValueError, match="singular"):
+            ridge_solve(rng.normal(size=(3, 30)), z, eps=0.0)
+        assert np.isfinite(ridge_solve(rng.normal(size=(3, 30)), z, eps=1e-9)).all()
 
 
 class TestReducedRank:
