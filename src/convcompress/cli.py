@@ -4,6 +4,12 @@ Subcommands operate on container directories (see :mod:`container`) and
 print a machine-readable JSON report on stdout.  Exit codes: 0 success,
 2 usage error, 1 computation error.
 
+Each ``_cmd_*`` handler maps the parsed arguments to ``(report, container)``
+and neither prints nor writes; only ``report`` returns no container.
+``cli_dispatch`` stamps the report's ``command`` (and ``out`` for a command
+that writes) and writes the container to ``--out`` once, after its handler
+returned, so a command that fails writes nothing.
+
 Conventions: ``--ratio`` always means the retained MAC fraction
 (compressed / original); reports print both that and the saved fraction
 to keep the two conventions apart.  Reruns with identical arguments,
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import container as cio
 from . import dataopt, decomp, gates as gates_mod, pruning, rankselect
-from .kernel import METHOD_COSTS, mac_cost
+from .kernel import METHOD_COSTS, Kernel4D, mac_cost
 
 #: --method flag -> (method name, extractor(kernel, ranks, seed)).  Each
 #: extractor looks its function up on ``decomp`` when called, so a rebound
@@ -127,24 +133,31 @@ def _map_size(cont: cio.Container, name: str) -> tuple[int, int]:
     return 1, 1
 
 
+def _macs(before: int, after: int) -> dict:
+    return {"macs_before": before, "macs_after": after,
+            "retained": after / before, "ratio": 1.0 - after / before}
+
+
 def _layer_report(layer: decomp.DecomposedLayer, h: int, w: int) -> dict:
     orig = mac_cost(layer.s, layer.t, layer.k, h, w, "original")
-    macs_after = layer.macs(h, w)
     return {
         "method": layer.method,
         "ranks": list(layer.ranks),
-        "macs_before": orig.macs_original,
-        "macs_after": macs_after,
-        "retained": macs_after / orig.macs_original,
-        "ratio": 1.0 - macs_after / orig.macs_original,
+        **_macs(orig.macs_original, layer.macs(h, w)),
         "params_before": orig.params_original,
         "params_after": layer.param_count(),
     }
 
 
-def _cmd_compress(args) -> dict:
+def _rel_error(approx: Kernel4D, ref: Kernel4D) -> float:
+    """Relative Frobenius error of the dense kernel ``approx`` against ``ref``."""
+    return float(np.linalg.norm(approx.data - ref.data) / max(np.linalg.norm(ref.data), 1e-300))
+
+
+def _cmd_compress(args) -> tuple[dict, cio.Container | None]:
     cont = cio.read_container(args.input)
-    kernel, kmeta = cio.read_kernel(cont, args.layer)
+    kernel, _ = cio.read_kernel(cont, args.layer)
+    h, w = _map_size(cont, args.layer)
     method, extract = EXTRACTORS[args.method]
     if (args.rank is None) == (args.ratio is None):
         raise UsageError("exactly one of --rank and --ratio is required")
@@ -154,32 +167,25 @@ def _cmd_compress(args) -> dict:
         ranks = rankselect.ranks_from_ratio(method, kernel.s, kernel.t, kernel.k, args.ratio)
     layer = extract(kernel, ranks, args.seed)
     out = cio.Container()
-    cio.add_kernel(out, args.layer, kernel, h=kmeta.get("h", 1), w=kmeta.get("w", 1))
+    cio.add_kernel(out, args.layer, kernel, h=h, w=w)
     cio.add_layer(out, f"{args.layer}/decomposed", layer)
-    cio.write_container(out, args.out)
-    recon = decomp.reconstruct(layer)
-    err = float(
-        np.linalg.norm(recon.data - kernel.data) / max(np.linalg.norm(kernel.data), 1e-300)
-    )
-    report = {"command": "compress", "layer": args.layer, "recon_error": err, "out": args.out}
-    report.update(_layer_report(layer, kmeta.get("h", 1), kmeta.get("w", 1)))
-    return report
+    report = {"layer": args.layer, "recon_error": _rel_error(decomp.reconstruct(layer), kernel)}
+    return {**report, **_layer_report(layer, h, w)}, out
 
 
-def _cmd_dataopt(args) -> dict:
+def _cmd_dataopt(args) -> tuple[dict, cio.Container | None]:
     cont = cio.read_container(args.input)
     batch = cio.read_batch(cio.read_container(args.batch), "batch")
+    h, w = _map_size(cont, args.layer)
     out = cio.Container()
     if args.mode == "spatial-refine":
         refined = dataopt.spatial_refine(cio.read_layer(cont, f"{args.layer}/decomposed"), batch)
-        layer, residual, method = refined.wrapped, refined.residual, refined.wrapped.method
-        h, w = _map_size(cont, args.layer)
+        layer, residual = refined.wrapped, refined.residual
         if cont.has(args.layer):
             kernel, _ = cio.read_kernel(cont, args.layer)
             cio.add_kernel(out, args.layer, kernel, h=h, w=w)
     else:
-        kernel, kmeta = cio.read_kernel(cont, args.layer)
-        h, w = kmeta.get("h", 1), kmeta.get("w", 1)
+        kernel, _ = cio.read_kernel(cont, args.layer)
         if args.rank is None:
             raise UsageError(f"--rank is required for mode {args.mode}")
         # every mode but asym3d stores a weight SVD of the refined kernel
@@ -187,65 +193,58 @@ def _cmd_dataopt(args) -> dict:
         ranks = _parse_ranks(args.rank, stored, f"--mode {args.mode}")
         if args.mode == "asym3d":
             layer = dataopt.asym3d(kernel, batch, *ranks)
-            residual, method = layer.meta["fit_residual"], layer.method
+            residual = layer.meta["fit_residual"]
         else:
-            r = ranks[0]
+            (r,) = ranks
+            # current responses always come from the layer, z = W x + b
+            batch = dataopt.attach_current_outputs(batch, kernel)
             if args.mode == "data-svd":
                 refined = dataopt.data_svd(kernel, batch.ref_outputs, r)
                 residual = math.sqrt(refined.residual)  # summed eigenvalues are squared units
             else:
-                if batch.cur_outputs is None:
-                    batch = dataopt.attach_current_outputs(batch, kernel)
                 fit = dataopt.asym_data_svd if args.mode == "asym" else dataopt.relu_asym
                 refined = fit(batch, kernel, r)
                 residual = refined.residual
             # M W has rank <= r, so its rank-r weight SVD is exact
             layer = decomp.weight_svd(dataopt.refined_kernel(refined), r)
-            method = args.mode.replace("-", "_")
+    method = args.mode.replace("-", "_") if layer.method == "weight_svd" else layer.method
     cio.add_layer(out, f"{args.layer}/decomposed", layer)
-    cio.write_container(out, args.out)
-    return {"command": "dataopt", "mode": args.mode, "layer": args.layer, "out": args.out,
-            "residual": residual, **_layer_report(layer, h, w), "method": method}
+    return {"mode": args.mode, "layer": args.layer, "residual": residual,
+            **_layer_report(layer, h, w), "method": method}, out
 
 
-def _cmd_prune(args) -> dict:
+def _cmd_prune(args) -> tuple[dict, cio.Container | None]:
     cont = cio.read_container(args.input)
-    kernel, kmeta = cio.read_kernel(cont, args.layer)
+    kernel, _ = cio.read_kernel(cont, args.layer)
+    h, w = _map_size(cont, args.layer)
     if args.mode == "magnitude":
         result = pruning.magnitude_prune(kernel, args.keep)
     else:
         if not args.batch:
             raise UsageError("lasso pruning needs --batch")
         batch = cio.read_batch(cio.read_container(args.batch), "batch")
-        n = batch.inputs.shape[0]
-        x = batch.inputs.reshape(n, kernel.s, kernel.k * kernel.k)
+        dataopt.check_patch_width(batch, kernel)
+        x = batch.inputs.reshape(len(batch.inputs), kernel.s, kernel.k * kernel.k)
         result = pruning.channel_prune(kernel, x, batch.ref_outputs, args.keep)
     out = cio.Container()
-    h, w = kmeta.get("h", 1), kmeta.get("w", 1)
     cio.add_kernel(out, f"{args.layer}/pruned", result.refit_kernel, h=h, w=w)
     out.entry(f"{args.layer}/pruned").metadata["kept"] = list(result.kept)
-    cio.write_container(out, args.out)
     before = mac_cost(kernel.s, kernel.t, kernel.k, h, w, "original").macs_original
     after = mac_cost(result.s_prime, kernel.t, kernel.k, h, w, "original").macs_original
     report = {
-        "command": "prune",
         "mode": args.mode,
         "layer": args.layer,
         "kept": list(result.kept),
         "residual": result.residual,
-        "macs_before": before,
-        "macs_after": after,
-        "retained": after / before,
-        "ratio": 1.0 - after / before,
-        "out": args.out,
+        **_macs(before, after),
     }
     if args.mode == "lasso":
         report["diagnostics"] = {"lambda": result.lam, "solves": result.solves,
                                  "sweeps": result.sweeps, "converged": result.converged}
-    return report
+    return report, out
 
 
-def _cmd_gates(args) -> dict:
+def _cmd_gates(args) -> tuple[dict, cio.Container | None]:
     task = gates_mod.ToyRegressionTask(
         n_features=args.features, n_informative=args.informative
     )
@@ -261,20 +260,17 @@ def _cmd_gates(args) -> dict:
     kept = gates_mod.kept_by_criteria(crit, args.threshold)
     out = cio.Container()
     cio.add_gates(out, "gates", result.gates)
-    cio.write_container(out, args.out)
     return {
-        "command": "gates",
         "kind": args.kind,
         "lambda": args.lambda_reg,
         "criteria": [float(c) for c in crit],
         "threshold": args.threshold,
         "kept": list(kept),
         "final_loss": result.loss_trace[-1],
-        "out": args.out,
-    }
+    }, out
 
 
-def _cmd_rank_select(args) -> dict:
+def _cmd_rank_select(args) -> tuple[dict, cio.Container | None]:
     if args.strategy == "equal-acc":
         if not args.acc_table:
             raise UsageError("equal-acc needs --acc-table")
@@ -287,27 +283,24 @@ def _cmd_rank_select(args) -> dict:
         plan = rankselect.greedy_energy_select(svs, costs, args.ratio)
     out = cio.Container()
     cio.add_plan(out, "plan", plan)
-    cio.write_container(out, args.out)
     return {
-        "command": "rank-select",
         "strategy": plan.strategy,
         "ranks": [list(r) for r in plan.ranks],
         "tau": plan.tau,
         "achieved_macs": plan.achieved_macs,
         "retained": plan.achieved_ratio,
         "ratio": 1.0 - plan.achieved_ratio,
-        "out": args.out,
-    }
+    }, out
 
 
-def _cmd_report(args) -> dict:
+def _cmd_report(args) -> tuple[dict, cio.Container | None]:
     cont = cio.read_container(args.input)
     items = []
     seen_layers = set()
     for e in cont.entries:
         if e.kind == "kernel":
-            kernel, kmeta = cio.read_kernel(cont, e.name)
-            h, w = kmeta.get("h", 1), kmeta.get("w", 1)
+            kernel, _ = cio.read_kernel(cont, e.name)
+            h, w = _map_size(cont, e.name)
             cost = mac_cost(kernel.s, kernel.t, kernel.k, h, w, "original")
             items.append(
                 {
@@ -331,23 +324,20 @@ def _cmd_report(args) -> dict:
             items.append(
                 {"name": e.name, "kind": e.kind, "shape": list(e.shape), "metadata": e.metadata}
             )
-    return {"command": "report", "input": args.input, "entries": items}
+    return {"input": args.input, "entries": items}, None
 
 
-def _cmd_reconstruct(args) -> dict:
+def _cmd_reconstruct(args) -> tuple[dict, cio.Container | None]:
     cont = cio.read_container(args.input)
     layer = cio.read_layer(cont, f"{args.layer}/decomposed")
     recon = decomp.reconstruct(layer)
     out = cio.Container()
     h, w = _map_size(cont, args.layer)
     cio.add_kernel(out, args.layer, recon, h=h, w=w)
-    cio.write_container(out, args.out)
     report = {
-        "command": "reconstruct",
         "layer": args.layer,
         "method": layer.method,
         "ranks": list(layer.ranks),
-        "out": args.out,
     }
     if cont.has(args.layer):
         original, _ = cio.read_kernel(cont, args.layer)
@@ -357,11 +347,8 @@ def _cmd_reconstruct(args) -> dict:
                 f"kernel {args.layer!r} has shape {original.data.shape}, "
                 f"its layer reconstructs {recon.data.shape}",
             )
-        report["recon_error"] = float(
-            np.linalg.norm(recon.data - original.data)
-            / max(np.linalg.norm(original.data), 1e-300)
-        )
-    return report
+        report["recon_error"] = _rel_error(recon, original)
+    return report, out
 
 
 class UsageError(Exception):
@@ -387,7 +374,10 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = _HANDLERS[args.command](args)
+        report, out = _HANDLERS[args.command](args)
+        if out is not None:
+            cio.write_container(out, args.out)
+            report["out"] = args.out
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -398,6 +388,7 @@ def cli_dispatch(argv) -> int:
             msg["code"] = code
         print(json.dumps(msg, sort_keys=True), file=sys.stderr)
         return 1
+    report["command"] = args.command
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

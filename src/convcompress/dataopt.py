@@ -120,18 +120,21 @@ def sample_patches(maps, per_image: int, k: int, seed: int = 0) -> PatchBatch:
     return PatchBatch(inputs=np.concatenate(rows), ref_outputs=np.concatenate(refs))
 
 
+def check_patch_width(batch: PatchBatch, kernel: Kernel4D) -> None:
+    """Raise unless the batch's patches are ``kernel``'s inputs, s * k * k wide."""
+    width = kernel.s * kernel.k * kernel.k
+    if batch.inputs.shape[1] != width:
+        raise ValueError(f"patch width {batch.inputs.shape[1]} does not match kernel {width}")
+
+
 def attach_current_outputs(batch: PatchBatch, kernel: Kernel4D) -> PatchBatch:
     """Populate ``cur_outputs`` by running the layer on the stored patches.
 
     Computes z = W x + b per sample; this is the actual compressed-prefix
     response, not an approximation.
     """
-    w = kernel.as_matrix()
-    if batch.inputs.shape[1] != w.shape[1]:
-        raise ValueError(
-            f"patch width {batch.inputs.shape[1]} does not match kernel {w.shape[1]}"
-        )
-    cur = batch.inputs @ w.T
+    check_patch_width(batch, kernel)
+    cur = batch.inputs @ kernel.as_matrix().T
     if kernel.bias is not None:
         cur = cur + kernel.bias
     return replace(batch, cur_outputs=cur)

@@ -225,7 +225,7 @@ def cp_als(
         meta={
             "seed": seed,
             "iterations": len(errors),
-            "rel_error": errors[-1] if errors else None,
+            "rel_error": errors[-1],
             "converged": converged,
             "init": "uniform[-1,1]",
         },
@@ -237,10 +237,13 @@ def tucker_hooi(
 ) -> DecomposedLayer:
     """Partial Tucker decomposition on the channel modes.
 
-    The spatial modes stay uncompressed.  Factors are initialized from the
-    truncated HOSVD of the s- and t-mode unfoldings and refined by HOOI;
-    the reconstruction error is nonincreasing over iterations.
+    The spatial modes stay uncompressed.  The t-mode factor starts from the
+    truncated HOSVD of the t-mode unfolding; each of at most ``max_iters``
+    (>= 1) HOOI sweeps then solves the s-mode factor and the t-mode factor
+    in turn, and the reconstruction error is nonincreasing over sweeps.
     """
+    if max_iters < 1:
+        raise ValueError(f"tucker max_iters must be >= 1, got {max_iters}")
     t, s, k = kernel.t, kernel.s, kernel.k
     for name, r, bound in (("r1", r1, s), ("r2", r2, t)):
         if not 1 <= r <= bound:
@@ -248,23 +251,19 @@ def tucker_hooi(
     tens = kernel.data.transpose(2, 3, 1, 0).copy()  # (x, y, s, t)
     norm_t = float(np.linalg.norm(tens))
 
-    def times_u1(u1: Array) -> Array:  # (x, y, t, a)
-        return np.tensordot(tens, u1, axes=(2, 0))
-
     def leading(a: Array, mode: int, r: int) -> Array:
         """The r leading left singular vectors of the mode-``mode`` unfolding,
         padded when the unfolding has fewer than r."""
         m = np.moveaxis(a, mode, 0).reshape(a.shape[mode], -1)
         return linalg.orthonormal_extend(linalg.svd(m, min(r, m.shape[1])).U, r)
 
-    u1 = leading(tens, 2, r1)
-    u2 = leading(tens, 3, r2)
+    u2 = leading(tens, 3, r2)  # the first sweep solves u1 from it
     err_prev = np.inf
     errors = []
     converged = False
     for _ in range(max_iters):
         u1 = leading(tens @ u2, 2, r1)
-        tens_u1 = times_u1(u1)
+        tens_u1 = np.tensordot(tens, u1, axes=(2, 0))  # (x, y, t, a)
         u2 = leading(tens_u1, 2, r2)
         core = tens_u1.swapaxes(2, 3) @ u2  # (x, y, a, b)
         approx = u1 @ core @ u2.T
@@ -274,8 +273,6 @@ def tucker_hooi(
             converged = True
             break
         err_prev = err
-    if not errors:  # no sweep ran: the core of the HOSVD start
-        core = times_u1(u1).swapaxes(2, 3) @ u2
     return DecomposedLayer(
         method="tucker",
         factors={"w1": u1, "core": core, "w2": u2},
@@ -284,7 +281,7 @@ def tucker_hooi(
         bias=kernel.bias,
         meta={
             "iterations": len(errors),
-            "rel_error": errors[-1] if errors else None,
+            "rel_error": errors[-1],
             "converged": converged,
         },
     )

@@ -271,7 +271,8 @@ class ToyTrainResult:
     task: ToyRegressionTask
 
 
-@np.errstate(over="ignore")  # sigmoid saturation; a diverged loss is caught below
+# sigmoid saturation, or a VIB sigma that underflows to 0: a diverged loss is caught below
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train_toy_gated(
     task: ToyRegressionTask,
     kind: str,

@@ -1,23 +1,31 @@
 """CLI surface: subcommand flows, exit codes, report fields, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import convcompress
+from convcompress import cli
 from convcompress.cli import cli_dispatch
 from convcompress.container import (
     Container,
+    ContainerError,
     add_acc_tables,
     add_batch,
     add_gates,
     add_kernel,
+    add_layer,
     add_plan,
     add_sv_tables,
     read_batch,
@@ -27,7 +35,7 @@ from convcompress.container import (
     write_container,
 )
 from convcompress.dataopt import PatchBatch, data_svd, sample_patches
-from convcompress.decomp import reconstruct
+from convcompress.decomp import reconstruct, weight_svd
 from convcompress.gates import GateVector, HardConcreteGate
 from convcompress.kernel import Kernel4D, conv_direct, mac_cost, matricize_spatial
 from convcompress.rankselect import AccTable, GridCosts, RankPlan
@@ -247,8 +255,10 @@ class TestDataoptCli:
 
 @pytest.fixture
 def biased_dirs(tmp_path):
-    """A kernel with a 3-sigma bias, and two batches on noisy patches: one
-    holding the responses of clean patches, one the layer's own responses."""
+    """A kernel with a 3-sigma bias, and batches on noisy patches: one
+    holding the responses of clean patches, one the layer's own responses,
+    and one ("noisy") that also stores current responses off ``W x + b`` by
+    0.5-sigma noise, which the CLI does not use."""
     rng = np.random.default_rng(14)
     kernel = Kernel4D(rng.normal(size=(6, 4, 3, 3)), bias=3.0 * rng.normal(size=6))
     model = Container()
@@ -261,6 +271,11 @@ def biased_dirs(tmp_path):
         y = clean @ kernel.as_matrix().T + kernel.bias
         add_batch(c, "batch", PatchBatch(inputs=x_hat, ref_outputs=y))
         write_container(c, tmp_path / name)
+    y, own = (clean @ kernel.as_matrix().T + kernel.bias for clean in (x, x_hat))
+    c = Container()
+    add_batch(c, "batch", PatchBatch(inputs=x_hat, ref_outputs=y,
+                                     cur_outputs=own + 0.5 * rng.normal(size=own.shape)))
+    write_container(c, tmp_path / "noisy")
     return tmp_path
 
 
@@ -271,7 +286,8 @@ class TestDataoptStoredLayer:
     @pytest.mark.parametrize(
         "mode,rank,batch",
         [("data-svd", "3", "own"), ("asym", "3", "prefixed"), ("relu-asym", "3", "prefixed"),
-         ("asym3d", "5,4", "prefixed"), ("spatial-refine", None, "prefixed")],
+         ("asym3d", "5,4", "prefixed"), ("spatial-refine", None, "prefixed"),
+         ("asym", "3", "noisy"), ("relu-asym", "3", "noisy")],
     )
     def test_stored_layer_error_is_the_residual(self, capsys, biased_dirs, mode, rank, batch):
         tmp_path = biased_dirs
@@ -305,6 +321,77 @@ class TestDataoptStoredLayer:
         kernel, _ = read_kernel(read_container(tmp_path / "model"), "conv1")
         fitted = read_batch(read_container(tmp_path / "own"), "batch")
         assert rep["residual"] == math.sqrt(data_svd(kernel, fitted.ref_outputs, 3).residual)
+
+
+class TestPatchWidth:
+    """A batch whose patches are not the kernel's s*k*k inputs fails with
+    the library's wording in every command that reads one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dataopt", "--mode", "data-svd", "--rank", "3"],
+         ["dataopt", "--mode", "asym", "--rank", "3"],
+         ["dataopt", "--mode", "relu-asym", "--rank", "3"],
+         ["dataopt", "--mode", "asym3d", "--rank", "5,4"],
+         ["prune", "--mode", "lasso", "--keep", "2"]],
+        ids=["data-svd", "asym", "relu-asym", "asym3d", "prune-lasso"],
+    )
+    def test_wide_batch_is_rejected(self, capsys, model_dir, tmp_path, argv):
+        path, _ = model_dir  # 4 input channels, k = 3: 36-wide patches
+        rng = np.random.default_rng(16)
+        c = Container()
+        add_batch(c, "batch", PatchBatch(inputs=rng.normal(size=(60, 45)),
+                                         ref_outputs=rng.normal(size=(60, 6))))
+        write_container(c, tmp_path / "wide")
+        command, *flags = argv
+        code, _, err = run(capsys, command, path, "--layer", "conv1", *flags,
+                           "--batch", tmp_path / "wide", "--out", tmp_path / "o")
+        assert code == 1
+        assert json.loads(err)["error"] == "patch width 45 does not match kernel 36"
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def mismatch_dir(tmp_path, model_dir):
+    """A container whose kernel has another shape than the layer stored
+    beside it reconstructs."""
+    _, kernel = model_dir
+    c = Container()
+    add_kernel(c, "conv1", Kernel4D(np.ones((6, 5, 3, 3))))
+    add_layer(c, "conv1/decomposed", weight_svd(kernel, 2))
+    write_container(c, tmp_path / "mismatch")
+    return tmp_path / "mismatch"
+
+
+@pytest.fixture
+def tables_dir(tmp_path):
+    costs = [GridCosts(macs={(1,): 100, (2,): 200}, macs_original=400)] * 2
+    c = Container()
+    add_sv_tables(c, "sv", [np.array([3.0, 2.0]), np.array([5.0, 1.0])], costs)
+    write_container(c, tmp_path / "tables")
+    return tmp_path / "tables"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reconstruct", "{mismatch}", "--layer", "conv1"],
+     ["compress", "{model}", "--layer", "conv1", "--method", "weight-svd", "--rank", "0"],
+     ["dataopt", "{model}", "--layer", "conv1", "--mode", "asym", "--batch", "{batch}",
+      "--rank", "0"],
+     ["prune", "{model}", "--layer", "conv1", "--mode", "magnitude", "--keep", "0"],
+     ["rank-select", "--strategy", "greedy-energy", "--ratio", "0.1", "--sv-table", "{tables}"]],
+    ids=["reconstruct-shape-mismatch", "compress-rank-0", "dataopt-rank-0", "prune-keep-0",
+         "rank-select-infeasible"],
+)
+def test_failed_command_writes_nothing(
+    capsys, model_dir, batch_dir, mismatch_dir, tables_dir, tmp_path, argv
+):
+    """The output container is written only after the command succeeded."""
+    dirs = {"model": model_dir[0], "batch": batch_dir, "mismatch": mismatch_dir,
+            "tables": tables_dir}
+    code, out, _ = run(capsys, *(a.format(**dirs) for a in argv), "--out", tmp_path / "o")
+    assert code != 0 and out is None
+    assert not (tmp_path / "o").exists()
 
 
 class TestReportOtherEntries:
@@ -599,3 +686,124 @@ class TestDeterminism:
                 a = (tmp_path / f"{name}-a" / fname).read_bytes()
                 b = (tmp_path / f"{name}-b" / fname).read_bytes()
                 assert a == b, f"{name}/{fname} differs between processes at {threads} threads"
+
+
+# ---------------------------------------------------------------------------
+# Every handler, driven with generated arguments.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_dirs(tmp_path_factory):
+    """Small valid inputs for every command: a biased 6x4x3x3 kernel on a
+    5 x 4 map, its spatial SVD, a 40-patch batch and rank-selection tables."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(17)
+    kernel = Kernel4D(rng.normal(size=(6, 4, 3, 3)), bias=rng.normal(size=6))
+    c = Container()
+    add_kernel(c, "conv1", kernel, h=5, w=4)
+    write_container(c, root / "model")
+    assert cli_dispatch(["compress", str(root / "model"), "--layer", "conv1", "--method",
+                         "spatial-svd", "--rank", "3", "--out", str(root / "spatial")]) == 0
+    x = rng.normal(size=(40, 36))
+    c = Container()
+    add_batch(c, "batch", PatchBatch(inputs=x, ref_outputs=x @ kernel.as_matrix().T))
+    write_container(c, root / "batch")
+    costs = [GridCosts(macs={(1,): 100, (2,): 200, (3,): 300}, macs_original=400)] * 2
+    c = Container()
+    tables = [AccTable(accuracies={(1,): 0.6, (2,): 0.8, (3,): 0.9}, p_orig=0.9)] * 2
+    add_acc_tables(c, "acc", tables, costs)
+    add_sv_tables(c, "sv", [np.array([3.0, 2.0, 1.0]), np.array([5.0, 1.0, 0.5])], costs)
+    write_container(c, root / "tables")
+    return root
+
+
+RANKS = st.one_of(
+    st.integers(1, 6).map(str),
+    st.lists(st.integers(-1, 7), min_size=1, max_size=4).map(lambda rs: ",".join(map(str, rs))),
+)
+REALS = st.one_of(st.floats(0.3, 1.0), st.floats(-0.5, 1.5),
+                  st.sampled_from([0.0, float("nan"), float("inf")]))
+
+
+def _flatten(parts) -> list:
+    return [a for p in parts for a in ([p] if isinstance(p, str) else p)]
+
+
+def _opt(flag, strategy):
+    """``["flag=value"]`` (so that a value may start with "-")."""
+    return strategy.map(lambda v: [f"{flag}={v}"])
+
+
+def _maybe(flag, strategy):
+    """``_opt(flag, strategy)`` or nothing."""
+    return st.one_of(st.just([]), _opt(flag, strategy))
+
+
+SOURCES = st.sampled_from(["{model}", "{model}", "{model}", "{spatial}", "{batch}"])
+ARGVS = {
+    "compress": st.tuples(
+        SOURCES, st.just(["--layer", "conv1"]),
+        _opt("--method", st.sampled_from(sorted(cli.EXTRACTORS))),
+        st.one_of(_opt("--rank", RANKS), _opt("--ratio", REALS),
+                  st.tuples(_maybe("--rank", RANKS), _maybe("--ratio", REALS)).map(_flatten)),
+        _maybe("--seed", st.integers(0, 3)),
+    ),
+    "dataopt": st.tuples(
+        SOURCES, st.just(["--layer", "conv1", "--batch", "{batch}"]),
+        _opt("--mode", st.sampled_from(["data-svd", "asym", "asym3d", "spatial-refine",
+                                        "relu-asym"])),
+        _maybe("--rank", RANKS),
+    ),
+    "prune": st.tuples(
+        SOURCES, st.just(["--layer", "conv1"]),
+        _opt("--mode", st.sampled_from(["lasso", "magnitude"])),
+        _opt("--keep", st.integers(-1, 5)), _maybe("--batch", st.just("{batch}")),
+    ),
+    "gates": st.tuples(
+        _opt("--kind", st.sampled_from(["l0", "vib"])), _opt("--lambda", REALS),
+        _maybe("--steps", st.integers(-1, 20)), _maybe("--lr", REALS),
+        _maybe("--threshold", REALS), _maybe("--features", st.integers(0, 6)),
+        _maybe("--informative", st.integers(0, 6)), _maybe("--seed", st.integers(0, 3)),
+    ),
+    "rank-select": st.tuples(
+        _opt("--strategy", st.sampled_from(["equal-acc", "greedy-energy"])),
+        _opt("--ratio", REALS),
+        _maybe("--acc-table", st.sampled_from(["{tables}", "{tables}", "{model}"])),
+        _maybe("--sv-table", st.sampled_from(["{tables}", "{tables}", "{model}"])),
+    ),
+    "report": st.tuples(SOURCES),
+    "reconstruct": st.tuples(st.sampled_from(["{spatial}", "{spatial}", "{model}"]),
+                             _opt("--layer", st.sampled_from(["conv1", "conv2"]))),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGVS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_handler_fails_only_with_a_coded_error(fuzz_dirs, command, data):
+    """Each handler returns a report and, for every command but ``report``,
+    a container; or it fails with a UsageError, a ContainerError or a
+    ValueError (or the gate trainer's documented FloatingPointError on a
+    diverged loss), and ``cli_dispatch`` then exits non-zero with no
+    ``--out``."""
+    dirs = {name: fuzz_dirs / name for name in ("model", "spatial", "batch", "tables")}
+    argv = [a.format(**dirs) for a in _flatten(data.draw(ARGVS[command]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        argv = [command, *argv] + ([] if command == "report" else ["--out", str(out)])
+        args = cli._build_parser().parse_args(argv)
+        try:
+            report, container = cli._HANDLERS[command](args)
+        except (cli.UsageError, ContainerError, ValueError, FloatingPointError) as exc:
+            if isinstance(exc, FloatingPointError):
+                assert command == "gates" and "diverged" in str(exc), argv
+            with contextlib.redirect_stdout(io.StringIO()) as so, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli_dispatch(argv)
+            assert code == (2 if isinstance(exc, cli.UsageError) else 1), argv
+            assert not so.getvalue() and not out.exists(), argv
+        else:
+            json.dumps(report)
+            assert (container is None) == (command == "report"), argv

@@ -186,6 +186,12 @@ class TestCpAls:
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             cp_als(random_kernel(np.random.default_rng(13)), 2, max_iters=max_iters)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_tucker_no_sweep_is_rejected(self, max_iters):
+        """tucker_hooi keeps the same sweep rule as cp_als: at least one."""
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            tucker_hooi(random_kernel(np.random.default_rng(13)), 2, 3, max_iters=max_iters)
+
     def test_rank_one_reconstruct_is_outer_product(self):
         rng = np.random.default_rng(12)
         kernel = random_kernel(rng, t=3, s=2, k=3)
@@ -441,7 +447,7 @@ class TestSolverLoopsPinned:
     bit for bit to the loop that recomputed it.  cp_als is pinned to the
     loop that solved its normal equations with its own Gram solver."""
 
-    @pytest.mark.parametrize("max_iters", [0, 1, 5])
+    @pytest.mark.parametrize("max_iters", [1, 5])
     @pytest.mark.parametrize("t,s,r1,r2", [(6, 5, 2, 3), (16, 8, 4, 8), (24, 16, 8, 12)])
     def test_tucker_hooi_equals_reference_loop(self, t, s, r1, r2, max_iters):
         kernel = random_kernel(np.random.default_rng(420 + t), t=t, s=s, k=3)

@@ -277,6 +277,12 @@ class TestToyTraining:
         with pytest.raises(FloatingPointError, match="diverged"):
             train_toy_gated(task, "l0", lambda_reg=0.1, steps=500, lr=50.0, seed=0)
 
+    def test_vib_sigma_underflow_is_a_diverged_loss(self):
+        """A VIB sigma that underflows to 0 makes the penalty non-finite: the
+        run fails as diverged, with no numpy divide-by-zero warning."""
+        with pytest.raises(FloatingPointError, match="diverged"):
+            train_toy_gated(ToyRegressionTask(), "vib", lambda_reg=0.0, lr=1.0, seed=0)
+
     def test_draws_replay_losses(self):
         """The logged noise draws rebuild the recorded first-step loss."""
         task = ToyRegressionTask()
