@@ -7,11 +7,16 @@ order.  Arrays come back as float64; the file keeps float32.
 
 Malformed containers raise :class:`ContainerError` with a stable ``code``:
 ``bad_manifest``, ``duplicate_name``, ``shape_mismatch``, ``truncated``,
-``overlap`` or ``missing``.  Decomposed layers are checked against the
-method tables: method, spatial order, rank arity, factor names and shapes.
-Gate vectors are checked for kind, shape, finite values, sigma > 0 and
-``lambda_reg``; rank plans and rank-selection tables for the type of each
-metadata field.
+``overlap`` or ``missing``.  Every payload must be finite, or
+:func:`read_container` fails with ``bad_manifest``.  A typed reader fails
+with ``bad_manifest`` on an entry of another kind than it reads: ``kernel``
+(``read_kernel``), ``factor`` (``read_layer``, and every ``/bias``),
+``patchbatch`` (``read_batch``), ``gates`` (``read_gates``) or ``plan``
+(``read_plan`` and the table readers).  Decomposed layers are checked
+against the method tables: method, spatial order, rank arity, factor names
+and shapes.  Gate vectors are checked for kind, shape, sigma > 0 and
+``lambda_reg``; patch batches for equal row counts (``shape_mismatch``);
+rank plans and rank-selection tables for the type of each metadata field.
 """
 
 from __future__ import annotations
@@ -199,6 +204,8 @@ def read_container(path) -> Container:
                 f"entry {e.name!r} spans [{e.byte_offset}, "
                 f"{e.byte_offset + e.byte_length}) beyond blob of {len(blob)} bytes",
             )
+        if not np.isfinite(np.frombuffer(blob, "<f4", e.byte_length // 4, e.byte_offset)).all():
+            raise ContainerError("bad_manifest", f"entry {e.name!r} holds non-finite values")
         entries.append(e)
     spans = sorted((e.byte_offset, e.byte_offset + e.byte_length, e.name) for e in entries)
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
@@ -212,6 +219,19 @@ def read_container(path) -> Container:
 # ---------------------------------------------------------------------------
 
 
+def _lookup(container: Container, name: str, kind: str) -> tuple[Entry, Array]:
+    """Entry ``name`` and its payload; ``bad_manifest`` unless it has ``kind``."""
+    e = container.entry(name)
+    if e.kind != kind:
+        raise ContainerError("bad_manifest", f"entry {name!r} is a {e.kind}, not a {kind}")
+    return e, container.get(name)
+
+
+def _optional(container: Container, name: str, kind: str) -> Array | None:
+    """Payload of the optional entry ``name`` of ``kind``, or None without one."""
+    return _lookup(container, name, kind)[1] if container.has(name) else None
+
+
 def add_kernel(container: Container, name: str, kernel: Kernel4D, h: int = 1, w: int = 1) -> None:
     container.add(name, "kernel", kernel.data, metadata={"h": int(h), "w": int(w)})
     if kernel.bias is not None:
@@ -219,12 +239,9 @@ def add_kernel(container: Container, name: str, kernel: Kernel4D, h: int = 1, w:
 
 
 def read_kernel(container: Container, name: str) -> tuple[Kernel4D, dict]:
-    e = container.entry(name)
-    if e.kind != "kernel":
-        raise ContainerError("bad_manifest", f"entry {name!r} is not a kernel")
-    bias = container.get(f"{name}/bias") if container.has(f"{name}/bias") else None
+    e, payload = _lookup(container, name, "kernel")
     try:
-        return Kernel4D(container.get(name), bias=bias), e.metadata
+        return Kernel4D(payload, bias=_optional(container, f"{name}/bias", "factor")), e.metadata
     except ValueError as exc:
         raise ContainerError("shape_mismatch", f"kernel {name!r}: {exc}") from exc
 
@@ -290,7 +307,7 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
                 f"{name!r} factor {fname!r} has shape {entries[fname].shape}, "
                 f"ranks {list(ranks)} give {shape}",
             )
-    bias = container.get(f"{name}/bias") if container.has(f"{name}/bias") else None
+    bias = _optional(container, f"{name}/bias", "factor")
     if bias is not None and bias.shape != (t,):
         raise ContainerError("shape_mismatch", f"{name!r} bias has shape {bias.shape}, not ({t},)")
     return DecomposedLayer(
@@ -311,12 +328,14 @@ def add_batch(container: Container, name: str, batch: PatchBatch) -> None:
 
 
 def read_batch(container: Container, name: str) -> PatchBatch:
-    cur = container.get(f"{name}/cur_outputs") if container.has(f"{name}/cur_outputs") else None
-    return PatchBatch(
-        inputs=container.get(f"{name}/inputs"),
-        ref_outputs=container.get(f"{name}/ref_outputs"),
-        cur_outputs=cur,
-    )
+    try:
+        return PatchBatch(
+            inputs=_lookup(container, f"{name}/inputs", "patchbatch")[1],
+            ref_outputs=_lookup(container, f"{name}/ref_outputs", "patchbatch")[1],
+            cur_outputs=_optional(container, f"{name}/cur_outputs", "patchbatch"),
+        )
+    except ValueError as exc:
+        raise ContainerError("shape_mismatch", f"batch {name!r}: {exc}") from exc
 
 
 def add_gates(container: Container, name: str, gates: GateVector) -> None:
@@ -332,9 +351,7 @@ def add_gates(container: Container, name: str, gates: GateVector) -> None:
 
 
 def read_gates(container: Container, name: str) -> GateVector:
-    e = container.entry(name)
-    if e.kind != "gates":
-        raise ContainerError("bad_manifest", f"entry {name!r} is not a gate vector")
+    e, payload = _lookup(container, name, "gates")
     kind = e.metadata.get("kind")
     if kind not in ("l0", "vib"):
         raise ContainerError("bad_manifest", f"gate vector {name!r} has unknown kind {kind!r}")
@@ -342,7 +359,6 @@ def read_gates(container: Container, name: str) -> GateVector:
     # a finite float, or an int that converts to one
     if not (_is_int(lam) or isinstance(lam, float)) or not abs(lam) <= sys.float_info.max:
         raise ContainerError("bad_manifest", f"gate vector {name!r}: bad lambda_reg {lam!r}")
-    payload = container.get(name)
     n = payload.size if kind == "l0" else payload.size // 2
     if n == 0 or payload.shape != ((n,) if kind == "l0" else (n, 2)):
         want = "(n,)" if kind == "l0" else "(n, 2)"
@@ -350,8 +366,6 @@ def read_gates(container: Container, name: str) -> GateVector:
             "shape_mismatch",
             f"{kind} gate vector {name!r} must be {want} with n >= 1, got {payload.shape}",
         )
-    if not np.all(np.isfinite(payload)):
-        raise ContainerError("bad_manifest", f"gate vector {name!r} holds non-finite values")
     if kind == "l0":
         gate_list = [HardConcreteGate(log_alpha=float(a)) for a in payload]
     else:
@@ -381,10 +395,10 @@ def add_plan(container: Container, name: str, plan: RankPlan) -> None:
 def read_plan(container: Container, name: str) -> RankPlan:
     """Read a rank plan: ``bad_manifest`` for missing or ill-typed metadata,
     or an ``arity`` that does not sum to the payload length."""
-    e = container.entry(name)
+    e, payload = _lookup(container, name, "plan")
     where = f"plan {name!r}"
     arity = _ints(e.metadata.get("arity"), f"{where} arity", 1)
-    flat = [int(round(v)) for v in container.get(name)]
+    flat = [int(round(v)) for v in payload]
     if sum(arity) != len(flat):
         raise ContainerError(
             "bad_manifest", f"{where}: arity {list(arity)} does not sum to {len(flat)} ranks"
@@ -414,6 +428,15 @@ def _parse_ranks_key(key: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in key.split(","))
 
 
+def _add_tables(container: Container, name: str, tables: list, costs: list[GridCosts]) -> None:
+    """Store each ``(payload, grid, metadata)`` of ``tables`` as plan entry
+    ``name/layer{i}``, with the MACs of ``costs[i]`` over the rank ``grid``."""
+    for i, ((payload, grid, meta), cost) in enumerate(zip(tables, costs)):
+        meta = {**meta, "macs": {_ranks_key(r): cost.macs[r] for r in grid},
+                "macs_original": cost.macs_original}
+        container.add(f"{name}/layer{i}", "plan", np.asarray(payload, dtype=np.float64), meta)
+
+
 def add_acc_tables(
     container: Container,
     name: str,
@@ -421,20 +444,9 @@ def add_acc_tables(
     costs: list[GridCosts],
 ) -> None:
     """Store per-layer accuracy tables with their cost grids."""
-    for i, (tab, cost) in enumerate(zip(tables, costs)):
-        grid = list(tab.accuracies.items())
-        payload = np.array([list(r) + [acc] for r, acc in grid], dtype=np.float64)
-        container.add(
-            f"{name}/layer{i}",
-            "plan",
-            payload,
-            metadata={
-                "role": "acc-table",
-                "p_orig": tab.p_orig,
-                "macs": {_ranks_key(r): cost.macs[r] for r, _ in grid},
-                "macs_original": cost.macs_original,
-            },
-        )
+    rows = [([[*r, acc] for r, acc in tab.accuracies.items()], tab.accuracies,
+             {"role": "acc-table", "p_orig": tab.p_orig}) for tab in tables]
+    _add_tables(container, name, rows, costs)
 
 
 def _read_tables(
@@ -443,9 +455,9 @@ def _read_tables(
     """Entries ``name/layer0``, ``name/layer1``, ... with their payloads and
     the :class:`GridCosts` in their metadata (``macs``, ``macs_original``)."""
     found = []
-    while container.has(f"{name}/layer{len(found)}"):
-        e = container.entry(f"{name}/layer{len(found)}")
-        where = f"table {e.name!r}"
+    while container.has(key := f"{name}/layer{len(found)}"):
+        e, payload = _lookup(container, key, "plan")
+        where = f"table {key!r}"
         macs = e.metadata.get("macs")
         if not isinstance(macs, dict) or not all(_is_int(v) for v in macs.values()):
             raise ContainerError("bad_manifest", f"{where}: macs must map rank keys to ints")
@@ -455,7 +467,7 @@ def _read_tables(
             cost = GridCosts(macs=keyed, macs_original=orig)
         except ValueError as exc:  # a rank key that is not ints, or macs_original <= 0
             raise ContainerError("bad_manifest", f"{where}: {exc}") from exc
-        found.append((e, container.get(e.name), cost))
+        found.append((e, payload, cost))
     if not found:
         raise ContainerError("missing", f"no {what} tables under {name!r}")
     return found
@@ -483,17 +495,8 @@ def add_sv_tables(
     costs: list[GridCosts],
 ) -> None:
     """Store per-layer singular values with their per-rank cost grids."""
-    for i, (sv, cost) in enumerate(zip(sv_lists, costs)):
-        container.add(
-            f"{name}/layer{i}",
-            "plan",
-            np.asarray(sv, dtype=np.float64),
-            metadata={
-                "role": "sv-table",
-                "macs": {_ranks_key(r): m for r, m in cost.macs.items()},
-                "macs_original": cost.macs_original,
-            },
-        )
+    rows = [(sv, cost.macs, {"role": "sv-table"}) for sv, cost in zip(sv_lists, costs)]
+    _add_tables(container, name, rows, costs)
 
 
 def read_sv_tables(container: Container, name: str) -> tuple[list, list[GridCosts]]:

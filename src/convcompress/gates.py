@@ -262,6 +262,12 @@ class ToyRegressionTask:
         return x, y, w_true
 
 
+class DivergedError(FloatingPointError):
+    """A toy training run whose loss or parameters went non-finite."""
+
+    code = "diverged"
+
+
 @dataclass
 class ToyTrainResult:
     gates: GateVector
@@ -285,8 +291,9 @@ def train_toy_gated(
 
     Minimizes mean squared error plus ``lambda_reg`` times the gate penalty,
     with analytic reparameterized gradients.  Deterministic given the seed;
-    the per-step noise draws are returned for replay.  Raises if the loss
-    goes non-finite (divergent learning rate).  ``lr`` must be finite and
+    the per-step noise draws are returned for replay.  Raises
+    :class:`DivergedError` if the loss or a parameter goes non-finite, or a
+    VIB sigma reaches 0 (divergent learning rate).  ``lr`` must be finite and
     positive and ``lambda_reg`` finite and nonnegative.
     """
     if kind not in ("l0", "vib"):
@@ -327,7 +334,7 @@ def train_toy_gated(
         err = pred - y
         loss = float(err @ err) / n + lambda_reg * penalty
         if not math.isfinite(loss):
-            raise FloatingPointError(f"loss diverged at step {step}; lower the learning rate")
+            raise DivergedError(f"loss diverged at step {step}; lower the learning rate")
         loss_trace.append(loss)
         g_wz = (2.0 / n) * (x.T @ err)
         grad_w = g_wz * z
@@ -341,10 +348,13 @@ def train_toy_gated(
             weights = weights - lr * grad_w
             mu = mu - lr * grad_mu
             log_sigma = log_sigma - lr * grad_ls
+    params = [weights, log_alpha] if kind == "l0" else [weights, mu, np.exp(log_sigma)]
+    if not all(np.isfinite(a).all() for a in params) or (kind == "vib" and not params[2].all()):
+        raise DivergedError(f"parameters diverged at step {steps - 1}; lower the learning rate")
     if kind == "l0":
         gate_list = [HardConcreteGate(log_alpha=float(a)) for a in log_alpha]
     else:
-        gate_list = [VibGate(mu=float(m), sigma=float(np.exp(ls))) for m, ls in zip(mu, log_sigma)]
+        gate_list = [VibGate(mu=float(m), sigma=float(s)) for m, s in zip(mu, params[2])]
     return ToyTrainResult(
         gates=GateVector(gates=gate_list, lambda_reg=lambda_reg),
         weights=weights,

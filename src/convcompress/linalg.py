@@ -102,20 +102,21 @@ def orthonormal_extend(u: Array, r: int) -> Array:
     return np.column_stack([u, extra])
 
 
-def pinv(a, rcond: float = 1e-12) -> Array:
-    """Moore-Penrose pseudo-inverse via :func:`svd`."""
+def pinv(a) -> Array:
+    """Moore-Penrose pseudo-inverse via :func:`svd`; singular values at or
+    below 1e-12 times the largest count as zero."""
     res = svd(a)
-    cutoff = rcond * (res.S[0] if res.S.size else 0.0)
+    cutoff = 1e-12 * (res.S[0] if res.S.size else 0.0)
     inv_s = np.where(res.S > cutoff, 1.0 / np.where(res.S > 0, res.S, 1.0), 0.0)
     return (res.V * inv_s) @ res.U.T
 
 
-def eig_sym(a, sym_tol: float = 1e-8) -> tuple[Array, Array]:
+def eig_sym(a) -> tuple[Array, Array]:
     """Eigendecomposition of a symmetric matrix (LAPACK via ``np.linalg.eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
     eigenvectors in the columns.  Raises on empty input and on input whose
-    asymmetry exceeds ``sym_tol`` relative to its largest entry (at least 1);
+    asymmetry exceeds 1e-8 relative to its largest entry (at least 1);
     input within that tolerance is symmetrized as ``0.5 * (a + a.T)``, and an
     exactly symmetric matrix, which that would return bit for bit, is not.
     """
@@ -127,7 +128,7 @@ def eig_sym(a, sym_tol: float = 1e-8) -> tuple[Array, Array]:
         raise ValueError("matrix must not be empty")
     if (m != m.T).any():
         scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > sym_tol * scale:
+        if np.abs(m - m.T).max() > 1e-8 * scale:
             raise ValueError("matrix is not symmetric")
         m = 0.5 * (m + m.T)
     vals, vecs = np.linalg.eigh(m)
@@ -199,28 +200,13 @@ class RrrResult:
     residual: float
 
 
-def _check_rrr(y: Array, z: Array, r: int) -> None:
-    if y.shape[1] != z.shape[1]:
-        raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {z.shape}")
-    if not 1 <= r <= y.shape[0]:
-        raise ValueError(f"rank {r} out of range [1, {y.shape[0]}]")
-
-
-def _rrr_map(y: Array, z: Array, r: int, c_neg_half: Array) -> Array:
-    """Rank-``r`` M for checked Y and Z, given Z's whitener ``C^{-1/2}``."""
-    whitened = (y @ z.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
-    res = svd(whitened, min(r, whitened.shape[1]))
-    return (res.U * res.S) @ res.V.T @ c_neg_half
-
-
 def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
     """``fit(y)``, the M of ``reduced_rank_regression(y, z, r, eps)``, for a
     fixed Z that the first fit checks and whitens and the later fits reuse.
 
-    Every fit checks in :func:`reduced_rank_regression`'s order (its Y, then
-    Z, the shapes and the rank, then the whitening, where ``eps=0`` on a
-    rank-deficient Z raises), so it raises what that call would; it skips
-    the residual.
+    Every fit checks its Y, then (the first time) Z, then the shapes and the
+    rank, then (the first time) whitens, where ``eps=0`` on a rank-deficient
+    Z raises.
     """
     zc = c_neg_half = None
 
@@ -229,10 +215,15 @@ def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
         y = _check_matrix(y, "Y")
         if c_neg_half is None:
             zc = _check_matrix(z, "Z")
-        _check_rrr(y, zc, r)
+        if y.shape[1] != zc.shape[1]:
+            raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {zc.shape}")
+        if not 1 <= r <= y.shape[0]:
+            raise ValueError(f"rank {r} out of range [1, {y.shape[0]}]")
         if c_neg_half is None:
             c_neg_half = psd_inverse(zc @ zc.T, default_ridge_eps(zc) if eps is None else eps, 0.5)
-        return _rrr_map(y, zc, r, c_neg_half)
+        whitened = (y @ zc.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
+        res = svd(whitened, min(r, whitened.shape[1]))
+        return (res.U * res.S) @ res.V.T @ c_neg_half
 
     return fit
 
@@ -243,14 +234,11 @@ def reduced_rank_regression(y, z, r: int, eps: float | None = None) -> RrrResult
     Computed by whitening: with C = Z Z^T + eps*I, the full-rank solution
     M_full = Y Z^T C^{-1} is truncated in the whitened coordinates
     (SVD of M_full C^{1/2} to rank r, mapped back by C^{-1/2}), which
-    attains the constrained optimum.
+    attains the constrained optimum.  One :func:`rrr_fitter` fit gives M.
     """
     y = _check_matrix(y, "Y")
     z = _check_matrix(z, "Z")
-    _check_rrr(y, z, r)
-    if eps is None:
-        eps = default_ridge_eps(z)
-    m = _rrr_map(y, z, r, psd_inverse(z @ z.T, eps, 0.5))
+    m = rrr_fitter(z, r, eps)(y)
     residual = float(np.linalg.norm(y - m @ z))
     return RrrResult(M=m, rank=r, residual=residual)
 

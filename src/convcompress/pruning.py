@@ -70,13 +70,12 @@ def channel_prune(
     x: Array,
     y: Array,
     s_prime: int,
-    lambda_init: float = 1e-4,
 ) -> PruneResult:
     """Select ``s_prime`` input channels by lasso and refit the kept ones.
 
     ``x`` is (n, s, k*k): per-sample, per-channel flattened patches;
     ``y`` is the (n, t) response matrix of the uncompressed layer.
-    The penalty search starts at ``lambda_init``, doubles until at most
+    The penalty search starts at 1e-4, doubles until at most
     ``s_prime`` coefficients survive, then bisects 20 steps to the smallest
     feasible penalty.  Returns after the least-squares refit of the
     centred data; the refit kernel carries the fitted bias.
@@ -92,8 +91,6 @@ def channel_prune(
         raise ValueError(f"y must be ({x.shape[0]}, {t}), got {y.shape}")
     if not np.any(x):
         raise ValueError("input patches are all zero")
-    if lambda_init <= 0:
-        raise ValueError("lambda_init must be positive")
 
     x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
     xc, yc = x - x_mean, y - y_mean
@@ -105,7 +102,7 @@ def channel_prune(
         runs.append(linalg.lasso_gram(gram, corr, lam, beta0=runs[-1].beta if runs else None))
         return runs[-1].beta
 
-    lam = lambda_init
+    lam = 1e-4
     beta = solve(lam)
     if np.count_nonzero(beta) > s_prime:
         lo = lam
@@ -129,7 +126,7 @@ def channel_prune(
         lam, beta = hi, best
     kept = tuple(int(i) for i in np.flatnonzero(beta))
     if not kept:
-        raise RuntimeError("lasso removed every channel; lower lambda_init or raise s_prime")
+        raise RuntimeError("lasso removed every channel; raise s_prime")
 
     design = xc[:, kept, :].reshape(x.shape[0], len(kept) * k * k)
     try:

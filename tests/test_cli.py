@@ -132,6 +132,16 @@ class TestUsageErrors:
         assert f"takes --rank {names}," in err
         assert not (tmp_path / "o").exists()
 
+    def test_unparsable_rank_exits_1(self, capsys, model_dir, tmp_path):
+        path, _ = model_dir
+        code, out, err = run(
+            capsys, "compress", path, "--layer", "conv1", "--method", "tucker",
+            "--rank", "2,x", "--out", tmp_path / "o",
+        )
+        assert code == 1 and out is None
+        assert "cannot parse ranks" in json.loads(err)["error"]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_container_exits_1(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "compress", tmp_path / "nope", "--layer", "x", "--method", "cp",
@@ -509,6 +519,24 @@ class TestGatesCli:
             *argv, "--out", tmp_path / "g",
         )
         assert code == 1
+        assert message in json.loads(err)["error"]
+        assert not (tmp_path / "g").exists()
+
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [("4", "parameters diverged at step 3"), ("5", "loss diverged at step 4")],
+        ids=["last-update", "loss"],
+    )
+    def test_divergence_is_a_coded_error(self, capsys, tmp_path, steps, message):
+        """A VIB sigma that underflows to 0 in the last update, or a loss that
+        goes non-finite, fails with the ``diverged`` code and writes nothing."""
+        code, out, err = run(
+            capsys, "gates", "--kind", "vib", "--lambda", "0.1", "--lr", "1.0",
+            "--steps", steps, "--out", tmp_path / "g",
+        )
+        assert code == 1 and out is None
+        assert json.loads(err)["code"] == "diverged"
         assert message in json.loads(err)["error"]
         assert not (tmp_path / "g").exists()
 

@@ -1,10 +1,14 @@
 """The container reader is total: stored layers are checked against the method
-tables, and every malformed manifest fails with a documented error code."""
+tables, and every malformed manifest, non-finite payload or truncated blob
+fails with a documented error code."""
 
+import ast
 import contextlib
 import functools
 import io
 import json
+import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,16 +17,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import convcompress.container as container_mod
 from convcompress.cli import cli_dispatch
 from convcompress.container import (
     Container,
     ContainerError,
     add_acc_tables,
+    add_batch,
+    add_gates,
     add_kernel,
     add_layer,
     add_plan,
     add_sv_tables,
     read_acc_tables,
+    read_batch,
     read_container,
     read_gates,
     read_kernel,
@@ -31,7 +39,7 @@ from convcompress.container import (
     read_sv_tables,
     write_container,
 )
-from convcompress.dataopt import asym3d, sample_patches
+from convcompress.dataopt import PatchBatch, asym3d, sample_patches
 from convcompress.decomp import (
     DecomposedLayer,
     cp_als,
@@ -40,6 +48,7 @@ from convcompress.decomp import (
     tucker_hooi,
     weight_svd,
 )
+from convcompress.gates import GateVector, HardConcreteGate
 from convcompress.kernel import Kernel4D, conv_direct
 from convcompress.rankselect import AccTable, GridCosts, RankPlan
 
@@ -329,6 +338,172 @@ class TestRankTables:
         assert err.value.code == "bad_manifest"
 
 
+def _poison(path, name, value, index=0):
+    """Overwrite float32 number ``index`` of entry ``name``'s payload with ``value``."""
+    manifest = json.loads((Path(path) / "manifest.json").read_text())
+    (entry,) = [e for e in manifest["entries"] if e["name"] == name]
+    bpath = Path(path) / "blob.bin"
+    blob = bytearray(bpath.read_bytes())
+    at = entry["byte_offset"] + 4 * index
+    blob[at : at + 4] = struct.pack("<f", value)
+    bpath.write_bytes(bytes(blob))
+
+
+def _batch_dir(path, kernel, rows=60, ref_rows=60):
+    """A batch of ``rows`` patches for ``kernel`` with ``ref_rows`` reference
+    rows; unequal counts are written entry by entry, as PatchBatch refuses them."""
+    x = np.random.default_rng(5).normal(size=(rows, S * K * K))
+    y = x @ kernel.as_matrix().T
+    c = Container()
+    if rows == ref_rows:
+        add_batch(c, "batch", PatchBatch(inputs=x, ref_outputs=y, cur_outputs=y))
+    else:
+        c.add("batch/inputs", "patchbatch", x)
+        c.add("batch/ref_outputs", "patchbatch", y[:ref_rows])
+    write_container(c, path)
+    return Path(path)
+
+
+def _tables_dir(path):
+    costs = [GridCosts(macs={(1,): 100, (2,): 200, (3,): 300}, macs_original=400)] * 2
+    c = Container()
+    tables = [AccTable(accuracies={(1,): 0.6, (2,): 0.8, (3,): 0.9}, p_orig=0.9)] * 2
+    add_acc_tables(c, "acc", tables, costs)
+    add_sv_tables(c, "sv", [np.array([3.0, 2.0, 1.0]), np.array([5.0, 1.0, 0.5])], costs)
+    write_container(c, path)
+    return Path(path)
+
+
+class TestStoredValues:
+    """Every payload must be finite: ``read_container`` rejects a NaN or an
+    infinity anywhere in an entry as ``bad_manifest``, whichever reader or
+    command would have used the entry."""
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "entry", ["conv1", "conv1/bias", "conv1/decomposed/w1", "conv1/decomposed/bias"]
+    )
+    def test_non_finite_model_entry(self, tmp_path, entry, value):
+        kernel = _kernel()
+        path = _write(tmp_path / "c", kernel, weight_svd(kernel, 2))
+        _poison(path, entry, value, index=3)
+        with pytest.raises(ContainerError) as err:
+            read_container(path)
+        assert err.value.code == "bad_manifest"
+        for argv in (("report", path),
+                     ("reconstruct", path, "--layer", "conv1", "--out", tmp_path / "o")):
+            code, out, err = _cli(*argv)
+            assert code == 1 and out == ""
+            assert json.loads(err)["code"] == "bad_manifest"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("dataopt", "--mode", "data-svd", "--rank", "2"),
+         ("dataopt", "--mode", "asym", "--rank", "2"),
+         ("prune", "--mode", "lasso", "--keep", "2")],
+        ids=["data-svd", "asym", "lasso"],
+    )
+    def test_non_finite_batch_input(self, tmp_path, argv):
+        kernel = _kernel()
+        model = _write(tmp_path / "m", kernel, weight_svd(kernel, 2))
+        batch = _batch_dir(tmp_path / "b", kernel)
+        command, *flags = argv
+        cmd = (command, model, "--layer", "conv1", *flags, "--batch", batch, "--out")
+        assert _cli(*cmd, tmp_path / "ok")[0] == 0
+        _poison(batch, "batch/inputs", self.NAN, index=7)
+        code, out, err = _cli(*cmd, tmp_path / "o")
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "bad_manifest"
+        assert not (tmp_path / "o").exists()
+
+    def test_batch_rows_disagree(self, tmp_path):
+        kernel = _kernel()
+        model = _write(tmp_path / "m", kernel, weight_svd(kernel, 2))
+        batch = _batch_dir(tmp_path / "b", kernel, rows=60, ref_rows=59)
+        with pytest.raises(ContainerError) as err:
+            read_batch(read_container(batch), "batch")
+        assert err.value.code == "shape_mismatch"
+        code, out, err = _cli("dataopt", model, "--layer", "conv1", "--mode", "asym",
+                              "--rank", "2", "--batch", batch, "--out", tmp_path / "o")
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "shape_mismatch"
+
+    @pytest.mark.parametrize(
+        "strategy, flag, entry",
+        [("greedy-energy", "--sv-table", "sv/layer1"), ("equal-acc", "--acc-table", "acc/layer0")],
+    )
+    def test_non_finite_table(self, tmp_path, strategy, flag, entry):
+        path = _tables_dir(tmp_path / "t")
+        cmd = ("rank-select", "--strategy", strategy, "--ratio", "0.7", flag, path, "--out")
+        assert _cli(*cmd, tmp_path / "ok")[0] == 0
+        _poison(path, entry, self.NAN, index=1)
+        code, out, err = _cli(*cmd, tmp_path / "o")
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "bad_manifest"
+
+
+def _everything_dir(path, kernel):
+    """One container holding an entry of every kind: a kernel with its bias,
+    its spatial SVD, a batch, gates, a rank plan and both kinds of table."""
+    c = Container()
+    add_kernel(c, "conv1", kernel, h=6, w=5)
+    add_layer(c, "conv1/decomposed", spatial_svd(kernel, 3))
+    x = np.random.default_rng(6).normal(size=(20, S * K * K))
+    y = x @ kernel.as_matrix().T
+    add_batch(c, "batch", PatchBatch(inputs=x, ref_outputs=y, cur_outputs=y))
+    add_gates(c, "gates", GateVector([HardConcreteGate(0.5), HardConcreteGate(-1.0)], 0.25))
+    add_plan(c, "plan", RankPlan(ranks=((3,), (2, 4)), tau=0.05, achieved_macs=1200,
+                                 achieved_ratio=0.4, strategy="equal_acc"))
+    costs = [GridCosts(macs={(1,): 100, (2,): 200}, macs_original=400)]
+    add_acc_tables(c, "acc", [AccTable(accuracies={(1,): 0.6, (2,): 0.8}, p_orig=0.9)], costs)
+    add_sv_tables(c, "sv", [np.array([3.0, 1.0])], costs)
+    write_container(c, path)
+    return Path(path)
+
+
+#: typed reader -> the name it reads and the entries it reads under that name
+READS = {
+    "read_kernel": (read_kernel, "conv1", ["conv1", "conv1/bias"]),
+    "read_layer": (read_layer, "conv1/decomposed", ["conv1/decomposed/bias"]),
+    "read_batch": (read_batch, "batch", ["batch/inputs", "batch/ref_outputs",
+                                         "batch/cur_outputs"]),
+    "read_gates": (read_gates, "gates", ["gates"]),
+    "read_plan": (read_plan, "plan", ["plan"]),
+    "read_acc_tables": (read_acc_tables, "acc", ["acc/layer0"]),
+    "read_sv_tables": (read_sv_tables, "sv", ["sv/layer0"]),
+}
+
+
+class TestEntryKinds:
+    """Each typed reader accepts one entry kind for each entry it reads and
+    rejects an entry of another kind under that name as ``bad_manifest``."""
+
+    @pytest.mark.parametrize("reader", sorted(READS))
+    def test_valid_entries_read(self, tmp_path, reader):
+        fn, name, _ = READS[reader]
+        fn(read_container(_everything_dir(tmp_path / "c", _kernel())), name)
+
+    #: entry kind -> another kind to store it under
+    OTHER = {"kernel": "factor", "factor": "plan", "patchbatch": "gates", "gates": "plan",
+             "plan": "patchbatch"}
+
+    @pytest.mark.parametrize(
+        "reader, entry",
+        [(reader, entry) for reader, (_, _, entries) in sorted(READS.items()) for entry in entries],
+    )
+    def test_entry_of_another_kind(self, tmp_path, reader, entry):
+        fn, name, _ = READS[reader]
+        path = _everything_dir(tmp_path / "c", _kernel())
+        _edit(path, lambda m: [e.update(kind=self.OTHER[e["kind"]])
+                               for e in m["entries"] if e["name"] == entry])
+        with pytest.raises(ContainerError) as err:
+            fn(read_container(path), name)
+        assert err.value.code == "bad_manifest"
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: one manifest field mutated, then read, report and reconstruct.
 # ---------------------------------------------------------------------------
@@ -420,3 +595,96 @@ def test_mutated_manifest_reads_or_fails_with_a_documented_code(
             assert code in (0, 1), (argv[0], err)
             if code == 1:
                 assert json.loads(err).get("code") in CODES, (argv[0], err)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: one float32 of the blob made non-finite, or the blob cut short.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _blob_bases():
+    """Manifest text and blob of a valid model, batch and table container."""
+    kernel = _kernel(seed=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"model": _everything_dir(Path(tmp) / "model", kernel),
+                 "batch": _batch_dir(Path(tmp) / "batch", kernel),
+                 "tables": _tables_dir(Path(tmp) / "tables")}
+        return {name: ((p / "manifest.json").read_text(), (p / "blob.bin").read_bytes())
+                for name, p in paths.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    target=st.sampled_from(["model", "batch", "tables"]),
+    index=st.integers(0, 20),
+    position=st.integers(0, 10**6),
+    value=st.sampled_from([float("nan"), float("inf"), float("-inf"), None]),
+    cut=st.integers(0, 10**6),
+)
+def test_corrupted_blob_reads_or_fails_with_a_documented_code(target, index, position, value, cut):
+    """A NaN or infinite float32 written into a random entry (``value``), or
+    the blob cut to ``cut`` bytes (``value`` None): every typed reader and
+    every command that reads the container gives a valid read or a
+    ContainerError with a documented code, never another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {}
+        for name, (text, blob) in _blob_bases().items():
+            if name == target and value is None:
+                cut %= len(blob) + 1
+                blob = blob[:cut]
+            elif name == target:
+                entries = json.loads(text)["entries"]
+                e = entries[index % len(entries)]
+                at = e["byte_offset"] + 4 * (position % (e["byte_length"] // 4))
+                blob = blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+            dirs[name] = Path(tmp) / name
+            dirs[name].mkdir()
+            (dirs[name] / "manifest.json").write_text(text)
+            (dirs[name] / "blob.bin").write_bytes(blob)
+        intact = value is None and cut == len(_blob_bases()[target][1])
+        try:
+            cont = read_container(dirs[target])
+        except ContainerError as exc:
+            assert not intact
+            assert exc.code == ("truncated" if value is None else "bad_manifest")
+        else:
+            assert intact
+            for reader, name, _ in READS.values():
+                try:
+                    reader(cont, name)
+                except ContainerError as exc:
+                    assert exc.code == "missing" and target != "model"
+        out = Path(tmp) / "o"
+        model, batch, tables = dirs["model"], dirs["batch"], dirs["tables"]
+        for argv in (
+            ("report", dirs[target]),
+            ("reconstruct", model, "--layer", "conv1", "--out", out),
+            ("dataopt", model, "--layer", "conv1", "--mode", "asym", "--batch", batch,
+             "--rank", "2", "--out", out),
+            ("rank-select", "--strategy", "greedy-energy", "--ratio", "0.7", "--sv-table",
+             tables, "--out", out),
+            ("rank-select", "--strategy", "equal-acc", "--ratio", "0.7", "--acc-table",
+             tables, "--out", out),
+        ):
+            code, _, err = _cli(*argv)
+            assert code in (0, 1), (argv[0], err)
+            if code == 1:
+                assert json.loads(err).get("code") in CODES, (argv[0], err)
+
+
+def test_raised_codes_are_the_documented_codes():
+    """The codes that the package raises as ``ContainerError`` literals, the
+    set this module checks against and the list in the container module's
+    docstring are one set."""
+    raised = set()
+    for path in Path(container_mod.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "ContainerError":
+                code = node.args[0]
+                assert isinstance(code, ast.Constant), (path.name, node.lineno)
+                raised.add(code.value)
+    listed = re.search(r"stable ``code``:(.*?)\.", container_mod.__doc__, re.S).group(1)
+    assert raised == CODES == set(re.findall(r"``(\w+)``", listed))

@@ -9,6 +9,7 @@ import pytest
 
 from _oracles import train_toy_gated_inline
 from convcompress.gates import (
+    DivergedError,
     GateVector,
     HardConcreteGate,
     ToyRegressionTask,
@@ -282,6 +283,23 @@ class TestToyTraining:
         run fails as diverged, with no numpy divide-by-zero warning."""
         with pytest.raises(FloatingPointError, match="diverged"):
             train_toy_gated(ToyRegressionTask(), "vib", lambda_reg=0.0, lr=1.0, seed=0)
+
+    def test_diverged_error_carries_its_code(self):
+        assert issubclass(DivergedError, FloatingPointError)
+        assert DivergedError("diverged").code == "diverged"
+
+    @pytest.mark.parametrize("steps", [4, 5])
+    def test_divergence_in_the_last_update_is_caught(self, steps):
+        """The update after the last checked loss leaves a VIB sigma at 0
+        (4 steps) before the next loss would go non-finite (5 steps)."""
+        with pytest.raises(DivergedError, match="diverged"):
+            train_toy_gated(ToyRegressionTask(), "vib", lambda_reg=0.1, steps=steps, lr=1.0)
+
+    def test_large_but_finite_run_returns(self):
+        """Parameters and loss that are huge but finite are not a divergence."""
+        res = train_toy_gated(ToyRegressionTask(), "l0", lambda_reg=0.1, steps=75, lr=50.0)
+        assert res.loss_trace[-1] > 1e300 and math.isfinite(res.loss_trace[-1])
+        assert np.isfinite(res.weights).all()
 
     def test_draws_replay_losses(self):
         """The logged noise draws rebuild the recorded first-step loss."""
