@@ -16,7 +16,9 @@ with ``bad_manifest`` on an entry of another kind than it reads: ``kernel``
 against the method tables: method, spatial order, rank arity, factor names
 and shapes.  Gate vectors are checked for kind, shape, sigma > 0 and
 ``lambda_reg``; patch batches for equal row counts (``shape_mismatch``);
-rank plans and rank-selection tables for the type of each metadata field.
+rank plans and rank-selection tables for the type of each metadata field
+and their payload shapes (``shape_mismatch``), and tables for the checks
+of :mod:`convcompress.rankselect` on their values (``bad_manifest``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +36,7 @@ from .dataopt import PatchBatch
 from .decomp import LAYOUTS, DecomposedLayer
 from .gates import GateVector, HardConcreteGate, VibGate
 from .kernel import Array, Kernel4D, factor_shapes
-from .rankselect import AccTable, GridCosts, RankPlan
+from .rankselect import AccTable, GridCosts, RankPlan, check_acc_table, check_sv_table
 
 KINDS = ("kernel", "factor", "patchbatch", "gates", "plan")
 
@@ -219,11 +222,20 @@ def read_container(path) -> Container:
 # ---------------------------------------------------------------------------
 
 
-def _lookup(container: Container, name: str, kind: str) -> tuple[Entry, Array]:
-    """Entry ``name`` and its payload; ``bad_manifest`` unless it has ``kind``."""
+def _lookup(
+    container: Container, name: str, kind: str, min_shape: tuple[int, ...] | None = None
+) -> tuple[Entry, Array]:
+    """Entry ``name`` and its payload; ``bad_manifest`` unless it has ``kind``, and
+    ``shape_mismatch`` unless its shape is as long as ``min_shape`` (if given) and no smaller."""
     e = container.entry(name)
     if e.kind != kind:
         raise ContainerError("bad_manifest", f"entry {name!r} is a {e.kind}, not a {kind}")
+    if min_shape is not None and (
+        len(e.shape) != len(min_shape) or any(n < m for n, m in zip(e.shape, min_shape))
+    ):
+        raise ContainerError(
+            "shape_mismatch", f"entry {name!r} has shape {e.shape}, needs at least {min_shape}"
+        )
     return e, container.get(name)
 
 
@@ -395,7 +407,7 @@ def add_plan(container: Container, name: str, plan: RankPlan) -> None:
 def read_plan(container: Container, name: str) -> RankPlan:
     """Read a rank plan: ``bad_manifest`` for missing or ill-typed metadata,
     or an ``arity`` that does not sum to the payload length."""
-    e, payload = _lookup(container, name, "plan")
+    e, payload = _lookup(container, name, "plan", (0,))
     where = f"plan {name!r}"
     arity = _ints(e.metadata.get("arity"), f"{where} arity", 1)
     flat = [int(round(v)) for v in payload]
@@ -450,13 +462,14 @@ def add_acc_tables(
 
 
 def _read_tables(
-    container: Container, name: str, what: str
-) -> list[tuple[Entry, Array, GridCosts]]:
-    """Entries ``name/layer0``, ``name/layer1``, ... with their payloads and
-    the :class:`GridCosts` in their metadata (``macs``, ``macs_original``)."""
-    found = []
-    while container.has(key := f"{name}/layer{len(found)}"):
-        e, payload = _lookup(container, key, "plan")
+    container: Container, name: str, what: str, min_shape: tuple[int, ...], build: Callable
+) -> tuple[list, list[GridCosts]]:
+    """``build(entry, payload, cost)`` of the entries ``name/layer0``, ``name/layer1``,
+    ... and the :class:`GridCosts` in their metadata (``macs``, ``macs_original``);
+    a ``ValueError`` of either is ``bad_manifest``."""
+    tables, costs = [], []
+    while container.has(key := f"{name}/layer{len(tables)}"):
+        e, payload = _lookup(container, key, "plan", min_shape)
         where = f"table {key!r}"
         macs = e.metadata.get("macs")
         if not isinstance(macs, dict) or not all(_is_int(v) for v in macs.values()):
@@ -465,27 +478,24 @@ def _read_tables(
         try:
             keyed = {_parse_ranks_key(key): value for key, value in macs.items()}
             cost = GridCosts(macs=keyed, macs_original=orig)
-        except ValueError as exc:  # a rank key that is not ints, or macs_original <= 0
+            tables.append(build(e, payload, cost))
+        except ValueError as exc:
             raise ContainerError("bad_manifest", f"{where}: {exc}") from exc
-        found.append((e, payload, cost))
-    if not found:
+        costs.append(cost)
+    if not tables:
         raise ContainerError("missing", f"no {what} tables under {name!r}")
-    return found
+    return tables, costs
 
 
 def read_acc_tables(container: Container, name: str) -> tuple[list[AccTable], list[GridCosts]]:
-    tables, costs = [], []
-    for e, payload, cost in _read_tables(container, name, "accuracy"):
+    def build(e: Entry, payload: Array, cost: GridCosts) -> AccTable:
         accs = {}
-        for row in np.atleast_2d(payload):
+        for row in payload:
             accs[tuple(int(round(v)) for v in row[:-1])] = float(row[-1])
         p_orig = _number_field(e.metadata, "p_orig", f"table {e.name!r}")
-        try:
-            tables.append(AccTable(accuracies=accs, p_orig=p_orig))
-        except ValueError as exc:  # an accuracy outside [0, 1]
-            raise ContainerError("bad_manifest", f"table {e.name!r}: {exc}") from exc
-        costs.append(cost)
-    return tables, costs
+        return check_acc_table(AccTable(accuracies=accs, p_orig=p_orig), cost)
+
+    return _read_tables(container, name, "accuracy", (1, 2), build)
 
 
 def add_sv_tables(
@@ -500,5 +510,5 @@ def add_sv_tables(
 
 
 def read_sv_tables(container: Container, name: str) -> tuple[list, list[GridCosts]]:
-    found = _read_tables(container, name, "singular-value")
-    return [payload for _, payload, _ in found], [cost for _, _, cost in found]
+    return _read_tables(container, name, "singular-value", (1,),
+                        lambda e, payload, cost: check_sv_table(payload, cost))

@@ -32,8 +32,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
-from .decomp import DecomposedLayer, reconstruct, spatial_svd, with_factors
-from .kernel import Array, Kernel4D, feature_map
+from .decomp import DecomposedLayer, _layer, reconstruct, spatial_svd, with_factors
+from .kernel import Array, Kernel4D, check_ranks, feature_map
 
 DEFAULT_LAMBDA_SCHEDULE = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -361,21 +361,14 @@ def asym3d(
     result runs as a k x 1 filter (r_s outputs), a 1 x k filter (r_d
     outputs) and a 1 x 1 layer (t outputs).
     """
-    t = kernel.t
-    if not 1 <= r_d <= t:
-        raise ValueError(f"data rank {r_d} out of range [1, {t}]")
+    check_ranks("asym3d", kernel.s, kernel.t, kernel.k, (r_s, r_d))
     sp = spatial_svd(kernel, r_s, order="vh")
     res = asym_data_svd(attach_current_outputs(batch, reconstruct(sp)), sp, r_d, eps=eps)
     cut = linalg.svd(res.M, r_d)  # M = U_d S_d V_d^T, U_d (t, r_d)
     wh = np.einsum("dt,rxt->rxd", cut.S[:, None] * cut.V.T, sp.factors["wh"])
-    return DecomposedLayer(
-        method="asym3d",
-        factors={"wv": sp.factors["wv"], "wh": wh, "wp": cut.U.T},
-        ranks=(r_s, r_d),
-        source_dims=(t, kernel.s, kernel.k),
-        bias=_returned_bias(res),
-        meta={"method": "asym3d", "fit_residual": res.residual},
-    )
+    layer = _layer("asym3d", kernel, (r_s, r_d), (sp.factors["wv"], wh, cut.U.T),
+                   method="asym3d", fit_residual=res.residual)
+    return replace(layer, bias=_returned_bias(res))
 
 
 def spatial_refine(

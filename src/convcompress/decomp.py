@@ -24,6 +24,11 @@ times a Khatri-Rao product, HOOI projects with matrix products, and
 of :func:`decomposed_forward` runs :func:`convcompress.kernel.conv` on a view
 of its factor as a dense or depthwise ``(c_out, c_in/g, kx, ky)`` weight.
 
+Three pieces hold what the solvers share: ``_layer`` names each returned
+layer's factors by :data:`LAYOUTS`; ``_sweeps`` runs the sweeps of ``cp_als``
+and ``tucker_hooi`` under one stop test, ``abs(err_prev - err) < tol``; and
+:func:`convcompress.kernel.check_ranks` checks ranks by the cost table.
+
 Factor array layouts (all float64), in stage order.  The shapes are the
 entries of :data:`convcompress.kernel.METHOD_COSTS`; the names, the
 reconstruction einsum and the stages are the entries of :data:`LAYOUTS`:
@@ -51,7 +56,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .kernel import Array, Kernel4D, conv, feature_map, matricize_spatial, matricize_weight
+from .kernel import (
+    Array, Kernel4D, check_ranks, conv, feature_map, matricize_spatial, matricize_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -103,24 +110,49 @@ class DecomposedLayer:
         return LAYOUTS[self.method][self.meta.get("order")]
 
 
+def _layer(
+    method: str, kernel: Kernel4D, ranks: tuple[int, ...], factors, order: str | None = None, /,
+    **meta,
+) -> DecomposedLayer:
+    """The ``method`` layer replacing ``kernel``: ``factors`` in stage order,
+    named by :data:`LAYOUTS`, with the kernel's bias and ``meta`` after any order."""
+    return DecomposedLayer(
+        method=method,
+        factors=dict(zip(LAYOUTS[method][order].stages, factors, strict=True)),
+        ranks=ranks,
+        source_dims=(kernel.t, kernel.s, kernel.k),
+        bias=kernel.bias,
+        meta=meta if order is None else {"order": order, **meta},
+    )
+
+
+def _sweeps(sweep: Callable[[], float], max_iters: int, tol: float, what: str) -> dict:
+    """Run ``sweep`` (it returns the relative error) until the error changes by
+    less than ``tol`` or ``max_iters`` (>= 1) sweeps ran; returns the meta
+    fields ``iterations``, ``rel_error`` and ``converged``."""
+    if max_iters < 1:  # the solvers' factors are only filled by the first sweep
+        raise ValueError(f"{what} max_iters must be >= 1, got {max_iters}")
+    err_prev = np.inf
+    for i in range(1, max_iters + 1):
+        err = sweep()
+        if abs(err_prev - err) < tol:
+            return {"iterations": i, "rel_error": err, "converged": True}
+        err_prev = err
+    return {"iterations": max_iters, "rel_error": err, "converged": False}
+
+
 def weight_svd(kernel: Kernel4D, r: int) -> DecomposedLayer:
     """Truncated SVD of the weight matricization, square-root split.
 
     The singular values are split evenly between the two factors:
     w1 = U_r sqrt(S_r), w2 = sqrt(S_r) V_r^T.
     """
-    t, s, k = kernel.t, kernel.s, kernel.k
+    s, k = kernel.s, kernel.k
     res = linalg.svd(matricize_weight(kernel), r)
     root = np.sqrt(res.S)
     w1 = (res.U * root).reshape(k, k, s, r)
     w2 = root[:, None] * res.V.T
-    return DecomposedLayer(
-        method="weight_svd",
-        factors={"w1": w1, "w2": w2},
-        ranks=(r,),
-        source_dims=(t, s, k),
-        bias=kernel.bias,
-    )
+    return _layer("weight_svd", kernel, (r,), (w1, w2))
 
 
 def spatial_svd(kernel: Kernel4D, r: int, order: str = "hv") -> DecomposedLayer:
@@ -142,15 +174,7 @@ def spatial_svd(kernel: Kernel4D, r: int, order: str = "hv") -> DecomposedLayer:
     root = np.sqrt(res.S)
     first = (res.U * root).reshape(s, k, r)
     second = (root[:, None] * res.V.T).reshape(r, t, k).transpose(0, 2, 1)
-    names = LAYOUTS["spatial_svd"][order].stages
-    return DecomposedLayer(
-        method="spatial_svd",
-        factors=dict(zip(names, (first, second))),
-        ranks=(r,),
-        source_dims=(t, s, k),
-        bias=kernel.bias,
-        meta={"order": order},
-    )
+    return _layer("spatial_svd", kernel, (r,), (first, second), order)
 
 
 def _khatri_rao(*mats: Array) -> Array:
@@ -177,11 +201,8 @@ def cp_als(
     error changes by less than ``tol`` or after ``max_iters`` (>= 1) sweeps;
     non-convergence is reported in ``meta``, not raised.
     """
-    if r < 1:
-        raise ValueError(f"CP rank must be >= 1, got {r}")
-    if max_iters < 1:  # ws is only filled by the first sweep
-        raise ValueError(f"CP max_iters must be >= 1, got {max_iters}")
     t, s, k = kernel.t, kernel.s, kernel.k
+    check_ranks("cp", s, t, k, (r,))
     tens = kernel.data.transpose(1, 3, 2, 0)  # (s, y, x, t)
     # mode-n unfoldings, the other modes kept in (s, y, x, t) order
     unf = [np.moveaxis(tens, mode, 0).reshape(tens.shape[mode], -1) for mode in range(4)]
@@ -190,10 +211,7 @@ def cp_als(
     # ws is solved first, so only the other three need a start
     fs = [np.empty((s, r))] + [rng.uniform(-1.0, 1.0, size=(n, r)) for n in (k, k, t)]
 
-    err_prev = np.inf
-    errors = []
-    converged = False
-    for _ in range(max_iters):
+    def sweep() -> float:
         for mode in range(4):
             others = fs[:mode] + fs[mode + 1 :]
             gram = reduce(np.multiply, (f.T @ f for f in others))
@@ -209,27 +227,10 @@ def cp_als(
             f /= norms
             fs[3] *= norms
         approx = fs[0] @ _khatri_rao(*fs[1:]).T
-        err = float(np.linalg.norm(unf[0] - approx)) / (norm_t if norm_t > 0 else 1.0)
-        errors.append(err)
-        if abs(err_prev - err) < tol:
-            converged = True
-            break
-        err_prev = err
-    ws, wy, wx, wt = fs
-    return DecomposedLayer(
-        method="cp",
-        factors={"ws": ws, "wy": wy, "wx": wx, "wt": wt},
-        ranks=(r,),
-        source_dims=(t, s, k),
-        bias=kernel.bias,
-        meta={
-            "seed": seed,
-            "iterations": len(errors),
-            "rel_error": errors[-1],
-            "converged": converged,
-            "init": "uniform[-1,1]",
-        },
-    )
+        return float(np.linalg.norm(unf[0] - approx)) / (norm_t if norm_t > 0 else 1.0)
+
+    fit = _sweeps(sweep, max_iters, tol, "CP")
+    return _layer("cp", kernel, (r,), fs, seed=seed, **fit, init="uniform[-1,1]")
 
 
 def tucker_hooi(
@@ -241,13 +242,10 @@ def tucker_hooi(
     truncated HOSVD of the t-mode unfolding; each of at most ``max_iters``
     (>= 1) HOOI sweeps then solves the s-mode factor and the t-mode factor
     in turn, and the reconstruction error is nonincreasing over sweeps.
+    Iteration stops once ``abs(err_prev - err) < tol``, so ``tol <= 0`` runs every sweep.
     """
-    if max_iters < 1:
-        raise ValueError(f"tucker max_iters must be >= 1, got {max_iters}")
     t, s, k = kernel.t, kernel.s, kernel.k
-    for name, r, bound in (("r1", r1, s), ("r2", r2, t)):
-        if not 1 <= r <= bound:
-            raise ValueError(f"tucker {name} rank {r} out of range [1, {bound}]")
+    check_ranks("tucker", s, t, k, (r1, r2))
     tens = kernel.data.transpose(2, 3, 1, 0).copy()  # (x, y, s, t)
     norm_t = float(np.linalg.norm(tens))
 
@@ -257,34 +255,20 @@ def tucker_hooi(
         m = np.moveaxis(a, mode, 0).reshape(a.shape[mode], -1)
         return linalg.orthonormal_extend(linalg.svd(m, min(r, m.shape[1])).U, r)
 
+    u1 = core = None
     u2 = leading(tens, 3, r2)  # the first sweep solves u1 from it
-    err_prev = np.inf
-    errors = []
-    converged = False
-    for _ in range(max_iters):
+
+    def sweep() -> float:
+        nonlocal u1, u2, core
         u1 = leading(tens @ u2, 2, r1)
         tens_u1 = np.tensordot(tens, u1, axes=(2, 0))  # (x, y, t, a)
         u2 = leading(tens_u1, 2, r2)
         core = tens_u1.swapaxes(2, 3) @ u2  # (x, y, a, b)
         approx = u1 @ core @ u2.T
-        err = float(np.linalg.norm(tens - approx)) / (norm_t if norm_t > 0 else 1.0)
-        errors.append(err)
-        if err_prev - err < tol:
-            converged = True
-            break
-        err_prev = err
-    return DecomposedLayer(
-        method="tucker",
-        factors={"w1": u1, "core": core, "w2": u2},
-        ranks=(r1, r2),
-        source_dims=(t, s, k),
-        bias=kernel.bias,
-        meta={
-            "iterations": len(errors),
-            "rel_error": errors[-1],
-            "converged": converged,
-        },
-    )
+        return float(np.linalg.norm(tens - approx)) / (norm_t if norm_t > 0 else 1.0)
+
+    fit = _sweeps(sweep, max_iters, tol, "tucker")
+    return _layer("tucker", kernel, (r1, r2), (u1, core, u2), **fit)
 
 
 def tt_svd(kernel: Kernel4D, r1: int, r2: int, r3: int) -> DecomposedLayer:
@@ -308,13 +292,7 @@ def tt_svd(kernel: Kernel4D, r1: int, r2: int, r3: int) -> DecomposedLayer:
     w3 = res.U.reshape(r2, k, r3)
     w4 = res.S[:, None] * res.V.T
 
-    return DecomposedLayer(
-        method="tt",
-        factors={"w1": w1, "w2": w2, "w3": w3, "w4": w4},
-        ranks=(r1, r2, r3),
-        source_dims=(t, s, k),
-        bias=kernel.bias,
-    )
+    return _layer("tt", kernel, (r1, r2, r3), (w1, w2, w3, w4))
 
 
 def _kxk(w: Array) -> Array:  # (k, k, c_in, c_out)

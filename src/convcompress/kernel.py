@@ -268,22 +268,30 @@ def factor_shapes(
     return cost.shapes(s, t, k, *ranks)
 
 
-def mac_cost(
-    s: int, t: int, k: int, h: int, w: int, method: str, ranks: tuple[int, ...] = ()
-) -> LayerCost:
-    """Exact integer MAC/parameter counts for a layer compressed by ``method``.
-
-    ``ranks`` arity must match the method (:data:`METHOD_RANK_ARITY`).  The
-    parameters are the stored factor entries, and MACs = parameters * h * w.
-    """
+def check_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """``ranks`` as ints if ``method`` takes them on a (t, s, k, k) kernel: the
+    arity of :func:`factor_shapes`, each >= 1 and within its limit; else ``ValueError``."""
     ranks = tuple(int(r) for r in ranks)
-    shapes = factor_shapes(method, s, t, k, ranks)
+    factor_shapes(method, s, t, k, ranks)
     if any(r < 1 for r in ranks):
         raise ValueError(f"ranks must be >= 1, got {ranks}")
     cost = METHOD_COSTS[method]
     for name, r, bound in zip(cost.ranks, ranks, cost.limits(s, t, k)):
         if bound is not None and r > bound:
             raise ValueError(f"{method} rank {name}={r} exceeds {bound} at (s, t, k)={(s, t, k)}")
+    return ranks
+
+
+def mac_cost(
+    s: int, t: int, k: int, h: int, w: int, method: str, ranks: tuple[int, ...] = ()
+) -> LayerCost:
+    """Exact integer MAC/parameter counts for a layer compressed by ``method``.
+
+    ``ranks`` must pass :func:`check_ranks` (arity, >= 1, limits).  The
+    parameters are the stored factor entries, and MACs = parameters * h * w.
+    """
+    ranks = check_ranks(method, s, t, k, ranks)
+    shapes = factor_shapes(method, s, t, k, ranks)
     params = sum(math.prod(shape) for shape in shapes)
     return LayerCost(
         method=method,

@@ -10,8 +10,8 @@ retained fraction ``alpha`` (compressed MACs / original MACs <= alpha):
   the least log-energy per MAC saved.
 
 :func:`ranks_from_ratio` converts a per-layer retained fraction directly
-into ranks: exactly for single-rank methods, and by proportionally scaling
-the maximal ranks for tucker and tt (capped by tt's chained bond bounds).
+into ranks by proportionally scaling the maximal ranks (capped by tt's
+chained bond bounds).
 
 A caution on inputs: verification accuracies measured on a compressed
 model *before* any fine-tuning are known to be a poor predictor of its
@@ -84,12 +84,34 @@ class RankPlan:
     meta: dict = field(default_factory=dict)
 
 
+def check_acc_table(table: AccTable, cost: GridCosts) -> AccTable:
+    """``table``, if ``cost`` prices each of its rank vectors; else ``ValueError``."""
+    missing = set(table.accuracies) - set(cost.macs)
+    if missing:
+        raise ValueError(f"cost grid missing entries for ranks {sorted(missing)}")
+    return table
+
+
+def check_sv_table(sv, cost: GridCosts) -> np.ndarray:
+    """``sv`` as a float64 vector, if it is nonempty, positive and descending
+    and ``cost`` prices each of its ranks 1..len(sv); else ``ValueError``."""
+    sv = np.asarray(sv, dtype=np.float64)
+    if sv.ndim != 1 or sv.size == 0:
+        raise ValueError("singular values must be a nonempty vector")
+    if np.any(sv <= 0) or np.any(np.diff(sv) > 0):
+        raise ValueError("singular values must be positive and descending")
+    for j in range(1, sv.size + 1):
+        if (j,) not in cost.macs:
+            raise ValueError(f"cost grid lacks rank {j}")
+    return sv
+
+
 def ranks_from_ratio(method: str, s: int, t: int, k: int, alpha: float) -> tuple[int, ...]:
     """Largest rank vector whose MACs stay within ``alpha`` of the original.
 
-    Single-rank methods solve the linear budget directly; tucker and tt
-    scale their maximal ranks by a common factor (rounded down, floors at
-    1 per component), and tt then caps each bond by the bound the bonds
+    The maximal ranks R_i are scaled by the largest common factor j / R that
+    fits (R one of them, 1 <= j <= R): each becomes ``j * R_i // R`` in
+    integers, floored at 1.  tt then caps each bond by the bound the bonds
     before it leave (:func:`~convcompress.kernel.clamp_ranks`), so that
     :func:`~convcompress.decomp.tt_svd` accepts the result.  Feature-map
     dims cancel in the ratio.
@@ -102,25 +124,20 @@ def ranks_from_ratio(method: str, s: int, t: int, k: int, alpha: float) -> tuple
     def macs_of(ranks: tuple[int, ...]) -> int:
         return mac_cost(s, t, k, 1, 1, method, ranks).macs_compressed
 
-    if len(full) == 1:
-        per_rank = macs_of((1,))
-        r = min(full[0], int(budget // per_rank))
-        if r < 1:
-            raise ValueError(f"budget alpha={alpha} infeasible even at rank 1 for {method}")
-        return (r,)
-
-    def scaled(theta: float) -> tuple[int, ...]:
-        want = tuple(max(1, int(math.floor(theta * rm))) for rm in full)
+    def scaled(j: int, rm: int) -> tuple[int, ...]:
+        want = tuple(max(1, j * r // rm) for r in full)
         return clamp_ranks(method, s, t, k, want)
 
-    if macs_of(scaled(0.0)) > budget:
+    if macs_of(scaled(0, 1)) > budget:
         raise ValueError(f"budget alpha={alpha} infeasible even at all-ones ranks for {method}")
-    thetas = sorted({j / rm for rm in full for j in range(1, rm + 1)})
+    # one (j, R) per distinct factor j / R, in increasing order
+    factors = {j / rm: (j, rm) for rm in full for j in range(1, rm + 1)}
+    thetas = [factors[f] for f in sorted(factors)]
     lo, hi = 0, len(thetas) - 1
-    best = scaled(0.0)
+    best = scaled(0, 1)
     while lo <= hi:
         mid = (lo + hi) // 2
-        cand = scaled(thetas[mid])
+        cand = scaled(*thetas[mid])
         if macs_of(cand) <= budget:
             best = cand
             lo = mid + 1
@@ -150,9 +167,7 @@ def equal_acc_select(
         if abs(tab.p_orig - p_orig) > 1e-12:
             raise ValueError("tables disagree on the original accuracy")
     for tab, cost in zip(tables, costs):
-        missing = set(tab.accuracies) - set(cost.macs)
-        if missing:
-            raise ValueError(f"cost grid missing entries for ranks {sorted(missing)}")
+        check_acc_table(tab, cost)
 
     c_orig = sum(c.macs_original for c in costs)
     budget = alpha * c_orig
@@ -225,22 +240,16 @@ def greedy_energy_select(
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     svs = []
-    for i, sv in enumerate(sv_lists):
-        sv = np.asarray(sv, dtype=np.float64)
-        if sv.ndim != 1 or sv.size == 0:
-            raise ValueError(f"layer {i}: singular values must be a nonempty vector")
-        if np.any(sv <= 0) or np.any(np.diff(sv) > 0):
-            raise ValueError(f"layer {i}: singular values must be positive and descending")
-        svs.append(sv)
+    for i, (sv, cost) in enumerate(zip(sv_lists, costs)):
+        try:
+            svs.append(check_sv_table(sv, cost))
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from None
 
     def macs_of(layer: int, r: int) -> int:
         return costs[layer].macs[(r,)]
 
     full = [sv.size for sv in svs]
-    for i, r in enumerate(full):
-        for j in range(1, r + 1):
-            if (j,) not in costs[i].macs:
-                raise ValueError(f"layer {i}: cost grid lacks rank {j}")
     cums = [np.cumsum(sv) for sv in svs]
     ranks = list(full)
     c_orig = sum(c.macs_original for c in costs)

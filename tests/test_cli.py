@@ -109,6 +109,27 @@ class TestUsageErrors:
         assert "rank" in err
 
     @pytest.mark.parametrize(
+        "argv, method, ranks",
+        [(["compress", "--method", "tucker", "--rank", "9,1"], "tucker", (9, 1)),
+         (["dataopt", "--mode", "asym3d", "--rank", "5,7"], "asym3d", (5, 7))],
+        ids=["tucker", "asym3d"],
+    )
+    def test_rank_beyond_its_limit_exits_1_with_the_cost_model_message(
+        self, capsys, model_dir, batch_dir, tmp_path, argv, method, ranks
+    ):
+        path, kernel = model_dir
+        command, *flags = argv
+        if command == "dataopt":
+            flags += ["--batch", batch_dir]
+        code, out, err = run(capsys, command, path, "--layer", "conv1", *flags,
+                             "--out", tmp_path / "o")
+        assert code == 1 and out is None
+        with pytest.raises(ValueError) as want:
+            mac_cost(kernel.s, kernel.t, kernel.k, 1, 1, method, ranks)
+        assert json.loads(err)["error"] == str(want.value)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "argv,names",
         [
             (["compress", "--method", "weight-svd", "--rank", "3,4"], "r"),

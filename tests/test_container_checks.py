@@ -338,6 +338,69 @@ class TestRankTables:
         assert err.value.code == "bad_manifest"
 
 
+class TestTablePayloads:
+    """A rank-selection table or plan payload of the wrong shape is
+    ``shape_mismatch``; one whose values the rankselect checks refuse is
+    ``bad_manifest``, in the reader and through ``rank-select``."""
+
+    #: table -> (reader, rank-select strategy, table flag)
+    TABLES = {"acc": (read_acc_tables, "equal-acc", "--acc-table"),
+              "sv": (read_sv_tables, "greedy-energy", "--sv-table")}
+
+    @staticmethod
+    def _rank_select(path, table, payload, out):
+        """Write ``payload`` as the only ``table`` entry, priced at ranks 1
+        and 2, and run ``rank-select`` on it; returns the CLI result."""
+        meta = {"role": f"{table}-table", "p_orig": 0.9, "macs": {"1": 100, "2": 200},
+                "macs_original": 400}
+        c = Container()
+        c.add(f"{table}/layer0", "plan", payload, meta)
+        write_container(c, path)
+        _, strategy, flag = TestTablePayloads.TABLES[table]
+        return _cli("rank-select", "--strategy", strategy, "--ratio", "0.7", flag, path,
+                    "--out", out)
+
+    @pytest.mark.parametrize(
+        "table, payload, code",
+        [("acc", np.full((2, 2, 2), 0.5), "shape_mismatch"),
+         ("acc", np.array([[0.6], [0.8]]), "shape_mismatch"),
+         ("acc", np.zeros((0, 2)), "shape_mismatch"),
+         ("acc", np.array([[1.0, 0.6], [7.0, 0.8]]), "bad_manifest"),
+         ("sv", np.array([[3.0, 1.0]]), "shape_mismatch"),
+         ("sv", np.zeros(0), "shape_mismatch"),
+         ("sv", np.array([3.0, -1.0]), "bad_manifest"),
+         ("sv", np.array([1.0, 3.0]), "bad_manifest"),
+         ("sv", np.array([3.0, 2.0, 1.0]), "bad_manifest")],
+        ids=["acc-3d", "acc-one-column", "acc-no-row", "acc-rank-not-priced", "sv-2d",
+             "sv-empty", "sv-negative", "sv-ascending", "sv-rank-not-priced"],
+    )
+    def test_bad_table_payload(self, tmp_path, table, payload, code):
+        status, out, err = self._rank_select(tmp_path / "t", table, payload, tmp_path / "o")
+        assert status == 1 and out == ""
+        assert json.loads(err)["code"] == code
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ContainerError) as got:
+            self.TABLES[table][0](read_container(tmp_path / "t"), table)
+        assert got.value.code == code
+
+    @pytest.mark.parametrize(
+        "table, payload",
+        [("acc", np.array([[1.0, 0.6], [2.0, 0.8]])), ("sv", np.array([3.0, 1.0]))],
+    )
+    def test_valid_table_payload(self, tmp_path, table, payload):
+        assert self._rank_select(tmp_path / "t", table, payload, tmp_path / "o")[0] == 0
+
+    def test_plan_payload_that_is_not_a_vector(self, tmp_path):
+        c = Container()
+        c.add("plan", "plan", np.ones((2, 2)),
+              {"role": "rank-plan", "arity": [2, 2], "tau": 0.0, "achieved_macs": 10,
+               "achieved_ratio": 0.5, "strategy": "equal_acc"})
+        write_container(c, tmp_path / "p")
+        with pytest.raises(ContainerError) as err:
+            read_plan(read_container(tmp_path / "p"), "plan")
+        assert err.value.code == "shape_mismatch"
+
+
 def _poison(path, name, value, index=0):
     """Overwrite float32 number ``index`` of entry ``name``'s payload with ``value``."""
     manifest = json.loads((Path(path) / "manifest.json").read_text())

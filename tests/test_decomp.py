@@ -258,6 +258,24 @@ class TestTuckerHooi:
         assert 1 <= layer.meta["iterations"] < 50
 
 
+class TestStopRule:
+    """cp_als and tucker_hooi stop on one test, ``|err_prev - err| < tol``:
+    at ``tol=0`` neither stops before ``max_iters``, even where the error
+    rises by a rounding step."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 6])
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda kernel: cp_als(kernel, 3, max_iters=30, tol=0.0),
+         lambda kernel: tucker_hooi(kernel, 3, 3, max_iters=30, tol=0.0)],
+        ids=["cp", "tucker"],
+    )
+    def test_zero_tol_runs_every_sweep(self, solve, seed):
+        layer = solve(Kernel4D(np.random.default_rng(seed).standard_normal((6, 5, 3, 3))))
+        assert layer.meta["iterations"] == 30
+        assert layer.meta["converged"] is False
+
+
 class TestTtSvd:
     def test_maximal_ranks_exact(self):
         kernel = random_kernel(np.random.default_rng(18), t=4, s=3, k=3)

@@ -61,6 +61,15 @@ class TestRanksFromRatio:
         with pytest.raises(ValueError, match="infeasible"):
             ranks_from_ratio("weight_svd", 64, 64, 3, 1e-6)
 
+    @pytest.mark.parametrize("method, s, want", [("tucker", 5, (3, 15)), ("tt", 7, (4, 12, 15))])
+    def test_scaling_loses_no_rank_to_rounding(self, method, s, want):
+        """At the factor 15/22 the t-side rank is 15 (float ``floor(15/22 * 22)``
+        is 14), and it fits the budget."""
+        t, k, alpha = 22, 3, 0.8
+        assert ranks_from_ratio(method, s, t, k, alpha) == want
+        orig = mac_cost(s, t, k, 1, 1, "original").macs_original
+        assert mac_cost(s, t, k, 1, 1, method, want).macs_compressed <= alpha * orig
+
     @pytest.mark.parametrize("t,s", [(6, 4), (64, 64), (24, 16), (16, 32), (5, 9)])
     @pytest.mark.parametrize("alpha", [0.2, 0.35, 0.5, 0.8])
     def test_tt_ranks_are_accepted_by_tt_svd_and_fit_budget(self, t, s, alpha):

@@ -86,6 +86,27 @@ def test_asym3d_cost_and_limits():
         mac_cost(S, T, K, H, W, "asym3d", (rs,))
 
 
+#: the solvers that check their ranks against the cost table before solving
+CHECKED = {
+    "cp": lambda kernel, ranks: cp_als(kernel, *ranks, max_iters=2),
+    "tucker": lambda kernel, ranks: tucker_hooi(kernel, *ranks, max_iters=2),
+    "asym3d": lambda kernel, ranks: _asym3d(kernel, *ranks),
+}
+
+
+@pytest.mark.parametrize(
+    "method, ranks",
+    [("cp", (0,)), ("tucker", (0, 2)), ("tucker", (S + 1, 2)), ("tucker", (2, T + 1)),
+     ("asym3d", (0, 2)), ("asym3d", (S * K + 1, 2)), ("asym3d", (2, T + 1))],
+)
+def test_solvers_refuse_ranks_as_the_cost_model_does(kernel, method, ranks):
+    with pytest.raises(ValueError) as want:
+        mac_cost(S, T, K, H, W, method, ranks)
+    with pytest.raises(ValueError) as got:
+        CHECKED[method](kernel, ranks)
+    assert str(got.value) == str(want.value)
+
+
 def test_original_is_one_dense_factor():
     cost = mac_cost(S, T, K, H, W, "original")
     assert factor_shapes("original", S, T, K) == ((T, S, K, K),)
