@@ -22,12 +22,17 @@ Contractions run pairwise on BLAS: CP-ALS forms each MTTKRP as an unfolding
 times a Khatri-Rao product, HOOI projects with matrix products, and
 :func:`reconstruct` contracts a layout's factors left to right.  Every stage
 of :func:`decomposed_forward` runs :func:`convcompress.kernel.conv` on a view
-of its factor as a dense or depthwise ``(c_out, c_in/g, kx, ky)`` weight.
+of its factor as a dense or depthwise ``(c_out, c_in/g, kx, ky)`` weight:
+``conv`` pads each channel into one flat row, so every kernel offset reads a
+contiguous run of it in place (a 1x1 stage reads the map unpadded), and a
+stage with one input channel per group, such as a depthwise one, is a
+broadcast product rather than a matrix product.
 
 Three pieces hold what the solvers share: ``_layer`` names each returned
 layer's factors by :data:`LAYOUTS`; ``_sweeps`` runs the sweeps of ``cp_als``
 and ``tucker_hooi`` under one stop test, ``abs(err_prev - err) < tol``; and
-:func:`convcompress.kernel.check_ranks` checks ranks by the cost table.
+:func:`convcompress.kernel.check_ranks` checks ranks by the cost table
+before any solver does work.
 
 Factor array layouts (all float64), in stage order.  The shapes are the
 entries of :data:`convcompress.kernel.METHOD_COSTS`; the names, the
@@ -147,7 +152,8 @@ def weight_svd(kernel: Kernel4D, r: int) -> DecomposedLayer:
     The singular values are split evenly between the two factors:
     w1 = U_r sqrt(S_r), w2 = sqrt(S_r) V_r^T.
     """
-    s, k = kernel.s, kernel.k
+    t, s, k = kernel.t, kernel.s, kernel.k
+    check_ranks("weight_svd", s, t, k, (r,))
     res = linalg.svd(matricize_weight(kernel), r)
     root = np.sqrt(res.S)
     w1 = (res.U * root).reshape(k, k, s, r)
@@ -166,6 +172,7 @@ def spatial_svd(kernel: Kernel4D, r: int, order: str = "hv") -> DecomposedLayer:
     t, s, k = kernel.t, kernel.s, kernel.k
     if order not in ("hv", "vh"):
         raise ValueError(f"order must be 'hv' or 'vh', got {order!r}")
+    check_ranks("spatial_svd", s, t, k, (r,))
     if order == "hv":
         m = matricize_spatial(kernel)  # rows (s, x), cols (t, y)
     else:
@@ -271,28 +278,31 @@ def tucker_hooi(
     return _layer("tucker", kernel, (r1, r2), (u1, core, u2), **fit)
 
 
+def _split(m: Array, r: int) -> tuple[Array, Array]:
+    """``m`` cut at rank r into ``U_r`` and ``S_r V_r^T``; where the smaller
+    side of m is below r, the components past it are zero."""
+    res = linalg.svd(m, min(r, *m.shape))
+    u, rest = np.zeros((m.shape[0], r)), np.zeros((r, m.shape[1]))
+    u[:, : res.S.size], rest[: res.S.size] = res.U, res.S[:, None] * res.V.T
+    return u, rest
+
+
 def tt_svd(kernel: Kernel4D, r1: int, r2: int, r3: int) -> DecomposedLayer:
     """Tensor-train decomposition by sequential truncated SVDs.
 
-    The kernel is reordered as (s, x, y, t) and split left to right; each
-    bond rank must respect its unfolding bound given the ranks before it.
+    The kernel is reordered as (s, x, y, t) and split left to right.  The
+    ranks are checked against :func:`convcompress.kernel.max_ranks`; a bond
+    above the rank its unfolding has, given the bonds before it, is padded
+    with zero components (:func:`convcompress.kernel.clamp_ranks` lowers it).
     """
     t, s, k = kernel.t, kernel.s, kernel.k
+    check_ranks("tt", s, t, k, (r1, r2, r3))
     tens = kernel.data.transpose(1, 2, 3, 0).copy()  # (s, x, y, t)
-
-    res = linalg.svd(tens.reshape(s, k * k * t), r1)
-    w1 = res.U
-    carry = (res.S[:, None] * res.V.T).reshape(r1 * k, k * t)
-
-    res = linalg.svd(carry, r2)
-    w2 = res.U.reshape(r1, k, r2)
-    carry = (res.S[:, None] * res.V.T).reshape(r2 * k, t)
-
-    res = linalg.svd(carry, r3)
-    w3 = res.U.reshape(r2, k, r3)
-    w4 = res.S[:, None] * res.V.T
-
-    return _layer("tt", kernel, (r1, r2, r3), (w1, w2, w3, w4))
+    w1, carry = _split(tens.reshape(s, k * k * t), r1)
+    w2, carry = _split(carry.reshape(r1 * k, k * t), r2)
+    w3, w4 = _split(carry.reshape(r2 * k, t), r3)
+    factors = (w1, w2.reshape(r1, k, r2), w3.reshape(r2, k, r3), w4)
+    return _layer("tt", kernel, (r1, r2, r3), factors)
 
 
 def _kxk(w: Array) -> Array:  # (k, k, c_in, c_out)

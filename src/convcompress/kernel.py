@@ -102,12 +102,18 @@ def conv(w: Array, x: Array) -> Array:
 
     The group count g is read off the shapes: dense (g = 1) when
     ``w.shape[1] == c``, depthwise (g = c) when ``w`` is ``(c, 1, kx, ky)``;
-    any other weight raises ``ValueError``.  The map is padded once; each
-    kernel offset then adds its weight slice times the shifted map, one
-    matrix product per group, so no k*k-fold patch matrix is built.
+    any other weight, or an even kernel side, raises ``ValueError``.  Each
+    channel is padded into one flat row of length ``(h+2dx)*wp + 2dy``, with
+    ``wp = w + 2dy``, so kernel offset ``(i, j)`` reads the contiguous run
+    starting at ``i*wp + j`` in place: its weight slice times that run is one
+    matrix product per group, or a broadcast product when ``c_in/g == 1``.
+    The ``2dy`` pad columns are cropped once at the end.  A 1x1 weight reads
+    ``x`` itself as the flat map, and ``x`` is never written.
     """
     c, h, wd = x.shape
     c_out, c_g, kx, ky = w.shape
+    if kx % 2 == 0 or ky % 2 == 0:
+        raise ValueError(f"weight {w.shape} has an even kernel side")
     if c_g == c:
         g = 1
     elif c_g == 1 and c_out == c:
@@ -115,15 +121,20 @@ def conv(w: Array, x: Array) -> Array:
     else:
         raise ValueError(f"weight {w.shape} is neither dense nor depthwise for {c} input channels")
     dx, dy = (kx - 1) // 2, (ky - 1) // 2
-    xpad = np.zeros((c, h + 2 * dx, wd + 2 * dy))
-    xpad[:, dx : dx + h, dy : dy + wd] = x
-    wg = w.reshape(g, c_out // g, c_g, kx, ky)
-    out = np.zeros((g, c_out // g, h * wd))
-    for i in range(kx):
-        for j in range(ky):
-            shifted = xpad[:, i : i + h, j : j + wd].reshape(g, c_g, h * wd)
-            out += np.ascontiguousarray(wg[..., i, j]) @ shifted
-    return out.reshape(c_out, h, wd)
+    wp, n = wd + 2 * dy, h * (wd + 2 * dy)
+    if dx == dy == 0:
+        flat = x.reshape(c, n)
+    else:
+        flat = np.zeros((c, (h + 2 * dx) * wp + 2 * dy))
+        flat[:, : (h + 2 * dx) * wp].reshape(c, -1, wp)[:, dx : dx + h, dy : dy + wd] = x
+    xg = flat.reshape(g, c_g, -1)
+    wt = np.ascontiguousarray(w.reshape(g, c_out // g, c_g, kx * ky).transpose(3, 0, 1, 2))
+    runs = (xg[:, :, i * wp + j : i * wp + j + n] for i in range(kx) for j in range(ky))
+    terms = (wo * xo if c_g == 1 else wo @ xo for wo, xo in zip(wt, runs))
+    out = next(terms)  # the first term, a new array, is the accumulator
+    for term in terms:
+        out += term
+    return np.ascontiguousarray(out.reshape(c_out, h, wp)[:, :, :wd])
 
 
 def conv_direct(kernel: Kernel4D, x: Array) -> Array:
@@ -237,8 +248,7 @@ METHOD_COSTS: dict[str, MethodCost] = {
     "tt": MethodCost(
         ("r1", "r2", "r3"),
         lambda s, t, k, r1, r2, r3: ((s, r1), (r1, k, r2), (r2, k, r3), (r3, t)),
-        lambda s, t, k: (s, None, t),
-        top=lambda s, t, k: _tt_chain(s, t, k, s, k * t, t),
+        lambda s, t, k: _tt_chain(s, t, k, s, k * t, t),
         chain=_tt_chain,
     ),
     "asym3d": MethodCost(
@@ -316,7 +326,7 @@ def max_ranks(method: str, s: int, t: int, k: int) -> tuple[int, ...]:
 
 def clamp_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """``ranks`` with each rank lowered, where needed, to the largest value the
-    decomposition accepts: :func:`max_ranks`, and for ``tt`` the chained
+    decomposition can use: :func:`max_ranks`, and for ``tt`` the chained
     bounds its sequential unfoldings put on each bond given the bonds before."""
     cost = _method_cost(method)
     ranks = tuple(min(int(r), top) for r, top in zip(ranks, max_ranks(method, s, t, k)))

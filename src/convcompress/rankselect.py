@@ -112,8 +112,8 @@ def ranks_from_ratio(method: str, s: int, t: int, k: int, alpha: float) -> tuple
     The maximal ranks R_i are scaled by the largest common factor j / R that
     fits (R one of them, 1 <= j <= R): each becomes ``j * R_i // R`` in
     integers, floored at 1.  tt then caps each bond by the bound the bonds
-    before it leave (:func:`~convcompress.kernel.clamp_ranks`), so that
-    :func:`~convcompress.decomp.tt_svd` accepts the result.  Feature-map
+    before it leave (:func:`~convcompress.kernel.clamp_ranks`), so that no
+    bond of :func:`~convcompress.decomp.tt_svd` is zero padding.  Feature-map
     dims cancel in the ratio.
     """
     if not 0.0 < alpha < 1.0:

@@ -3,10 +3,11 @@
 Everything here is written from scratch against the mathematical
 definitions, deliberately *not* importing the production code paths it
 is used to check (plain loops, brute-force search, textbook formulas).
-The exceptions are ``solve_gram`` and the ``*_reference_loop`` and
-``*_reference_fit`` functions at the end: verbatim copies of earlier
-solvers, solver loops and data-optimized fits, kept to pin the current
-code to them bit for bit.
+The exceptions are ``solve_gram``, the ``*_reference_loop`` and
+``*_reference_fit`` functions and ``conv_shift_reference`` at the end:
+verbatim copies of earlier solvers, solver loops, data-optimized fits and
+the convolution primitive, kept to pin the current code to them bit for
+bit (the convolution to rounding).
 They call the same ``linalg`` and ``decomp`` primitives the copies called.
 """
 
@@ -580,3 +581,36 @@ def spatial_refine_reference_fit(layer, batch, eps=None):
         "z_mean": z_mean,
         second_name: new_second,
     }
+
+
+Array = np.ndarray
+
+
+def conv_shift_reference(w: Array, x: Array) -> Array:
+    """Stride-1, zero-padded convolution of a ``(c, h, w)`` map with a
+    ``(c_out, c_in/g, kx, ky)`` weight (odd kx, ky); the output is ``(c_out, h, w)``.
+
+    The group count g is read off the shapes: dense (g = 1) when
+    ``w.shape[1] == c``, depthwise (g = c) when ``w`` is ``(c, 1, kx, ky)``;
+    any other weight raises ``ValueError``.  The map is padded once; each
+    kernel offset then adds its weight slice times the shifted map, one
+    matrix product per group, so no k*k-fold patch matrix is built.
+    """
+    c, h, wd = x.shape
+    c_out, c_g, kx, ky = w.shape
+    if c_g == c:
+        g = 1
+    elif c_g == 1 and c_out == c:
+        g = c
+    else:
+        raise ValueError(f"weight {w.shape} is neither dense nor depthwise for {c} input channels")
+    dx, dy = (kx - 1) // 2, (ky - 1) // 2
+    xpad = np.zeros((c, h + 2 * dx, wd + 2 * dy))
+    xpad[:, dx : dx + h, dy : dy + wd] = x
+    wg = w.reshape(g, c_out // g, c_g, kx, ky)
+    out = np.zeros((g, c_out // g, h * wd))
+    for i in range(kx):
+        for j in range(ky):
+            shifted = xpad[:, i : i + h, j : j + wd].reshape(g, c_g, h * wd)
+            out += np.ascontiguousarray(wg[..., i, j]) @ shifted
+    return out.reshape(c_out, h, wd)

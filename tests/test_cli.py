@@ -111,8 +111,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, method, ranks",
         [(["compress", "--method", "tucker", "--rank", "9,1"], "tucker", (9, 1)),
-         (["dataopt", "--mode", "asym3d", "--rank", "5,7"], "asym3d", (5, 7))],
-        ids=["tucker", "asym3d"],
+         (["dataopt", "--mode", "asym3d", "--rank", "5,7"], "asym3d", (5, 7)),
+         (["compress", "--method", "tt", "--rank", "4,13,2"], "tt", (4, 13, 2))],
+        ids=["tucker", "asym3d", "tt"],
     )
     def test_rank_beyond_its_limit_exits_1_with_the_cost_model_message(
         self, capsys, model_dir, batch_dir, tmp_path, argv, method, ranks

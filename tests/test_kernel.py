@@ -1,5 +1,7 @@
 """Kernel types, direct convolution, matricizations and the cost model."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from convcompress.kernel import (
     METHOD_RANK_ARITY,
     Kernel4D,
     aggregate_ratio,
+    conv,
     conv_direct,
     mac_cost,
     matricize_spatial,
@@ -17,7 +20,7 @@ from convcompress.kernel import (
     unmatricize_weight,
 )
 
-from _oracles import naive_conv
+from _oracles import conv_shift_reference, naive_conv
 
 
 class TestKernel4D:
@@ -97,6 +100,42 @@ class TestConvDirect:
         lhs = conv_direct(Kernel4D(w1), a * x1 + b * x2)
         rhs = a * conv_direct(Kernel4D(w1), x1) + b * conv_direct(Kernel4D(w1), x2)
         assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-12)
+
+
+#: (c, c_out, kx, ky, h, w): square k in {1, 3, 5, 7}, 1xk and kx1 weights,
+#: maps with h = 1 or w = 1, and c = 1, where a dense weight takes the
+#: broadcast-product path
+CONV_SHAPES = [
+    (3, 4, 1, 1, 5, 6), (3, 4, 3, 3, 5, 6), (3, 4, 5, 5, 5, 6), (3, 4, 7, 7, 5, 6),
+    (3, 4, 1, 5, 6, 5), (3, 4, 7, 1, 6, 5), (2, 5, 3, 7, 4, 9), (2, 5, 5, 1, 9, 4),
+    (3, 4, 3, 3, 1, 7), (3, 4, 5, 3, 7, 1), (2, 3, 7, 7, 1, 1), (2, 2, 1, 1, 1, 1),
+    (1, 4, 3, 3, 6, 5), (1, 1, 1, 1, 4, 4), (1, 3, 7, 5, 2, 3), (1, 2, 1, 3, 1, 8),
+]
+
+
+class TestConvAgainstShiftReference:
+    """``conv`` reads each kernel offset from one flat padded map; the
+    shift-and-copy convolution it replaced is the reference."""
+
+    @pytest.mark.parametrize("depthwise", [False, True], ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_matches_reference_and_leaves_the_map(self, shape, depthwise):
+        c, c_out, kx, ky, h, w = shape
+        rng = np.random.default_rng(sum(shape))
+        weight = rng.normal(size=(c, 1, kx, ky) if depthwise else (c_out, c, kx, ky))
+        x = rng.normal(size=(c, h, w))
+        before = x.copy()
+        got = conv(weight, x)
+        want = conv_shift_reference(weight, x)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 3), (2, 1, 3, 4), (1, 2, 4, 4)])
+    def test_even_kernel_side_is_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"weight {shape} has an even kernel side")):
+            conv(np.ones(shape), np.ones((2, 5, 5)))
 
 
 class TestMatricize:

@@ -107,6 +107,57 @@ def test_solvers_refuse_ranks_as_the_cost_model_does(kernel, method, ranks):
     assert str(got.value) == str(want.value)
 
 
+def _asym3d_any(kernel, rs, rd):
+    """``asym3d`` on a batch drawn for any kernel's channels and size."""
+    rng = np.random.default_rng(33)
+    maps = [(x, conv_direct(kernel, x)) for x in rng.normal(size=(8, kernel.s, 6, 6))]
+    return asym3d(kernel, sample_patches(maps, per_image=12, k=kernel.k, seed=2), rs, rd)
+
+
+#: every solver, by its cost-table method
+SOLVERS = {
+    "weight_svd": lambda kernel, ranks: weight_svd(kernel, *ranks),
+    "spatial_svd": lambda kernel, ranks: spatial_svd(kernel, *ranks),
+    "cp": lambda kernel, ranks: cp_als(kernel, *ranks, max_iters=2),
+    "tucker": lambda kernel, ranks: tucker_hooi(kernel, *ranks, max_iters=2),
+    "tt": lambda kernel, ranks: tt_svd(kernel, *ranks),
+    "asym3d": lambda kernel, ranks: _asym3d_any(kernel, *ranks),
+}
+
+
+def _error(call):
+    try:
+        call()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_cost_model_refuses_exactly_the_ranks_a_solver_refuses(method):
+    """Random kernels and ranks from 0 to two past each largest usable rank:
+    ``mac_cost`` raises exactly when the solver does, with the same message."""
+    rng = np.random.default_rng(34)
+    refused = 0
+    for _ in range(30):
+        s, t, k = (int(v) for v in (rng.integers(1, 7), rng.integers(1, 7), rng.choice([1, 3])))
+        kernel = Kernel4D(rng.normal(size=(t, s, k, k)))
+        ranks = tuple(int(rng.integers(0, top + 3)) for top in max_ranks(method, s, t, k))
+        want = _error(lambda: mac_cost(s, t, k, H, W, method, ranks))
+        assert _error(lambda: SOLVERS[method](kernel, ranks)) == want, (s, t, k, ranks)
+        refused += want is not None
+    assert 0 < refused < 30
+
+
+def test_tt_rank_beyond_what_the_ranks_before_leave_is_refused():
+    """On a (6, 4, 3, 3) kernel r1 = 4 leaves r2 at most 12."""
+    kernel = Kernel4D(np.random.default_rng(35).normal(size=(6, 4, 3, 3)))
+    for call in (lambda: mac_cost(4, 6, 3, 1, 1, "tt", (4, 13, 2)),
+                 lambda: tt_svd(kernel, 4, 13, 2)):
+        with pytest.raises(ValueError, match=r"^tt rank r2=13 exceeds 12 at"):
+            call()
+
+
 def test_original_is_one_dense_factor():
     cost = mac_cost(S, T, K, H, W, "original")
     assert factor_shapes("original", S, T, K) == ((T, S, K, K),)
