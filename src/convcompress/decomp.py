@@ -22,11 +22,12 @@ Contractions run pairwise on BLAS: CP-ALS forms each MTTKRP as an unfolding
 times a Khatri-Rao product, HOOI projects with matrix products, and
 :func:`reconstruct` contracts a layout's factors left to right.  Every stage
 of :func:`decomposed_forward` runs :func:`convcompress.kernel.conv` on a view
-of its factor as a dense or depthwise ``(c_out, c_in/g, kx, ky)`` weight:
-``conv`` pads each channel into one flat row, so every kernel offset reads a
-contiguous run of it in place (a 1x1 stage reads the map unpadded), and a
-stage with one input channel per group, such as a depthwise one, is a
-broadcast product rather than a matrix product.
+of its factor as a dense or depthwise ``(c_out, c_in/g, kx, ky)`` weight.  A
+1x1 stage is one product on the unpadded map.  A stage with more taps pads
+each channel once into one flat row, and a plain loop over the kernel
+offsets adds one 2-D product per offset, each reading a contiguous run of
+that row in place.  A stage with one input channel per group, such as a
+depthwise one, takes broadcast products rather than matrix products.
 
 Three pieces hold what the solvers share: ``_layer`` names each returned
 layer's factors by :data:`LAYOUTS`; ``_sweeps`` runs the sweeps of ``cp_als``

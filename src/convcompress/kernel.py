@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,7 +26,7 @@ Array = np.ndarray
 
 
 def _require_finite(a: Array, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
 
 
@@ -102,38 +103,50 @@ def conv(w: Array, x: Array) -> Array:
 
     The group count g is read off the shapes: dense (g = 1) when
     ``w.shape[1] == c``, depthwise (g = c) when ``w`` is ``(c, 1, kx, ky)``;
-    any other weight, or an even kernel side, raises ``ValueError``.  Each
-    channel is padded into one flat row of length ``(h+2dx)*wp + 2dy``, with
-    ``wp = w + 2dy``, so kernel offset ``(i, j)`` reads the contiguous run
-    starting at ``i*wp + j`` in place: its weight slice times that run is one
-    matrix product per group, or a broadcast product when ``c_in/g == 1``.
-    The ``2dy`` pad columns are cropped once at the end.  A 1x1 weight reads
-    ``x`` itself as the flat map, and ``x`` is never written.
+    any other weight, or an even kernel side, raises ``ValueError``.
+
+    A 1x1 weight is one product on ``x`` itself, neither padded nor cropped:
+    ``(c_out, c) @ (c, h*w)``, reading a C-ordered weight in place, or, when
+    ``c_in/g == 1`` (depthwise, or dense on one channel), each output
+    channel's weight times its input row, a broadcast product.
+
+    A larger weight pads each channel once into a flat row of length
+    ``(h+2dx)*wp + 2dy``, with ``wp = w + 2dy``, so kernel offset ``(i, j)``
+    reads the contiguous run starting at ``i*wp + j`` in place.  A plain loop
+    over the offsets adds one 2-D product per offset to the accumulator: the
+    offset's ``(c_out, c)`` slice of the weight, reordered once to
+    ``(kx*ky, c_out, c)``, times the run, or, when ``c_in/g == 1``, each
+    output channel's tap times its run.  The ``2dy`` pad columns are cropped
+    once at the end.  The output is C-contiguous, and ``x`` is never written.
     """
     c, h, wd = x.shape
     c_out, c_g, kx, ky = w.shape
     if kx % 2 == 0 or ky % 2 == 0:
         raise ValueError(f"weight {w.shape} has an even kernel side")
-    if c_g == c:
-        g = 1
-    elif c_g == 1 and c_out == c:
-        g = c
-    else:
+    if c_g != c and (c_g != 1 or c_out != c):
         raise ValueError(f"weight {w.shape} is neither dense nor depthwise for {c} input channels")
+    if kx == ky == 1:  # one product on the unpadded map
+        flat = x.reshape(c, h * wd)
+        if c_g == 1:
+            out = np.multiply(w.reshape(c_out, 1), flat, order="C")
+        else:
+            out = np.ascontiguousarray(w.reshape(c_out, c)) @ flat
+        return out.reshape(c_out, h, wd)
     dx, dy = (kx - 1) // 2, (ky - 1) // 2
     wp, n = wd + 2 * dy, h * (wd + 2 * dy)
-    if dx == dy == 0:
-        flat = x.reshape(c, n)
+    flat = np.zeros((c, (h + 2 * dx) * wp + 2 * dy))
+    flat[:, : (h + 2 * dx) * wp].reshape(c, -1, wp)[:, dx : dx + h, dy : dy + wd] = x
+    offsets = [i * wp + j for i in range(kx) for j in range(ky)]
+    if c_g == 1:  # each output channel scales the run of one input channel
+        taps = w.reshape(c_out, kx * ky, 1)
+        out = taps[:, 0] * flat[:, :n]  # the first term, a new array, is the accumulator
+        for t in range(1, kx * ky):
+            out += taps[:, t] * flat[:, offsets[t] : offsets[t] + n]
     else:
-        flat = np.zeros((c, (h + 2 * dx) * wp + 2 * dy))
-        flat[:, : (h + 2 * dx) * wp].reshape(c, -1, wp)[:, dx : dx + h, dy : dy + wd] = x
-    xg = flat.reshape(g, c_g, -1)
-    wt = np.ascontiguousarray(w.reshape(g, c_out // g, c_g, kx * ky).transpose(3, 0, 1, 2))
-    runs = (xg[:, :, i * wp + j : i * wp + j + n] for i in range(kx) for j in range(ky))
-    terms = (wo * xo if c_g == 1 else wo @ xo for wo, xo in zip(wt, runs))
-    out = next(terms)  # the first term, a new array, is the accumulator
-    for term in terms:
-        out += term
+        taps = np.ascontiguousarray(w.reshape(c_out, c, kx * ky).transpose(2, 0, 1))
+        out = taps[0] @ flat[:, :n]
+        for t in range(1, kx * ky):
+            out += taps[t] @ flat[:, offsets[t] : offsets[t] + n]
     return np.ascontiguousarray(out.reshape(c_out, h, wp)[:, :, :wd])
 
 
@@ -279,9 +292,13 @@ def factor_shapes(
 
 
 def check_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """``ranks`` as ints if ``method`` takes them on a (t, s, k, k) kernel: the
-    arity of :func:`factor_shapes`, each >= 1 and within its limit; else ``ValueError``."""
-    ranks = tuple(int(r) for r in ranks)
+    """``ranks`` as ints if ``method`` takes them on a (t, s, k, k) kernel: each
+    an integer (numpy integers pass), the arity of :func:`factor_shapes`, each
+    >= 1 and within its limit; else ``ValueError``."""
+    try:
+        ranks = tuple(operator.index(r) for r in ranks)
+    except TypeError:
+        raise ValueError(f"ranks must be integers, got {tuple(ranks)}") from None
     factor_shapes(method, s, t, k, ranks)
     if any(r < 1 for r in ranks):
         raise ValueError(f"ranks must be >= 1, got {ranks}")

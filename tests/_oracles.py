@@ -4,10 +4,11 @@ Everything here is written from scratch against the mathematical
 definitions, deliberately *not* importing the production code paths it
 is used to check (plain loops, brute-force search, textbook formulas).
 The exceptions are ``solve_gram``, the ``*_reference_loop`` and
-``*_reference_fit`` functions and ``conv_shift_reference`` at the end:
-verbatim copies of earlier solvers, solver loops, data-optimized fits and
-the convolution primitive, kept to pin the current code to them bit for
-bit (the convolution to rounding).
+``*_reference_fit`` functions, ``conv_shift_reference`` and
+``conv_flat_row_reference`` at the end: verbatim copies of earlier solvers,
+solver loops, data-optimized fits and two versions of the convolution
+primitive, kept to pin the current code to them bit for bit (the
+convolution to rounding against the shift-and-copy version).
 They call the same ``linalg`` and ``decomp`` primitives the copies called.
 """
 
@@ -614,3 +615,44 @@ def conv_shift_reference(w: Array, x: Array) -> Array:
             shifted = xpad[:, i : i + h, j : j + wd].reshape(g, c_g, h * wd)
             out += np.ascontiguousarray(wg[..., i, j]) @ shifted
     return out.reshape(c_out, h, wd)
+
+
+def conv_flat_row_reference(w: Array, x: Array) -> Array:
+    """Stride-1, zero-padded convolution of a ``(c, h, w)`` map with a
+    ``(c_out, c_in/g, kx, ky)`` weight (odd kx, ky); the output is ``(c_out, h, w)``.
+
+    The group count g is read off the shapes: dense (g = 1) when
+    ``w.shape[1] == c``, depthwise (g = c) when ``w`` is ``(c, 1, kx, ky)``;
+    any other weight, or an even kernel side, raises ``ValueError``.  Each
+    channel is padded into one flat row of length ``(h+2dx)*wp + 2dy``, with
+    ``wp = w + 2dy``, so kernel offset ``(i, j)`` reads the contiguous run
+    starting at ``i*wp + j`` in place: its weight slice times that run is one
+    matrix product per group, or a broadcast product when ``c_in/g == 1``.
+    The ``2dy`` pad columns are cropped once at the end.  A 1x1 weight reads
+    ``x`` itself as the flat map, and ``x`` is never written.
+    """
+    c, h, wd = x.shape
+    c_out, c_g, kx, ky = w.shape
+    if kx % 2 == 0 or ky % 2 == 0:
+        raise ValueError(f"weight {w.shape} has an even kernel side")
+    if c_g == c:
+        g = 1
+    elif c_g == 1 and c_out == c:
+        g = c
+    else:
+        raise ValueError(f"weight {w.shape} is neither dense nor depthwise for {c} input channels")
+    dx, dy = (kx - 1) // 2, (ky - 1) // 2
+    wp, n = wd + 2 * dy, h * (wd + 2 * dy)
+    if dx == dy == 0:
+        flat = x.reshape(c, n)
+    else:
+        flat = np.zeros((c, (h + 2 * dx) * wp + 2 * dy))
+        flat[:, : (h + 2 * dx) * wp].reshape(c, -1, wp)[:, dx : dx + h, dy : dy + wd] = x
+    xg = flat.reshape(g, c_g, -1)
+    wt = np.ascontiguousarray(w.reshape(g, c_out // g, c_g, kx * ky).transpose(3, 0, 1, 2))
+    runs = (xg[:, :, i * wp + j : i * wp + j + n] for i in range(kx) for j in range(ky))
+    terms = (wo * xo if c_g == 1 else wo @ xo for wo, xo in zip(wt, runs))
+    out = next(terms)  # the first term, a new array, is the accumulator
+    for term in terms:
+        out += term
+    return np.ascontiguousarray(out.reshape(c_out, h, wp)[:, :, :wd])

@@ -20,7 +20,7 @@ from convcompress.kernel import (
     unmatricize_weight,
 )
 
-from _oracles import conv_shift_reference, naive_conv
+from _oracles import conv_flat_row_reference, conv_shift_reference, naive_conv
 
 
 class TestKernel4D:
@@ -113,17 +113,27 @@ CONV_SHAPES = [
 ]
 
 
+#: (c, h, w) maps in three memory layouts: C-ordered, with the spatial axes
+#: swapped, and channels last, whose (c, h*w) reshape is a strided view
+MAP_LAYOUTS = {
+    "contiguous": lambda rng, c, h, w: rng.normal(size=(c, h, w)),
+    "transposed": lambda rng, c, h, w: rng.normal(size=(c, w, h)).transpose(0, 2, 1),
+    "channels-last": lambda rng, c, h, w: rng.normal(size=(h, w, c)).transpose(2, 0, 1),
+}
+
+
 class TestConvAgainstShiftReference:
     """``conv`` reads each kernel offset from one flat padded map; the
     shift-and-copy convolution it replaced is the reference."""
 
+    @pytest.mark.parametrize("layout", list(MAP_LAYOUTS))
     @pytest.mark.parametrize("depthwise", [False, True], ids=["dense", "depthwise"])
     @pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "-".join(map(str, s)))
-    def test_matches_reference_and_leaves_the_map(self, shape, depthwise):
+    def test_matches_reference_and_leaves_the_map(self, shape, depthwise, layout):
         c, c_out, kx, ky, h, w = shape
         rng = np.random.default_rng(sum(shape))
         weight = rng.normal(size=(c, 1, kx, ky) if depthwise else (c_out, c, kx, ky))
-        x = rng.normal(size=(c, h, w))
+        x = MAP_LAYOUTS[layout](rng, c, h, w)
         before = x.copy()
         got = conv(weight, x)
         want = conv_shift_reference(weight, x)
@@ -136,6 +146,24 @@ class TestConvAgainstShiftReference:
     def test_even_kernel_side_is_named(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"weight {shape} has an even kernel side")):
             conv(np.ones(shape), np.ones((2, 5, 5)))
+
+
+class TestConvAgainstFlatRowReference:
+    """The per-offset loop of ``conv`` gives the flat-row convolution it
+    replaced bit for bit, for C- and Fortran-ordered weights and every map
+    layout."""
+
+    @pytest.mark.parametrize("layout", list(MAP_LAYOUTS))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("depthwise", [False, True], ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_bit_identical(self, shape, depthwise, order, layout):
+        c, c_out, kx, ky, h, w = shape
+        rng = np.random.default_rng(sum(shape))
+        weight = rng.normal(size=(c, 1, kx, ky) if depthwise else (c_out, c, kx, ky))
+        weight = np.asarray(weight, order=order)
+        x = MAP_LAYOUTS[layout](rng, c, h, w)
+        assert np.array_equal(conv(weight, x), conv_flat_row_reference(weight, x))
 
 
 class TestMatricize:

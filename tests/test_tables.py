@@ -149,6 +149,21 @@ def test_cost_model_refuses_exactly_the_ranks_a_solver_refuses(method):
     assert 0 < refused < 30
 
 
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_non_integer_rank_is_refused_not_truncated(kernel, method):
+    """A float rank in any position is refused with one message that names
+    the ranks, by ``mac_cost`` and the solver alike; numpy integers pass."""
+    arity = METHOD_RANK_ARITY[method]
+    for i in range(arity):
+        ranks = tuple(2.5 if j == i else 2 for j in range(arity))
+        want = _error(lambda: mac_cost(S, T, K, H, W, method, ranks))
+        assert want == f"ranks must be integers, got {ranks}"
+        assert _error(lambda: SOLVERS[method](kernel, ranks)) == want
+    cost = mac_cost(S, T, K, H, W, method, tuple(np.int64(2) for _ in range(arity)))
+    assert cost.ranks == (2,) * arity
+    assert all(type(r) is int for r in cost.ranks)
+
+
 def test_tt_rank_beyond_what_the_ranks_before_leave_is_refused():
     """On a (6, 4, 3, 3) kernel r1 = 4 leaves r2 at most 12."""
     kernel = Kernel4D(np.random.default_rng(35).normal(size=(6, 4, 3, 3)))
