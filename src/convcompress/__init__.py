@@ -50,6 +50,7 @@ from .dataopt import (
     attach_current_outputs,
     data_svd,
     refined_kernel,
+    refined_layer,
     relu_asym,
     relu_z_step,
     sample_patches,

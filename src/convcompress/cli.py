@@ -178,17 +178,18 @@ def _cmd_dataopt(args) -> tuple[dict, cio.Container | None]:
     batch = cio.read_batch(cio.read_container(args.batch), "batch")
     h, w = _map_size(cont, args.layer)
     out = cio.Container()
+    # the kernel the layer replaces is stored beside it; only spatial-refine,
+    # which refits a stored layer, runs without one
+    if cont.has(args.layer) or args.mode != "spatial-refine":
+        kernel, _ = cio.read_kernel(cont, args.layer)
+        cio.add_kernel(out, args.layer, kernel, h=h, w=w)
     if args.mode == "spatial-refine":
         refined = dataopt.spatial_refine(cio.read_layer(cont, f"{args.layer}/decomposed"), batch)
         layer, residual = refined.wrapped, refined.residual
-        if cont.has(args.layer):
-            kernel, _ = cio.read_kernel(cont, args.layer)
-            cio.add_kernel(out, args.layer, kernel, h=h, w=w)
     else:
-        kernel, _ = cio.read_kernel(cont, args.layer)
         if args.rank is None:
             raise UsageError(f"--rank is required for mode {args.mode}")
-        # every mode but asym3d stores a weight SVD of the refined kernel
+        # every mode but asym3d stores the weight_svd layer of its fit
         stored = "asym3d" if args.mode == "asym3d" else "weight_svd"
         ranks = _parse_ranks(args.rank, stored, f"--mode {args.mode}")
         if args.mode == "asym3d":
@@ -205,8 +206,7 @@ def _cmd_dataopt(args) -> tuple[dict, cio.Container | None]:
                 fit = dataopt.asym_data_svd if args.mode == "asym" else dataopt.relu_asym
                 refined = fit(batch, kernel, r)
                 residual = refined.residual
-            # M W has rank <= r, so its rank-r weight SVD is exact
-            layer = decomp.weight_svd(dataopt.refined_kernel(refined), r)
+            layer = dataopt.refined_layer(refined)
     method = args.mode.replace("-", "_") if layer.method == "weight_svd" else layer.method
     cio.add_layer(out, f"{args.layer}/decomposed", layer)
     return {"mode": args.mode, "layer": args.layer, "residual": residual,

@@ -17,8 +17,9 @@ against the method tables: method, spatial order, rank arity, factor names
 and shapes.  Gate vectors are checked for kind, shape, sigma > 0 and
 ``lambda_reg``; patch batches for equal row counts (``shape_mismatch``);
 rank plans and rank-selection tables for the type of each metadata field
-and their payload shapes (``shape_mismatch``), and tables for the checks
-of :mod:`convcompress.rankselect` on their values (``bad_manifest``).
+(a number must be finite) and their payload shapes (``shape_mismatch``),
+plans for ranks that are integers >= 1, and tables for the checks of
+:mod:`convcompress.rankselect` on their values (``bad_manifest``).
 """
 
 from __future__ import annotations
@@ -69,11 +70,15 @@ def _int_field(meta: dict, key: str, where: str) -> int:
     return value
 
 
-def _number_field(meta: dict, key: str, where: str) -> float:
-    """``meta[key]`` (an int or a float) as a float, else ``bad_manifest``."""
-    value = meta.get(key)
-    if not (_is_int(value) or isinstance(value, float)):
-        raise ContainerError("bad_manifest", f"{where}: {key} must be a number, got {value!r}")
+def _number_field(meta: dict, key: str, where: str, default: float | None = None) -> float:
+    """``meta[key]`` (an int or a float, finite as a float) as a float, else
+    ``bad_manifest``; ``default`` for a missing key, if given."""
+    value = meta.get(key, default)
+    # a NaN fails the comparison; an int too large for a float exceeds the bound
+    if not (_is_int(value) or isinstance(value, float)) or not abs(value) <= sys.float_info.max:
+        raise ContainerError(
+            "bad_manifest", f"{where}: {key} must be a finite number, got {value!r}"
+        )
     return float(value)
 
 
@@ -367,10 +372,7 @@ def read_gates(container: Container, name: str) -> GateVector:
     kind = e.metadata.get("kind")
     if kind not in ("l0", "vib"):
         raise ContainerError("bad_manifest", f"gate vector {name!r} has unknown kind {kind!r}")
-    lam = e.metadata.get("lambda_reg", 0.0)
-    # a finite float, or an int that converts to one
-    if not (_is_int(lam) or isinstance(lam, float)) or not abs(lam) <= sys.float_info.max:
-        raise ContainerError("bad_manifest", f"gate vector {name!r}: bad lambda_reg {lam!r}")
+    lam = _number_field(e.metadata, "lambda_reg", f"gate vector {name!r}", default=0.0)
     n = payload.size if kind == "l0" else payload.size // 2
     if n == 0 or payload.shape != ((n,) if kind == "l0" else (n, 2)):
         want = "(n,)" if kind == "l0" else "(n, 2)"
@@ -384,7 +386,7 @@ def read_gates(container: Container, name: str) -> GateVector:
         if np.any(payload[:, 1] <= 0):
             raise ContainerError("bad_manifest", f"gate vector {name!r} has sigma <= 0")
         gate_list = [VibGate(mu=float(m), sigma=float(s)) for m, s in payload]
-    return GateVector(gates=gate_list, lambda_reg=float(lam))
+    return GateVector(gates=gate_list, lambda_reg=lam)
 
 
 def add_plan(container: Container, name: str, plan: RankPlan) -> None:
@@ -405,12 +407,17 @@ def add_plan(container: Container, name: str, plan: RankPlan) -> None:
 
 
 def read_plan(container: Container, name: str) -> RankPlan:
-    """Read a rank plan: ``bad_manifest`` for missing or ill-typed metadata,
-    or an ``arity`` that does not sum to the payload length."""
+    """Read a rank plan: ``bad_manifest`` for missing, ill-typed or
+    non-finite metadata, a rank that is not an integer >= 1, or an
+    ``arity`` that does not sum to the payload length."""
     e, payload = _lookup(container, name, "plan", (0,))
     where = f"plan {name!r}"
     arity = _ints(e.metadata.get("arity"), f"{where} arity", 1)
-    flat = [int(round(v)) for v in payload]
+    if not all(v >= 1 and v.is_integer() for v in payload):
+        raise ContainerError(
+            "bad_manifest", f"{where}: ranks must be ints >= 1, got {payload.tolist()}"
+        )
+    flat = [int(v) for v in payload]
     if sum(arity) != len(flat):
         raise ContainerError(
             "bad_manifest", f"{where}: arity {list(arity)} does not sum to {len(flat)} ranks"

@@ -14,13 +14,14 @@ The ``new_bias`` field of :class:`RefinedLayer` keeps the documented
 mean-correction convention ``z_mean - M @ y_mean`` (the two coincide in the
 symmetric case z = y); ``predict`` and all residuals use the centered form.
 
-The layer a fit returns (:func:`refined_kernel`, the :func:`asym3d` layer
-and the layer :func:`spatial_refine` wraps) is ``M W`` for the fitted
-layer's weights ``W`` and bias ``b``, with bias ``y_mean - M @ (z_mean - b)``:
-it maps patches ``x`` to ``predict(W x + b)``.  Its error on the fitting
-batch is therefore the fit's ``residual`` (after the ReLU for
-:func:`relu_asym`; the square root of the residual for :func:`data_svd`,
-whose responses are the layer's own).
+The layer a fit returns (:func:`refined_kernel`, its factored form
+:func:`refined_layer`, the :func:`asym3d` layer and the layer
+:func:`spatial_refine` wraps) is ``M W`` for the fitted layer's weights
+``W`` and bias ``b``, with bias ``y_mean - M @ (z_mean - b)``: it maps
+patches ``x`` to ``predict(W x + b)``.  Its error on the fitting batch is
+therefore the fit's ``residual`` (after the ReLU for :func:`relu_asym`; the
+square root of the residual for :func:`data_svd`, whose responses are the
+layer's own).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
-from .decomp import DecomposedLayer, _layer, reconstruct, spatial_svd, with_factors
+from .decomp import DecomposedLayer, _layer, _split, reconstruct, spatial_svd, with_factors
 from .kernel import Array, Kernel4D, check_ranks, feature_map
 
 DEFAULT_LAMBDA_SCHEDULE = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -225,13 +226,25 @@ def refined_kernel(layer: RefinedLayer) -> Kernel4D:
 def weight_factors(layer: RefinedLayer) -> tuple[Array, Array]:
     """Two-layer split (W1: 1x1 r->t, W2: k x k s->r) of a refined kernel.
 
-    Uses the rank-``r`` SVD of M: W1 = left factor (t, r), W2 = right
-    factor times the kernel matrix (r, s*k*k).
+    Uses the rank-``r`` split of M, ``U_r`` and ``S_r V_r^T``: W1 = U_r (t, r),
+    W2 = S_r V_r^T times the kernel matrix (r, s*k*k).
     """
     if not isinstance(layer.wrapped, Kernel4D):
         raise ValueError("refined layer does not wrap a dense kernel")
-    res = linalg.svd(layer.M, layer.rank)
-    return res.U, (res.S[:, None] * res.V.T) @ layer.wrapped.as_matrix()
+    u, rest = _split(layer.M, layer.rank)
+    return u, rest @ layer.wrapped.as_matrix()
+
+
+def refined_layer(layer: RefinedLayer) -> DecomposedLayer:
+    """The ``weight_svd`` layer of a refined layer wrapping a Kernel4D: the
+    :func:`weight_factors` split as w1 = S_r V_r^T W (k x k, s -> r) and
+    w2 = U_r^T (1x1, r -> t), with the bias of :func:`refined_kernel`.  It
+    reconstructs ``M W``; r must be within the ``weight_svd`` rank limit."""
+    u, right = weight_factors(layer)  # (t, r), (r, s*k*k)
+    k4, r = layer.wrapped, layer.rank
+    check_ranks("weight_svd", k4.s, k4.t, k4.k, (r,))
+    factors = (right.reshape(r, k4.s, k4.k, k4.k).transpose(2, 3, 1, 0), u.T)
+    return replace(_layer("weight_svd", k4, (r,), factors), bias=_returned_bias(layer))
 
 
 def asym_data_svd(
@@ -364,9 +377,9 @@ def asym3d(
     check_ranks("asym3d", kernel.s, kernel.t, kernel.k, (r_s, r_d))
     sp = spatial_svd(kernel, r_s, order="vh")
     res = asym_data_svd(attach_current_outputs(batch, reconstruct(sp)), sp, r_d, eps=eps)
-    cut = linalg.svd(res.M, r_d)  # M = U_d S_d V_d^T, U_d (t, r_d)
-    wh = np.einsum("dt,rxt->rxd", cut.S[:, None] * cut.V.T, sp.factors["wh"])
-    layer = _layer("asym3d", kernel, (r_s, r_d), (sp.factors["wv"], wh, cut.U.T),
+    u, rest = _split(res.M, r_d)  # M = U_d (S_d V_d^T), U_d (t, r_d)
+    wh = np.einsum("dt,rxt->rxd", rest, sp.factors["wh"])
+    layer = _layer("asym3d", kernel, (r_s, r_d), (sp.factors["wv"], wh, u.T),
                    method="asym3d", fit_residual=res.residual)
     return replace(layer, bias=_returned_bias(res))
 

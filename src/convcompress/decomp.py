@@ -63,7 +63,8 @@ import numpy as np
 
 from . import linalg
 from .kernel import (
-    Array, Kernel4D, check_ranks, conv, feature_map, matricize_spatial, matricize_weight,
+    Array, Kernel4D, _int_ranks, check_ranks, conv, feature_map, matricize_spatial,
+    matricize_weight,
 )
 
 
@@ -85,7 +86,7 @@ class DecomposedLayer:
     def __post_init__(self):
         if self.method not in LAYOUTS:
             raise ValueError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", _int_ranks(self.ranks))
         object.__setattr__(
             self, "factors", {k: np.asarray(v, dtype=np.float64) for k, v in self.factors.items()}
         )

@@ -291,14 +291,20 @@ def factor_shapes(
     return cost.shapes(s, t, k, *ranks)
 
 
-def check_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """``ranks`` as ints if ``method`` takes them on a (t, s, k, k) kernel: each
-    an integer (numpy integers pass), the arity of :func:`factor_shapes`, each
-    >= 1 and within its limit; else ``ValueError``."""
+def _int_ranks(ranks) -> tuple[int, ...]:
+    """``ranks`` as a tuple of ints if each is an integer (numpy integers pass,
+    a float never does); else ``ValueError``."""
     try:
-        ranks = tuple(operator.index(r) for r in ranks)
+        return tuple(operator.index(r) for r in ranks)
     except TypeError:
         raise ValueError(f"ranks must be integers, got {tuple(ranks)}") from None
+
+
+def check_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """``ranks`` as ints if ``method`` takes them on a (t, s, k, k) kernel: each
+    an integer (:func:`_int_ranks`), the arity of :func:`factor_shapes`, each
+    >= 1 and within its limit; else ``ValueError``."""
+    ranks = _int_ranks(ranks)
     factor_shapes(method, s, t, k, ranks)
     if any(r < 1 for r in ranks):
         raise ValueError(f"ranks must be >= 1, got {ranks}")
@@ -344,9 +350,10 @@ def max_ranks(method: str, s: int, t: int, k: int) -> tuple[int, ...]:
 def clamp_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """``ranks`` with each rank lowered, where needed, to the largest value the
     decomposition can use: :func:`max_ranks`, and for ``tt`` the chained
-    bounds its sequential unfoldings put on each bond given the bonds before."""
+    bounds its sequential unfoldings put on each bond given the bonds before.
+    Each rank must be an integer (:func:`_int_ranks`)."""
     cost = _method_cost(method)
-    ranks = tuple(min(int(r), top) for r, top in zip(ranks, max_ranks(method, s, t, k)))
+    ranks = tuple(min(r, top) for r, top in zip(_int_ranks(ranks), max_ranks(method, s, t, k)))
     return cost.chain(s, t, k, *ranks) if cost.chain else ranks
 
 

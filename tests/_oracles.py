@@ -4,11 +4,12 @@ Everything here is written from scratch against the mathematical
 definitions, deliberately *not* importing the production code paths it
 is used to check (plain loops, brute-force search, textbook formulas).
 The exceptions are ``solve_gram``, the ``*_reference_loop`` and
-``*_reference_fit`` functions, ``conv_shift_reference`` and
-``conv_flat_row_reference`` at the end: verbatim copies of earlier solvers,
-solver loops, data-optimized fits and two versions of the convolution
-primitive, kept to pin the current code to them bit for bit (the
-convolution to rounding against the shift-and-copy version).
+``*_reference_fit`` functions, ``weight_factors_reference``,
+``conv_shift_reference`` and ``conv_flat_row_reference`` at the end:
+verbatim copies of earlier solvers, solver loops, data-optimized fits and
+splits and two versions of the convolution primitive, kept to pin the
+current code to them bit for bit (the convolution to rounding against the
+shift-and-copy version).
 They call the same ``linalg`` and ``decomp`` primitives the copies called.
 """
 
@@ -582,6 +583,17 @@ def spatial_refine_reference_fit(layer, batch, eps=None):
         "z_mean": z_mean,
         second_name: new_second,
     }
+
+
+def weight_factors_reference(layer):
+    """``weight_factors`` with its own rank-r SVD of M: W1 = U_r (t, r) and
+    W2 = S_r V_r^T times the kernel matrix (r, s*k*k)."""
+    from convcompress.kernel import Kernel4D
+
+    if not isinstance(layer.wrapped, Kernel4D):
+        raise ValueError("refined layer does not wrap a dense kernel")
+    res = linalg.svd(layer.M, layer.rank)
+    return res.U, (res.S[:, None] * res.V.T) @ layer.wrapped.as_matrix()
 
 
 Array = np.ndarray

@@ -34,7 +34,15 @@ from convcompress.container import (
     read_layer,
     write_container,
 )
-from convcompress.dataopt import PatchBatch, data_svd, sample_patches
+from convcompress.dataopt import (
+    PatchBatch,
+    asym_data_svd,
+    attach_current_outputs,
+    data_svd,
+    refined_layer,
+    relu_asym,
+    sample_patches,
+)
 from convcompress.decomp import reconstruct, weight_svd
 from convcompress.gates import GateVector, HardConcreteGate
 from convcompress.kernel import Kernel4D, conv_direct, mac_cost, matricize_spatial
@@ -353,6 +361,93 @@ class TestDataoptStoredLayer:
         kernel, _ = read_kernel(read_container(tmp_path / "model"), "conv1")
         fitted = read_batch(read_container(tmp_path / "own"), "batch")
         assert rep["residual"] == math.sqrt(data_svd(kernel, fitted.ref_outputs, 3).residual)
+
+
+#: mode -> (library fit(kernel, batch with current outputs, r), batch of biased_dirs)
+WEIGHT_SVD_MODES = {
+    "data-svd": (lambda kernel, batch, r: data_svd(kernel, batch.ref_outputs, r), "own"),
+    "asym": (lambda kernel, batch, r: asym_data_svd(batch, kernel, r), "prefixed"),
+    "relu-asym": (lambda kernel, batch, r: relu_asym(batch, kernel, r), "prefixed"),
+}
+
+
+class TestWhatDataoptStores:
+    """``dataopt`` writes the kernel it read, with its map size, beside the
+    layer it found; the weight-SVD modes store the library fit's own split."""
+
+    @pytest.mark.parametrize("mode", sorted(WEIGHT_SVD_MODES))
+    def test_weight_svd_modes_store_the_refined_layer(self, capsys, biased_dirs, mode):
+        tmp_path = biased_dirs
+        fit, batch = WEIGHT_SVD_MODES[mode]
+        code, _, _ = run(capsys, "dataopt", tmp_path / "model", "--layer", "conv1", "--mode", mode,
+                         "--batch", tmp_path / batch, "--rank", "3", "--out", tmp_path / "d")
+        assert code == 0
+        stored = read_layer(read_container(tmp_path / "d"), "conv1/decomposed")
+        kernel, _ = read_kernel(read_container(tmp_path / "model"), "conv1")
+        fitted = attach_current_outputs(read_batch(read_container(tmp_path / batch), "batch"),
+                                        kernel)
+        want = refined_layer(fit(kernel, fitted, 3))
+        assert list(stored.factors) == ["w1", "w2"]
+        for name in ("w1", "w2"):
+            assert np.array_equal(stored.factors[name],
+                                  want.factors[name].astype(np.float32).astype(np.float64)), name
+        assert np.array_equal(stored.bias, want.bias.astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "mode,rank,batch",
+        [("data-svd", "3", "own"), ("asym", "3", "prefixed"), ("relu-asym", "3", "prefixed"),
+         ("asym3d", "5,4", "prefixed"), ("spatial-refine", None, "prefixed")],
+    )
+    def test_every_mode_stores_the_kernel(self, capsys, biased_dirs, mode, rank, batch):
+        """So ``report`` prices the layer on the 8 x 8 map, as ``dataopt``
+        did, and ``reconstruct`` gives a ``recon_error``."""
+        tmp_path = biased_dirs
+        model = tmp_path / "model"
+        if mode == "spatial-refine":
+            assert run(capsys, "compress", model, "--layer", "conv1", "--method", "spatial-svd",
+                       "--rank", "5", "--out", tmp_path / "sp")[0] == 0
+            model = tmp_path / "sp"
+        argv = ["dataopt", model, "--layer", "conv1", "--mode", mode,
+                "--batch", tmp_path / batch, "--out", tmp_path / "d"]
+        code, rep, _ = run(capsys, *argv, *(["--rank", rank] if rank else []))
+        assert code == 0
+        kernel, kmeta = read_kernel(read_container(tmp_path / "d"), "conv1")
+        original, _ = read_kernel(read_container(tmp_path / "model"), "conv1")
+        assert (kmeta["h"], kmeta["w"]) == (8, 8)
+        assert np.array_equal(kernel.data, original.data)
+        assert np.array_equal(kernel.bias, original.bias)
+        code, listed, _ = run(capsys, "report", tmp_path / "d")
+        assert code == 0
+        (item,) = [e for e in listed["entries"] if e["name"] == "conv1/decomposed"]
+        assert (item["macs_before"], item["macs_after"]) == (rep["macs_before"], rep["macs_after"])
+        code, dense, _ = run(capsys, "reconstruct", tmp_path / "d", "--layer", "conv1",
+                             "--out", tmp_path / "r")
+        assert code == 0
+        assert math.isfinite(dense["recon_error"])
+
+    @pytest.mark.parametrize("mode", sorted(WEIGHT_SVD_MODES))
+    def test_rank_beyond_the_weight_svd_limit(self, capsys, tmp_path, mode):
+        """On a biased 6x1x1x1 kernel r = 3 exceeds s*k*k = 1: exit 1 with the
+        cost table's message, and no ``--out``."""
+        rng = np.random.default_rng(18)
+        kernel = Kernel4D(rng.normal(size=(6, 1, 1, 1)), bias=rng.normal(size=6))
+        c = Container()
+        add_kernel(c, "conv1", kernel, h=4, w=4)
+        write_container(c, tmp_path / "model")
+        x = rng.normal(size=(50, 1))
+        c = Container()
+        add_batch(c, "batch", PatchBatch(inputs=x, ref_outputs=x @ kernel.as_matrix().T
+                                         + kernel.bias + 0.1 * rng.normal(size=(50, 6))))
+        write_container(c, tmp_path / "batch")
+        code, out, err = run(capsys, "dataopt", tmp_path / "model", "--layer", "conv1",
+                             "--mode", mode, "--batch", tmp_path / "batch", "--rank", "3",
+                             "--out", tmp_path / "o")
+        with pytest.raises(ValueError) as want:
+            mac_cost(1, 6, 1, 1, 1, "weight_svd", (3,))
+        assert str(want.value) == "weight_svd rank r=3 exceeds 1 at (s, t, k)=(1, 6, 1)"
+        assert code == 1 and out is None
+        assert json.loads(err)["error"] == str(want.value)
+        assert not (tmp_path / "o").exists()
 
 
 class TestPatchWidth:
@@ -857,3 +952,42 @@ def test_every_handler_fails_only_with_a_coded_error(fuzz_dirs, command, data):
         else:
             json.dumps(report)
             assert (container is None) == (command == "report"), argv
+
+
+def _stored_layers(cont):
+    """Names of the decomposed layers a container holds."""
+    return sorted({e.name.rsplit("/", 1)[0] for e in cont.entries
+                   if e.kind == "factor" and e.metadata.get("role") != "bias"})
+
+
+@pytest.mark.parametrize("command", ["compress", "dataopt", "prune", "reconstruct"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_written_containers_read_back_priced_by_the_cost_model(fuzz_dirs, command, data):
+    """Whenever a handler succeeds, its container reads back with the same
+    entries, and ``mac_cost`` prices every stored layer at its ranks on the
+    map of the kernel stored beside it (1 x 1 without one) as ``layer.macs``."""
+    dirs = {name: fuzz_dirs / name for name in ("model", "spatial", "batch", "tables")}
+    argv = [a.format(**dirs) for a in _flatten(data.draw(ARGVS[command]))]
+    args = cli._build_parser().parse_args([command, *argv, "--out", "unused"])
+    try:
+        _, written = cli._HANDLERS[command](args)
+    except (cli.UsageError, ContainerError, ValueError):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        write_container(written, tmp)
+        back = read_container(tmp)
+    assert [e.name for e in back.entries] == [e.name for e in written.entries], argv
+    for e in back.entries:
+        assert e.metadata == written.entry(e.name).metadata, (argv, e.name)
+        assert np.array_equal(back.get(e.name), written.get(e.name)), (argv, e.name)
+    for name in _stored_layers(back):
+        layer = read_layer(back, name)
+        base = name.rsplit("/", 1)[0]
+        h, w = (1, 1)
+        if back.has(base):
+            kmeta = read_kernel(back, base)[1]
+            h, w = kmeta["h"], kmeta["w"]
+        cost = mac_cost(layer.s, layer.t, layer.k, h, w, layer.method, layer.ranks)
+        assert cost.macs_compressed == layer.macs(h, w), (argv, name)

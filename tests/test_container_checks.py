@@ -242,6 +242,12 @@ class TestGateVectors:
             read_gates(read_container(tmp_path / "g"), "gates")
         assert err.value.code == code
 
+    def test_missing_lambda_reads_as_zero(self, tmp_path):
+        c = Container()
+        c.add("gates", "gates", np.array([0.5]), metadata={"kind": "l0"})
+        write_container(c, tmp_path / "g")
+        assert read_gates(read_container(tmp_path / "g"), "gates").lambda_reg == 0.0
+
     def test_zero_dim_payload(self, tmp_path):
         c = Container()
         c.add("gates", "gates", np.array([0.5]), metadata=self.L0)
@@ -321,10 +327,12 @@ class TestRankTables:
         [("arity", None), ("arity", 3), ("arity", [1, "2"]), ("arity", [1, 0, 2]),
          ("arity", [1, 1]), ("arity", [2, 2]), ("tau", None), ("tau", "0.05"),
          ("achieved_macs", None), ("achieved_macs", 1200.5), ("achieved_ratio", None),
-         ("achieved_ratio", [0.4]), ("strategy", None), ("strategy", 7)],
+         ("achieved_ratio", [0.4]), ("strategy", None), ("strategy", 7), ("tau", NAN),
+         ("achieved_ratio", float("inf"))],
         ids=["arity-missing", "arity-int", "arity-string", "arity-zero", "arity-short",
              "arity-long", "tau-missing", "tau-string", "macs-missing", "macs-float",
-             "ratio-missing", "ratio-list", "strategy-missing", "strategy-int"],
+             "ratio-missing", "ratio-list", "strategy-missing", "strategy-int", "tau-nan",
+             "ratio-inf"],
     )
     def test_bad_plan(self, tmp_path, key, value):
         def edit(meta):
@@ -389,6 +397,19 @@ class TestTablePayloads:
     )
     def test_valid_table_payload(self, tmp_path, table, payload):
         assert self._rank_select(tmp_path / "t", table, payload, tmp_path / "o")[0] == 0
+
+    @pytest.mark.parametrize("payload", [[2.6, 3], [0, 3], [-2, 3]],
+                             ids=["fraction", "zero", "negative"])
+    def test_plan_rank_that_is_not_an_integer_of_one_or_more(self, tmp_path, payload):
+        """Such a rank is refused, not rounded or passed on."""
+        c = Container()
+        c.add("plan", "plan", np.array(payload, dtype=np.float64),
+              {"role": "rank-plan", "arity": [1, 1], "tau": 0.0, "achieved_macs": 10,
+               "achieved_ratio": 0.5, "strategy": "equal_acc"})
+        write_container(c, tmp_path / "p")
+        with pytest.raises(ContainerError) as err:
+            read_plan(read_container(tmp_path / "p"), "plan")
+        assert err.value.code == "bad_manifest"
 
     def test_plan_payload_that_is_not_a_vector(self, tmp_path):
         c = Container()

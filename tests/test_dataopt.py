@@ -11,6 +11,7 @@ from convcompress.dataopt import (
     attach_current_outputs,
     data_svd,
     refined_kernel,
+    refined_layer,
     relu_asym,
     relu_z_step,
     sample_patches,
@@ -18,7 +19,7 @@ from convcompress.dataopt import (
     weight_factors,
 )
 from convcompress.decomp import decomposed_forward, reconstruct, spatial_svd
-from convcompress.kernel import Kernel4D, conv_direct
+from convcompress.kernel import Kernel4D, conv_direct, mac_cost
 from convcompress.linalg import eig_sym, ridge_solve
 
 from _oracles import (
@@ -27,6 +28,7 @@ from _oracles import (
     relu_asym_reference_loop,
     relu_zstep_grid,
     spatial_refine_reference_fit,
+    weight_factors_reference,
 )
 
 
@@ -532,6 +534,62 @@ class TestReturnedLayerBias:
         res = spatial_refine(spatial_svd(kernel, 5), batch)
         err = layer_error(reconstruct(res.wrapped), batch)
         assert err == pytest.approx(res.residual, rel=1e-9)
+
+
+#: fit name -> fit(kernel, batch with current outputs, r) of a RefinedLayer wrapping kernel
+WEIGHT_SVD_FITS = {
+    "data_svd": lambda kernel, batch, r: data_svd(kernel, batch.cur_outputs, r),
+    "asym": lambda kernel, batch, r: asym_data_svd(batch, kernel, r),
+    "relu_asym": lambda kernel, batch, r: relu_asym(batch, kernel, r),
+}
+
+
+class TestRefinedLayer:
+    """A refit of a kernel is stored as the weight_svd layer of its own
+    rank-r split of M: the split ``weight_factors`` has always taken, which
+    reconstructs ``refined_kernel`` with its bias."""
+
+    SHAPES = [(6, 4, 3, 400, 3), (16, 8, 3, 200, 8), (8, 6, 1, 300, 5), (5, 4, 3, 300, 5)]
+
+    @staticmethod
+    def _fit(name, t, s, k, n, r):
+        kernel, batch = make_biased_setup(100 + t, t=t, s=s, k=k, n=n)
+        return WEIGHT_SVD_FITS[name](kernel, attach_current_outputs(batch, kernel), r)
+
+    @pytest.mark.parametrize("t,s,k,n,r", SHAPES)
+    @pytest.mark.parametrize("name", sorted(WEIGHT_SVD_FITS))
+    def test_weight_factors_equals_reference(self, name, t, s, k, n, r):
+        res = self._fit(name, t, s, k, n, r)
+        for got, want in zip(weight_factors(res), weight_factors_reference(res), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("t,s,k,n,r", SHAPES)
+    @pytest.mark.parametrize("name", sorted(WEIGHT_SVD_FITS))
+    def test_reconstructs_refined_kernel(self, name, t, s, k, n, r):
+        res = self._fit(name, t, s, k, n, r)
+        layer = refined_layer(res)
+        dense = refined_kernel(res)
+        assert (layer.method, layer.ranks, layer.source_dims) == ("weight_svd", (r,), (t, s, k))
+        assert layer.factors["w1"].shape == (k, k, s, r) and layer.factors["w2"].shape == (r, t)
+        scale = np.abs(dense.data).max()
+        assert_allclose(reconstruct(layer).data, dense.data, rtol=0, atol=1e-13 * scale)
+        assert np.array_equal(layer.bias, dense.bias)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHT_SVD_FITS))
+    def test_rank_beyond_the_weight_svd_limit(self, name):
+        """On a 6x1x1x1 kernel r = 3 exceeds s*k*k = 1: the cost table's message."""
+        res = self._fit(name, 6, 1, 1, 200, 3)
+        with pytest.raises(ValueError) as err:
+            refined_layer(res)
+        with pytest.raises(ValueError) as want:
+            mac_cost(1, 6, 1, 1, 1, "weight_svd", (3,))
+        assert str(err.value) == str(want.value)
+
+    def test_needs_a_dense_kernel(self):
+        kernel, batch = make_biased_setup(104)
+        res = spatial_refine(spatial_svd(kernel, 5), batch)
+        with pytest.raises(ValueError, match="does not wrap a dense kernel"):
+            refined_layer(res)
 
 
 class TestDataPathsPinned:

@@ -17,6 +17,7 @@ from convcompress.kernel import (
     METHOD_COSTS,
     METHOD_RANK_ARITY,
     Kernel4D,
+    clamp_ranks,
     conv_direct,
     factor_shapes,
     mac_cost,
@@ -162,6 +163,19 @@ def test_non_integer_rank_is_refused_not_truncated(kernel, method):
     cost = mac_cost(S, T, K, H, W, method, tuple(np.int64(2) for _ in range(arity)))
     assert cost.ranks == (2,) * arity
     assert all(type(r) is int for r in cost.ranks)
+
+
+def test_clamp_ranks_and_layer_ranks_refuse_a_float_rank():
+    """``clamp_ranks`` and ``DecomposedLayer`` take ranks by the rule of
+    ``check_ranks``: a float is refused, not truncated to 2; Python and numpy
+    integers pass as ints."""
+    want = "ranks must be integers, got (2.9,)"
+    assert _error(lambda: clamp_ranks("cp", 4, 6, 3, (2.9,))) == want
+    assert _error(lambda: DecomposedLayer("cp", {}, (2.9,), (6, 4, 3))) == want
+    for r in (2, np.int64(2), np.int32(2)):
+        assert clamp_ranks("cp", 4, 6, 3, (r,)) == (2,)
+        ranks = DecomposedLayer("cp", {}, (r,), (6, 4, 3)).ranks
+        assert ranks == (2,) and type(ranks[0]) is int
 
 
 def test_tt_rank_beyond_what_the_ranks_before_leave_is_refused():
