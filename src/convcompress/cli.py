@@ -140,12 +140,14 @@ def _macs(before: int, after: int) -> dict:
 
 def _layer_report(layer: decomp.DecomposedLayer, h: int, w: int) -> dict:
     orig = mac_cost(layer.s, layer.t, layer.k, h, w, "original")
+    diagnostics = {key: layer.meta[key] for key in cio.DIAGNOSTICS if key in layer.meta}
     return {
         "method": layer.method,
         "ranks": list(layer.ranks),
         **_macs(orig.macs_original, layer.macs(h, w)),
         "params_before": orig.params_original,
         "params_after": layer.param_count(),
+        **({"diagnostics": diagnostics} if diagnostics else {}),
     }
 
 

@@ -14,12 +14,15 @@ with ``bad_manifest`` on an entry of another kind than it reads: ``kernel``
 ``patchbatch`` (``read_batch``), ``gates`` (``read_gates``) or ``plan``
 (``read_plan`` and the table readers).  Decomposed layers are checked
 against the method tables: method, spatial order, rank arity, factor names
-and shapes.  Gate vectors are checked for kind, shape, sigma > 0 and
+and shapes, and their sweep diagnostics (:data:`DIAGNOSTICS`), if stored,
+for type.  Gate vectors are checked for kind, shape, sigma > 0 and
 ``lambda_reg``; patch batches for equal row counts (``shape_mismatch``);
 rank plans and rank-selection tables for the type of each metadata field
 (a number must be finite) and their payload shapes (``shape_mismatch``),
-plans for ranks that are integers >= 1, and tables for the checks of
-:mod:`convcompress.rankselect` on their values (``bad_manifest``).
+plans and accuracy tables for ranks that are integers >= 1 (never
+rounded), accuracy tables for a rank vector listed twice, and tables for
+the checks of :mod:`convcompress.rankselect` on their values
+(``bad_manifest``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from .rankselect import AccTable, GridCosts, RankPlan, check_acc_table, check_sv
 
 KINDS = ("kernel", "factor", "patchbatch", "gates", "plan")
 
+#: The sweep diagnostics of ``cp_als`` and ``tucker_hooi`` that a layer
+#: entry stores beside ``order``.
+DIAGNOSTICS = ("iterations", "rel_error", "converged")
+
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "blob.bin"
 
@@ -60,6 +67,15 @@ def _ints(value, what: str, minimum: int) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(_is_int(v) and v >= minimum for v in value):
         raise ContainerError("bad_manifest", f"{what} must list ints >= {minimum}, got {value!r}")
     return tuple(value)
+
+
+def _stored_ranks(payload: Array, where: str) -> tuple[int, ...]:
+    """The ranks stored in ``payload`` as ints; ``bad_manifest`` unless each
+    is an integer >= 1 (a stored rank is never rounded)."""
+    values = payload.tolist()
+    if not all(v >= 1 and v.is_integer() for v in values):
+        raise ContainerError("bad_manifest", f"{where}: ranks must be ints >= 1, got {values}")
+    return tuple(int(v) for v in values)
 
 
 def _int_field(meta: dict, key: str, where: str) -> int:
@@ -269,8 +285,7 @@ def add_layer(container: Container, name: str, layer: DecomposedLayer) -> None:
         "ranks": list(layer.ranks),
         "source_dims": list(layer.source_dims),
     }
-    if "order" in layer.meta:
-        meta["order"] = layer.meta["order"]
+    meta.update({key: layer.meta[key] for key in ("order", *DIAGNOSTICS) if key in layer.meta})
     for idx, (fname, arr) in enumerate(layer.factors.items()):
         container.add(
             f"{name}/{fname}", "factor", arr, metadata={**meta, "factor": fname, "position": idx}
@@ -284,6 +299,9 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
     tables: ``bad_manifest`` for an unknown method or order, a wrong rank
     arity, factors that disagree on the layer metadata or the wrong factor
     names; ``shape_mismatch`` for factor or bias shapes the ranks do not give.
+    The layer's meta holds its order and the :data:`DIAGNOSTICS` stored, all
+    three or none: ``iterations`` an int >= 1, ``rel_error`` a finite number
+    and ``converged`` a bool, else ``bad_manifest``.
     """
     prefix = f"{name}/"
     picked = [
@@ -293,10 +311,18 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
     ]
     if not picked:
         raise ContainerError("missing", f"no factor entries under {name!r}")
-    keys = ("method", "ranks", "source_dims", "order")
+    keys = ("method", "ranks", "source_dims", "order", *DIAGNOSTICS)
     meta = {key: picked[0].metadata.get(key) for key in keys}
     if any({key: e.metadata.get(key) for key in keys} != meta for e in picked):
         raise ContainerError("bad_manifest", f"factors of {name!r} disagree on {keys}")
+    diagnostics = {key: meta[key] for key in DIAGNOSTICS if key in picked[0].metadata}
+    if diagnostics:
+        iters, converged = meta["iterations"], meta["converged"]
+        complete = len(diagnostics) == len(DIAGNOSTICS)
+        if not (complete and _is_int(iters) and iters >= 1 and type(converged) is bool):
+            raise ContainerError("bad_manifest", f"{name!r}: iterations, rel_error, converged "
+                                 f"must be an int >= 1, a number and a bool, got {diagnostics}")
+        diagnostics["rel_error"] = _number_field(meta, "rel_error", repr(name))
     method, order = meta["method"], meta["order"]
     orders = LAYOUTS.get(method, {}) if isinstance(method, str) else {}
     if not isinstance(order, (str, type(None))) or order not in orders:
@@ -333,7 +359,7 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
         ranks=ranks,
         source_dims=dims,
         bias=bias,
-        meta={} if order is None else {"order": order},
+        meta={**({} if order is None else {"order": order}), **diagnostics},
     )
 
 
@@ -413,11 +439,7 @@ def read_plan(container: Container, name: str) -> RankPlan:
     e, payload = _lookup(container, name, "plan", (0,))
     where = f"plan {name!r}"
     arity = _ints(e.metadata.get("arity"), f"{where} arity", 1)
-    if not all(v >= 1 and v.is_integer() for v in payload):
-        raise ContainerError(
-            "bad_manifest", f"{where}: ranks must be ints >= 1, got {payload.tolist()}"
-        )
-    flat = [int(v) for v in payload]
+    flat = _stored_ranks(payload, where)
     if sum(arity) != len(flat):
         raise ContainerError(
             "bad_manifest", f"{where}: arity {list(arity)} does not sum to {len(flat)} ranks"
@@ -496,10 +518,11 @@ def _read_tables(
 
 def read_acc_tables(container: Container, name: str) -> tuple[list[AccTable], list[GridCosts]]:
     def build(e: Entry, payload: Array, cost: GridCosts) -> AccTable:
-        accs = {}
-        for row in payload:
-            accs[tuple(int(round(v)) for v in row[:-1])] = float(row[-1])
-        p_orig = _number_field(e.metadata, "p_orig", f"table {e.name!r}")
+        where = f"table {e.name!r}"
+        accs = {_stored_ranks(row[:-1], where): float(row[-1]) for row in payload}
+        if len(accs) < len(payload):
+            raise ContainerError("bad_manifest", f"{where}: a rank vector is listed twice")
+        p_orig = _number_field(e.metadata, "p_orig", where)
         return check_acc_table(AccTable(accuracies=accs, p_orig=p_orig), cost)
 
     return _read_tables(container, name, "accuracy", (1, 2), build)

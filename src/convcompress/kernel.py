@@ -292,12 +292,16 @@ def factor_shapes(
 
 
 def _int_ranks(ranks) -> tuple[int, ...]:
-    """``ranks`` as a tuple of ints if each is an integer (numpy integers pass,
-    a float never does); else ``ValueError``."""
+    """``ranks`` as a tuple of ints if it is a sequence and each is an integer
+    (numpy integers pass, a float never does); else ``ValueError``."""
+    try:
+        ranks = tuple(ranks)
+    except TypeError:
+        raise ValueError(f"ranks must be a sequence of integers, got {ranks!r}") from None
     try:
         return tuple(operator.index(r) for r in ranks)
     except TypeError:
-        raise ValueError(f"ranks must be integers, got {tuple(ranks)}") from None
+        raise ValueError(f"ranks must be integers, got {ranks}") from None
 
 
 def check_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,7 +11,8 @@ retained fraction ``alpha`` (compressed MACs / original MACs <= alpha):
 
 :func:`ranks_from_ratio` converts a per-layer retained fraction directly
 into ranks by proportionally scaling the maximal ranks (capped by tt's
-chained bond bounds).
+chained bond bounds).  Both searches are :mod:`bisect` calls.  Grid ranks
+and MACs are integers: a float is refused, never truncated.
 
 A caution on inputs: verification accuracies measured on a compressed
 model *before* any fine-tuning are known to be a poor predictor of its
@@ -22,12 +23,14 @@ budget allocations, not accuracy guarantees for a retrained model.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import clamp_ranks, mac_cost, max_ranks
+from .kernel import _int_ranks, clamp_ranks, mac_cost, max_ranks
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,7 @@ class AccTable:
 
     def __post_init__(self):
         object.__setattr__(
-            self,
-            "accuracies",
-            {tuple(int(x) for x in k): float(v) for k, v in self.accuracies.items()},
+            self, "accuracies", {_int_ranks(k): float(v) for k, v in self.accuracies.items()}
         )
         if not self.accuracies:
             raise ValueError("accuracy table is empty")
@@ -54,15 +55,17 @@ class AccTable:
 
 @dataclass(frozen=True)
 class GridCosts:
-    """MACs of each grid option of one layer plus the uncompressed MACs."""
+    """MACs of each grid option of one layer plus the uncompressed MACs; a
+    rank that is not an integer is a ``ValueError``, a MAC count a ``TypeError``."""
 
     macs: dict[tuple[int, ...], int]
     macs_original: int
 
     def __post_init__(self):
         object.__setattr__(
-            self, "macs", {tuple(int(x) for x in k): int(v) for k, v in self.macs.items()}
+            self, "macs", {_int_ranks(k): operator.index(v) for k, v in self.macs.items()}
         )
+        object.__setattr__(self, "macs_original", operator.index(self.macs_original))
         if self.macs_original <= 0:
             raise ValueError("original MACs must be positive")
 
@@ -113,8 +116,9 @@ def ranks_from_ratio(method: str, s: int, t: int, k: int, alpha: float) -> tuple
     fits (R one of them, 1 <= j <= R): each becomes ``j * R_i // R`` in
     integers, floored at 1.  tt then caps each bond by the bound the bonds
     before it leave (:func:`~convcompress.kernel.clamp_ranks`), so that no
-    bond of :func:`~convcompress.decomp.tt_svd` is zero padding.  Feature-map
-    dims cancel in the ratio.
+    bond of :func:`~convcompress.decomp.tt_svd` is zero padding.  MACs never
+    fall as j / R grows, so :func:`bisect.bisect_right` over the distinct
+    factors finds the largest that fits.  Feature-map dims cancel in the ratio.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -133,17 +137,8 @@ def ranks_from_ratio(method: str, s: int, t: int, k: int, alpha: float) -> tuple
     # one (j, R) per distinct factor j / R, in increasing order
     factors = {j / rm: (j, rm) for rm in full for j in range(1, rm + 1)}
     thetas = [factors[f] for f in sorted(factors)]
-    lo, hi = 0, len(thetas) - 1
-    best = scaled(0, 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        cand = scaled(*thetas[mid])
-        if macs_of(cand) <= budget:
-            best = cand
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+    i = bisect.bisect_right(thetas, budget, key=lambda jr: macs_of(scaled(*jr)))
+    return scaled(*thetas[i - 1]) if i else scaled(0, 1)
 
 
 def equal_acc_select(
@@ -152,9 +147,11 @@ def equal_acc_select(
     """Minimize the worst per-layer accuracy drop under the MAC budget.
 
     For a candidate tolerance tau each layer independently takes its
-    cheapest grid option whose accuracy stays within tau of the original;
-    tau is bisected over the finite set of observed accuracy gaps.  Ties in
-    a layer's cheapest option break toward higher accuracy, then grid order.
+    cheapest grid option whose accuracy stays within tau of the original.  A
+    larger tau only admits more options, so feasibility is monotone in tau,
+    and :func:`bisect.bisect_left` finds the smallest feasible tau among the
+    observed accuracy gaps.  Ties in a layer's cheapest option break toward
+    higher accuracy, then grid order.
     """
     if not tables:
         raise ValueError("no accuracy tables")
@@ -197,22 +194,13 @@ def equal_acc_select(
         return tuple(choices), total
 
     gaps = sorted({p_orig - acc for tab in tables for acc in tab.accuracies.values()})
-    if plan_at(gaps[-1]) is None:
+    i = bisect.bisect_left(gaps, True, key=lambda tau: plan_at(tau) is not None)
+    if i == len(gaps):
         raise ValueError(f"budget alpha={alpha} infeasible even at maximal tolerance")
-    lo, hi = 0, len(gaps) - 1
-    best_tau, best_plan = gaps[-1], plan_at(gaps[-1])
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        got = plan_at(gaps[mid])
-        if got is not None:
-            best_tau, best_plan = gaps[mid], got
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    ranks, total = best_plan
+    ranks, total = plan_at(gaps[i])
     return RankPlan(
         ranks=ranks,
-        tau=best_tau,
+        tau=gaps[i],
         achieved_macs=total,
         achieved_ratio=total / c_orig,
         strategy="equal_acc",

@@ -5,12 +5,14 @@ definitions, deliberately *not* importing the production code paths it
 is used to check (plain loops, brute-force search, textbook formulas).
 The exceptions are ``solve_gram``, the ``*_reference_loop`` and
 ``*_reference_fit`` functions, ``weight_factors_reference``,
-``conv_shift_reference`` and ``conv_flat_row_reference`` at the end:
-verbatim copies of earlier solvers, solver loops, data-optimized fits and
-splits and two versions of the convolution primitive, kept to pin the
-current code to them bit for bit (the convolution to rounding against the
-shift-and-copy version).
-They call the same ``linalg`` and ``decomp`` primitives the copies called.
+``conv_shift_reference``, ``conv_flat_row_reference``,
+``ranks_from_ratio_reference`` and ``equal_acc_select_reference`` at the
+end: verbatim copies of earlier solvers, solver loops, data-optimized fits
+and splits, two versions of the convolution primitive and the hand-written
+bisections of the rank searches, kept to pin the current code to them bit
+for bit (the convolution to rounding against the shift-and-copy version).
+They call the same ``linalg``, ``decomp``, ``kernel`` and ``rankselect``
+primitives the copies called.
 """
 
 from __future__ import annotations
@@ -668,3 +670,123 @@ def conv_flat_row_reference(w: Array, x: Array) -> Array:
     for term in terms:
         out += term
     return np.ascontiguousarray(out.reshape(c_out, h, wp)[:, :, :wd])
+
+
+def ranks_from_ratio_reference(
+    method: str, s: int, t: int, k: int, alpha: float
+) -> tuple[int, ...]:
+    """Largest rank vector whose MACs stay within ``alpha`` of the original.
+
+    The maximal ranks R_i are scaled by the largest common factor j / R that
+    fits (R one of them, 1 <= j <= R): each becomes ``j * R_i // R`` in
+    integers, floored at 1.  tt then caps each bond by the bound the bonds
+    before it leave (:func:`~convcompress.kernel.clamp_ranks`), so that no
+    bond of :func:`~convcompress.decomp.tt_svd` is zero padding.  Feature-map
+    dims cancel in the ratio.
+    """
+    from convcompress.kernel import clamp_ranks, mac_cost, max_ranks
+
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    full = max_ranks(method, s, t, k)
+    budget = alpha * mac_cost(s, t, k, 1, 1, "original").macs_original
+
+    def macs_of(ranks: tuple[int, ...]) -> int:
+        return mac_cost(s, t, k, 1, 1, method, ranks).macs_compressed
+
+    def scaled(j: int, rm: int) -> tuple[int, ...]:
+        want = tuple(max(1, j * r // rm) for r in full)
+        return clamp_ranks(method, s, t, k, want)
+
+    if macs_of(scaled(0, 1)) > budget:
+        raise ValueError(f"budget alpha={alpha} infeasible even at all-ones ranks for {method}")
+    # one (j, R) per distinct factor j / R, in increasing order
+    factors = {j / rm: (j, rm) for rm in full for j in range(1, rm + 1)}
+    thetas = [factors[f] for f in sorted(factors)]
+    lo, hi = 0, len(thetas) - 1
+    best = scaled(0, 1)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        cand = scaled(*thetas[mid])
+        if macs_of(cand) <= budget:
+            best = cand
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return best
+
+
+def equal_acc_select_reference(
+    tables: list[AccTable], costs: list[GridCosts], alpha: float
+) -> RankPlan:
+    """Minimize the worst per-layer accuracy drop under the MAC budget.
+
+    For a candidate tolerance tau each layer independently takes its
+    cheapest grid option whose accuracy stays within tau of the original;
+    tau is bisected over the finite set of observed accuracy gaps.  Ties in
+    a layer's cheapest option break toward higher accuracy, then grid order.
+    """
+    from convcompress.rankselect import RankPlan, check_acc_table
+
+    if not tables:
+        raise ValueError("no accuracy tables")
+    if len(tables) != len(costs):
+        raise ValueError(f"{len(tables)} tables vs {len(costs)} cost grids")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    p_orig = tables[0].p_orig
+    for tab in tables[1:]:
+        if abs(tab.p_orig - p_orig) > 1e-12:
+            raise ValueError("tables disagree on the original accuracy")
+    for tab, cost in zip(tables, costs):
+        check_acc_table(tab, cost)
+
+    c_orig = sum(c.macs_original for c in costs)
+    budget = alpha * c_orig
+
+    def layer_choice(layer: int, tau: float):
+        """Cheapest admissible option, or None."""
+        best = None
+        for idx, (ranks, acc) in enumerate(tables[layer].accuracies.items()):
+            if acc < p_orig - tau - 1e-15:
+                continue
+            key = (costs[layer].macs[ranks], -acc, idx)
+            if best is None or key < best[0]:
+                best = (key, ranks)
+        return best
+
+    def plan_at(tau: float):
+        choices = []
+        total = 0
+        for layer in range(len(tables)):
+            got = layer_choice(layer, tau)
+            if got is None:
+                return None
+            choices.append(got[1])
+            total += got[0][0]
+        if total > budget:
+            return None
+        return tuple(choices), total
+
+    gaps = sorted({p_orig - acc for tab in tables for acc in tab.accuracies.values()})
+    if plan_at(gaps[-1]) is None:
+        raise ValueError(f"budget alpha={alpha} infeasible even at maximal tolerance")
+    lo, hi = 0, len(gaps) - 1
+    best_tau, best_plan = gaps[-1], plan_at(gaps[-1])
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        got = plan_at(gaps[mid])
+        if got is not None:
+            best_tau, best_plan = gaps[mid], got
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    ranks, total = best_plan
+    return RankPlan(
+        ranks=ranks,
+        tau=best_tau,
+        achieved_macs=total,
+        achieved_ratio=total / c_orig,
+        strategy="equal_acc",
+        meta={"p_orig": p_orig, "alpha": alpha},
+    )

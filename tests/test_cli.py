@@ -43,7 +43,7 @@ from convcompress.dataopt import (
     relu_asym,
     sample_patches,
 )
-from convcompress.decomp import reconstruct, weight_svd
+from convcompress.decomp import cp_als, reconstruct, tucker_hooi, weight_svd
 from convcompress.gates import GateVector, HardConcreteGate
 from convcompress.kernel import Kernel4D, conv_direct, mac_cost, matricize_spatial
 from convcompress.rankselect import AccTable, GridCosts, RankPlan
@@ -253,6 +253,43 @@ class TestCompressReconstruct:
         assert by_kind["kernel"]["macs"] == 9 * kernel.s * kernel.t * h * w
         want = (9 * kernel.s + kernel.t) * 3 * h * w
         assert by_kind["layer"]["macs_after"] == want
+
+
+class TestSweepDiagnosticsCli:
+    """``compress --method cp|tucker`` and ``report`` print the solver's sweep
+    diagnostics as the library reports them; other layers print none."""
+
+    KEYS = ("iterations", "rel_error", "converged")
+    SOLVES = {"cp": (("--rank", "3", "--seed", "4"), lambda kernel: cp_als(kernel, 3, seed=4)),
+              "tucker": (("--rank", "2,3"), lambda kernel: tucker_hooi(kernel, 2, 3))}
+
+    @pytest.mark.parametrize("method", sorted(SOLVES))
+    def test_reports_equal_the_library_meta(self, capsys, model_dir, tmp_path, method):
+        path, _ = model_dir
+        flags, solve = self.SOLVES[method]
+        kernel, _ = read_kernel(read_container(path), "conv1")  # the float32 values as read
+        want = {key: solve(kernel).meta[key] for key in self.KEYS}
+        for out in ("a", "b"):
+            code, rep, _ = run(capsys, "compress", path, "--layer", "conv1", "--method", method,
+                               *flags, "--out", tmp_path / out)
+            assert code == 0 and rep["diagnostics"] == want
+        code, rep, _ = run(capsys, "report", tmp_path / "a")
+        (layer,) = [e for e in rep["entries"] if e["kind"] == "layer"]
+        assert code == 0 and layer["diagnostics"] == want
+        for fname in ("manifest.json", "blob.bin"):
+            assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+    @pytest.mark.parametrize("method, rank", [("weight-svd", "3"), ("spatial-svd", "4"),
+                                              ("tt", "2,3,2")])
+    def test_other_layers_store_none(self, capsys, model_dir, tmp_path, method, rank):
+        path, _ = model_dir
+        code, rep, _ = run(capsys, "compress", path, "--layer", "conv1", "--method", method,
+                           "--rank", rank, "--out", tmp_path / "c")
+        assert code == 0 and "diagnostics" not in rep
+        code, rep, _ = run(capsys, "report", tmp_path / "c")
+        assert code == 0 and all("diagnostics" not in e for e in rep["entries"])
+        manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert not any(key in e["metadata"] for e in manifest["entries"] for key in self.KEYS)
 
 
 class TestDataoptCli:

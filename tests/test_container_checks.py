@@ -378,9 +378,13 @@ class TestTablePayloads:
          ("sv", np.zeros(0), "shape_mismatch"),
          ("sv", np.array([3.0, -1.0]), "bad_manifest"),
          ("sv", np.array([1.0, 3.0]), "bad_manifest"),
-         ("sv", np.array([3.0, 2.0, 1.0]), "bad_manifest")],
+         ("sv", np.array([3.0, 2.0, 1.0]), "bad_manifest"),
+         ("acc", np.array([[1.0, 0.5], [1.0, 0.7], [2.0, 0.8]]), "bad_manifest"),
+         ("acc", np.array([[1.0, 0.6], [1.6, 0.8]]), "bad_manifest"),
+         ("acc", np.array([[0.0, 0.6], [2.0, 0.8]]), "bad_manifest")],
         ids=["acc-3d", "acc-one-column", "acc-no-row", "acc-rank-not-priced", "sv-2d",
-             "sv-empty", "sv-negative", "sv-ascending", "sv-rank-not-priced"],
+             "sv-empty", "sv-negative", "sv-ascending", "sv-rank-not-priced",
+             "acc-repeated-ranks", "acc-rank-fraction", "acc-rank-zero"],
     )
     def test_bad_table_payload(self, tmp_path, table, payload, code):
         status, out, err = self._rank_select(tmp_path / "t", table, payload, tmp_path / "o")
@@ -772,3 +776,66 @@ def test_raised_codes_are_the_documented_codes():
                 raised.add(code.value)
     listed = re.search(r"stable ``code``:(.*?)\.", container_mod.__doc__, re.S).group(1)
     assert raised == CODES == set(re.findall(r"``(\w+)``", listed))
+
+
+class TestSweepDiagnostics:
+    """A cp or tucker layer stores its sweep diagnostics beside ``order``;
+    ``read_layer`` returns all three or refuses the layer as ``bad_manifest``."""
+
+    KEYS = ("iterations", "rel_error", "converged")
+
+    @pytest.mark.parametrize("case", sorted(BUILDERS))
+    def test_round_trip(self, tmp_path, case):
+        """The read layer's meta holds exactly what the solver reported;
+        the other methods store none of it."""
+        layer = BUILDERS[case](_kernel())
+        path = _write(tmp_path / "c", _kernel(), layer)
+        want = {key: layer.meta[key] for key in ("order", *self.KEYS) if key in layer.meta}
+        assert read_layer(read_container(path), "conv1/decomposed").meta == want
+        assert (case in ("cp", "tucker")) == all(key in want for key in self.KEYS)
+        stored = json.loads((path / "manifest.json").read_text())
+        for e in _layer_entries(stored):
+            assert {key: e["metadata"][key] for key in self.KEYS if key in e["metadata"]} == {
+                key: want[key] for key in self.KEYS if key in want}
+
+    DROP = object()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("iterations", 0), ("iterations", 2.0), ("iterations", "3"), ("iterations", True),
+         ("iterations", None), ("iterations", DROP), ("rel_error", "0.5"),
+         ("rel_error", float("nan")), ("rel_error", [0.5]), ("rel_error", True),
+         ("rel_error", None), ("rel_error", DROP), ("converged", 1), ("converged", "true"),
+         ("converged", None), ("converged", DROP)],
+        ids=["iters-zero", "iters-float", "iters-string", "iters-bool", "iters-null",
+             "iters-missing", "error-string", "error-nan", "error-list", "error-bool",
+             "error-null", "error-missing", "converged-int", "converged-string",
+             "converged-null", "converged-missing"],
+    )
+    @pytest.mark.parametrize("case", ["cp", "tucker"])
+    def test_tampered(self, tmp_path, case, key, value):
+        path = _write(tmp_path / "c", _kernel(), BUILDERS[case](_kernel()))
+
+        def edit(manifest):
+            for e in _layer_entries(manifest):
+                if value is self.DROP:
+                    e["metadata"].pop(key)
+                else:
+                    e["metadata"][key] = value
+
+        _edit(path, edit)
+        assert _read_code(path) == "bad_manifest"
+        code, out, err = _cli("report", path)
+        assert code == 1 and out == "" and json.loads(err)["code"] == "bad_manifest"
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_factors_that_disagree(self, tmp_path, key):
+        """Diagnostics stored on every factor are read back; a factor that
+        lacks one of them fails as ``bad_manifest``."""
+        path = _write(tmp_path / "c", _kernel(), weight_svd(_kernel(), 2))
+        _edit(path, lambda m: [e["metadata"].update(iterations=3, rel_error=0.5, converged=True)
+                               for e in _layer_entries(m)])
+        layer = read_layer(read_container(path), "conv1/decomposed")
+        assert layer.meta == {"iterations": 3, "rel_error": 0.5, "converged": True}
+        _edit(path, lambda m: _layer_entries(m)[-1]["metadata"].pop(key))
+        assert _read_code(path) == "bad_manifest"

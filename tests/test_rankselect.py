@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from _oracles import equal_acc_select_reference, ranks_from_ratio_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convcompress.decomp import tt_svd
-from convcompress.kernel import Kernel4D, mac_cost, max_ranks
+from convcompress.kernel import METHOD_RANK_ARITY, Kernel4D, mac_cost, max_ranks
 from convcompress.rankselect import (
     AccTable,
     GridCosts,
@@ -253,3 +257,76 @@ class TestGreedyEnergy:
         svs = [np.array([2.0, 1.0])]
         with pytest.raises(ValueError, match="infeasible"):
             greedy_energy_select(svs, [linear_costs(2, 100)], alpha=0.01)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestSearchesMatchTheHandWrittenBisections:
+    """``ranks_from_ratio`` and ``equal_acc_select`` search with ``bisect``;
+    their results and error messages equal the hand-written bisections they
+    replaced, kept in ``tests/_oracles.py``."""
+
+    @pytest.mark.parametrize("method", sorted(m for m, n in METHOD_RANK_ARITY.items() if n))
+    def test_ranks_from_ratio(self, method):
+        sizes = (1, 2, 3, 5, 8)
+        alphas = [round(0.05 + 0.1 * i, 2) for i in range(10)]
+        for s, t, k, alpha in itertools.product(sizes, sizes, (1, 3), alphas):
+            args = (method, s, t, k, alpha)
+            assert _outcome(ranks_from_ratio, *args) == _outcome(ranks_from_ratio_reference, *args)
+
+    @staticmethod
+    @st.composite
+    def _instances(draw):
+        """1-4 layers of 1-6 options each, with ties in accuracy and MACs likely."""
+        p_orig = draw(st.sampled_from([0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+        acc = st.sampled_from([0.0, 0.25, 0.5, 0.9]) | st.floats(0.0, 1.0)
+        tables, costs = [], []
+        for _ in range(draw(st.integers(1, 4))):
+            grid = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6, unique=True))
+            orig = draw(st.integers(1, 60))
+            tables.append(AccTable({(r,): draw(acc) for r in grid}, p_orig))
+            costs.append(GridCosts({(r,): draw(st.integers(1, orig + 5)) for r in grid}, orig))
+        alpha = st.sampled_from([1.0, 0.7, 0.5]) | st.floats(0.0, 1.0, exclude_min=True)
+        return tables, costs, draw(alpha)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_instances())
+    def test_equal_acc_select(self, instance):
+        want = _outcome(equal_acc_select_reference, *instance)
+        assert _outcome(equal_acc_select, *instance) == want
+
+
+class TestIntegerRule:
+    """Grid rank keys and MAC counts are integers: a float is refused, never
+    truncated; Python and numpy integers pass as ints."""
+
+    def test_float_rank_key_is_refused(self):
+        want = "ranks must be integers, got (2.9,)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            AccTable({(2.9,): 0.5}, 0.9)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            GridCosts({(2.9,): 10}, 40)
+
+    def test_rank_key_that_is_not_a_sequence_is_refused(self):
+        with pytest.raises(ValueError, match="ranks must be a sequence of integers, got 3"):
+            AccTable({3: 0.5}, 0.9)
+
+    @pytest.mark.parametrize("macs, orig", [({(2,): 10.7}, 40), ({(2,): 10.0}, 40),
+                                            ({(2,): 10}, 40.5), ({(2,): 10}, 40.0)])
+    def test_non_integer_macs_are_refused(self, macs, orig):
+        with pytest.raises(TypeError):
+            GridCosts(macs, orig)
+
+    def test_numpy_integers_pass_as_ints(self):
+        cost = GridCosts({(np.int64(2),): np.int64(10)}, np.int32(40))
+        assert cost.macs == {(2,): 10} and cost.macs_original == 40
+        ((ranks, macs),) = cost.macs.items()
+        assert [type(v) for v in (*ranks, macs, cost.macs_original)] == [int, int, int]
+        table = AccTable({(np.int64(2), np.int32(3)): 0.5}, 0.9)
+        assert [type(v) for v in next(iter(table.accuracies))] == [int, int]

@@ -199,3 +199,17 @@ def test_layer_without_order_runs_horizontal_first(kernel):
     bare = DecomposedLayer("spatial_svd", hv.factors, hv.ranks, hv.source_dims)
     assert bare.layout is LAYOUTS["spatial_svd"]["hv"]
     assert spatial_svd(kernel, 4, order="vh").layout is LAYOUTS["spatial_svd"]["vh"]
+
+
+def test_ranks_that_are_not_a_sequence_are_refused_by_name():
+    """An int where a rank sequence belongs is a ``ValueError`` that names
+    it, from every caller of the integer rank rule; a sequence keeps the
+    message that names its ranks."""
+    want = "ranks must be a sequence of integers, got 2"
+    assert _error(lambda: mac_cost(4, 6, 3, 1, 1, "cp", 2)) == want
+    assert _error(lambda: clamp_ranks("cp", 4, 6, 3, 2)) == want
+    assert _error(lambda: DecomposedLayer("cp", {}, 2, (6, 4, 3))) == want
+    assert _error(lambda: mac_cost(4, 6, 3, 1, 1, "cp", None)) == (
+        "ranks must be a sequence of integers, got None")
+    assert _error(lambda: mac_cost(4, 6, 3, 1, 1, "cp", [2.9])) == (
+        "ranks must be integers, got (2.9,)")
