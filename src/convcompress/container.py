@@ -466,7 +466,12 @@ def _ranks_key(ranks: tuple[int, ...]) -> str:
 
 
 def _parse_ranks_key(key: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in key.split(","))
+    """The ranks of a ``macs`` key, which must read exactly as :func:`_ranks_key`
+    writes them: "01", " 1" or "1_0" would name a rank some other key names."""
+    ranks = tuple(int(tok) for tok in key.split(","))
+    if _ranks_key(ranks) != key:
+        raise ValueError(f"rank key {key!r} is not written as {_ranks_key(ranks)!r}")
+    return ranks
 
 
 def _add_tables(container: Container, name: str, tables: list, costs: list[GridCosts]) -> None:

@@ -54,6 +54,7 @@ asym3d         wv (s, k, r_s); wh (r_s, k, r_d); wp (r_d, t)
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -206,9 +207,11 @@ def cp_als(
 
     Factors are fitted to the kernel reordered as (s, y, x, t).  Each sweep
     updates ws, wy, wx, wt in turn; the column norms of the first three are
-    absorbed into wt.  Iteration stops when the relative reconstruction
-    error changes by less than ``tol`` or after ``max_iters`` (>= 1) sweeps;
-    non-convergence is reported in ``meta``, not raised.
+    absorbed into wt.  A factor's r x r Gram is formed once after each change
+    of the factor, seven per sweep, and a solve multiplies the Grams of the
+    other three factors in mode order.  Iteration stops when the relative
+    reconstruction error changes by less than ``tol`` or after ``max_iters``
+    (>= 1) sweeps; non-convergence is reported in ``meta``, not raised.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
     check_ranks("cp", s, t, k, (r,))
@@ -221,22 +224,26 @@ def cp_als(
     fs = [np.empty((s, r))] + [rng.uniform(-1.0, 1.0, size=(n, r)) for n in (k, k, t)]
 
     def sweep() -> float:
+        # each factor's Gram, formed once per change of the factor
+        grams = [None] + [f.T @ f for f in fs[1:]]
         for mode in range(4):
             others = fs[:mode] + fs[mode + 1 :]
-            gram = reduce(np.multiply, (f.T @ f for f in others))
+            gram = reduce(np.multiply, grams[:mode] + grams[mode + 1 :])
             try:
                 inv = linalg.psd_inverse(gram)
             except ValueError:  # CP is ill-posed in general: a tiny ridge keeps ALS stable
                 inv = linalg.psd_inverse(gram, 1e-10)
             fs[mode] = unf[mode] @ _khatri_rao(*others) @ inv
-        # Normalize, absorbing scales into wt.
+            grams[mode] = fs[mode].T @ fs[mode]
+        # Normalize, absorbing scales into wt.  The column norms and the error
+        # norm below are computed as np.linalg.norm computes them.
         for f in fs[:3]:
-            norms = np.linalg.norm(f, axis=0)
+            norms = np.sqrt(np.add.reduce(f * f, axis=0))
             norms = np.where(norms > 0, norms, 1.0)
             f /= norms
             fs[3] *= norms
-        approx = fs[0] @ _khatri_rao(*fs[1:]).T
-        return float(np.linalg.norm(unf[0] - approx)) / (norm_t if norm_t > 0 else 1.0)
+        diff = (unf[0] - fs[0] @ _khatri_rao(*fs[1:]).T).ravel()
+        return math.sqrt(diff.dot(diff)) / (norm_t if norm_t > 0 else 1.0)
 
     fit = _sweeps(sweep, max_iters, tol, "CP")
     return _layer("cp", kernel, (r,), fs, seed=seed, **fit, init="uniform[-1,1]")

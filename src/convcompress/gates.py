@@ -15,11 +15,18 @@ z = mu + eps * sigma with penalty log(1 + mu^2 / sigma^2) per gate.
 
 Each formula, with its gradient, is written once as an array-valued
 private function that the scalar helpers, the criteria and the trainer share.
+The hard-concrete one, ``_hard_concrete(n)``, is built for rows of n gates
+and evaluates the sample and the penalty term as two rows of one array: one
+sigmoid call gives the stretch s and P(z != 0), and one product gives both
+of their derivatives.  The trainer stacks the weights over the gate
+parameters and steps them with one update, so a training step makes few
+numpy calls on its short per-gate arrays, with the bits of the formulas
+evaluated one at a time.
 The sigmoid saturates to exactly 0 or 1 when its exp overflows; that
 overflow is ignored once per public call (``np.errstate`` on
 ``train_toy_gated``, ``hc_sample``, ``hc_grads``, ``hc_deterministic``,
 ``HardConcreteGate.active_probability`` and ``GateVector.criteria``), not
-inside the private functions, which run about ten times per training step.
+inside the private functions, which the trainer calls once per step.
 
 A small full-batch trainer exercises the gates on planted-feature
 regression tasks; it is deterministic given a seed and logs every noise
@@ -42,11 +49,6 @@ _HC_WIDTH = HC_ZETA - HC_GAMMA
 _HC_LOG_RATIO = HC_BETA * math.log(-HC_GAMMA / HC_ZETA)
 
 
-def _sigmoid(x):
-    """Logistic function; callers ignore the overflow of its saturated tails."""
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
-
-
 def _logit(u):
     """log(u) - log(1 - u) of noise u, checked to lie strictly inside (0, 1)."""
     if not np.all((0.0 < u) & (u < 1.0)):
@@ -54,17 +56,48 @@ def _logit(u):
     return np.log(u) - np.log1p(-u)
 
 
-def _hc_stretch(logit, log_alpha):
-    """Hard-concrete sample z and dz/dlog_alpha (0 where clipped) at noise ``logit``."""
-    s = _sigmoid((logit + log_alpha) / HC_BETA)
-    sb = s * _HC_WIDTH + HC_GAMMA
-    dz = np.where((sb > 0.0) & (sb < 1.0), _HC_WIDTH * s * (1.0 - s) / HC_BETA, 0.0)
-    return np.minimum(np.maximum(sb, 0.0), 1.0), dz
+def _hc_noise(logit):
+    """Noise logits stacked over the constant -log_ratio along axis -2: the
+    rows (logit, -log_ratio) that :func:`_hard_concrete` adds log_alpha to."""
+    logit = np.atleast_1d(logit)
+    return np.stack([logit, np.full_like(logit, -_HC_LOG_RATIO)], axis=-2)
 
 
-def _hc_active(log_alpha):
-    """P(z != 0) of hard-concrete gates: the L0 penalty term."""
-    return _sigmoid(log_alpha - _HC_LOG_RATIO)
+def _hard_concrete(n: int):
+    """The hard-concrete gate math for rows of ``n`` gates, as a function
+    ``gate(noise, log_alpha)`` of the stacked rows of :func:`_hc_noise`.
+
+    ``gate`` returns the sample z, dz/dlog_alpha (0 where clipped), the
+    penalty term P(z != 0) and its derivative.  One sigmoid over both rows
+    gives s = sigmoid((logit + log_alpha) / beta) and
+    p = sigmoid(log_alpha - log_ratio): adding -log_ratio is exactly
+    subtracting it, dividing by 1 is exact, and dividing by the negated
+    scale is exactly negating the quotient.  One product then gives
+    width * s * (1 - s) and p * (1 - p).  The constants are stored at the
+    full row length because numpy charges about as much to broadcast an
+    operand as to apply the operation to a few gates.
+    """
+    ones, zeros = np.ones((2, n)), np.zeros(n)
+    one = ones[0]
+    neg_scale = np.repeat([[-HC_BETA], [-1.0]], n, axis=1)
+    slope_scale = np.repeat([[_HC_WIDTH], [1.0]], n, axis=1)
+    width, gamma, beta = (np.full(n, c) for c in (_HC_WIDTH, HC_GAMMA, HC_BETA))
+
+    def gate(noise, log_alpha):
+        sp = ones / (ones + np.exp((noise + log_alpha) / neg_scale))
+        sb = sp[0] * width + gamma
+        slope = slope_scale * sp * (ones - sp)
+        dz = np.where((sb > zeros) & (sb < one), slope[0] / beta, zeros)
+        return np.minimum(np.maximum(sb, zeros), one), dz, sp[1], slope[1]
+
+    return gate
+
+
+def _hc_at(logit, log_alpha):
+    """:func:`_hard_concrete` called once, at noise logits ``logit``; the
+    penalty row takes no noise, so any logit serves for it alone."""
+    noise = _hc_noise(logit)
+    return _hard_concrete(noise.shape[-1])(noise, log_alpha)
 
 
 def _vib_term(mu, sigma):
@@ -86,7 +119,7 @@ class HardConcreteGate:
     @np.errstate(over="ignore")
     def active_probability(self) -> float:
         """P(z != 0) under the sampling distribution; the penalty term."""
-        return float(_hc_active(self.log_alpha))
+        return float(_hc_at(0.0, self.log_alpha)[2][0])
 
 
 @dataclass
@@ -129,14 +162,14 @@ class GateVector:
     def criteria(self) -> Array:
         """Per-gate keep criterion: P(z != 0) for L0 gates, snr for VIB."""
         if self.kind == "l0":
-            return _hc_active(np.array([g.log_alpha for g in self.gates]))
+            return _hc_at(np.zeros(len(self.gates)), np.array([g.log_alpha for g in self.gates]))[2]
         return np.array([g.snr() for g in self.gates])
 
 
 @np.errstate(over="ignore")
 def hc_sample(gate: HardConcreteGate, u: float) -> float:
     """Sample z in [0, 1] from the hard-concrete distribution at noise u."""
-    return float(_hc_stretch(_logit(u), gate.log_alpha)[0])
+    return float(_hc_at(_logit(u), gate.log_alpha)[0][0])
 
 
 @np.errstate(over="ignore")
@@ -152,7 +185,7 @@ def hc_deterministic(gate: HardConcreteGate, mode: str = "clipped_mean") -> floa
         return hc_sample(gate, 0.5)
     if mode == "expected":
         u = (np.arange(20_000) + 0.5) / 20_000
-        return float(np.mean(_hc_stretch(_logit(u), gate.log_alpha)[0]))
+        return float(np.mean(_hc_at(_logit(u), gate.log_alpha)[0]))
     raise ValueError(f"mode must be 'clipped_mean' or 'expected', got {mode!r}")
 
 
@@ -169,9 +202,8 @@ def hc_grads(gate: HardConcreteGate, u: float) -> tuple[float, float]:
 
     The sample gradient is zero wherever the stretched sample is clipped.
     """
-    _, dz = _hc_stretch(_logit(u), gate.log_alpha)
-    p = _hc_active(gate.log_alpha)
-    return float(dz), float(p * (1.0 - p))
+    _, dz, _, dpen = _hc_at(_logit(u), gate.log_alpha)
+    return float(dz[0]), float(dpen[0])
 
 
 def vib_sample(gate: VibGate, eps: float) -> float:
@@ -307,47 +339,51 @@ def train_toy_gated(
     rng = np.random.default_rng(seed)
     x, y, _ = task.materialize(rng)
     n, p = x.shape
+    xt = x.T
     weights = rng.normal(scale=0.1, size=p)
     loss_trace = []
-    # every step's noise in one draw: the same stream as one draw per step
+    # theta stacks the weights over the gate parameters, so that one update
+    # steps them all; the names below are views of its rows.  Every step's
+    # noise comes in one draw: the same stream as one draw per step.
     if kind == "l0":
-        log_alpha = np.full(p, 1.0)
+        theta = np.array([weights, np.full(p, 1.0)])
+        weights, log_alpha = theta
         draws = np.clip(rng.uniform(size=(steps, p)), 1e-12, 1.0 - 1e-12)
-        logits = _logit(draws)
+        noise = _hc_noise(_logit(draws))
+        hard_concrete = _hard_concrete(p)
     else:
-        mu = np.full(p, 1.0)
-        log_sigma = np.full(p, math.log(0.5))
+        theta = np.array([weights, np.full(p, 1.0), np.full(p, math.log(0.5))])
+        weights, mu, log_sigma = theta
         draws = rng.normal(size=(steps, p))
+    grad = np.empty_like(theta)
+    grad_w, *grad_gate = grad
+    # scalars at full length, like the constants of _hard_concrete
+    mse_scale, lam, lrs = np.full(p, 2.0 / n), np.full(p, lambda_reg), np.full_like(theta, lr)
     for step in range(steps):
         if kind == "l0":
-            z, dz_dla = _hc_stretch(logits[step], log_alpha)
-            p_active = _hc_active(log_alpha)
+            z, dz_dla, p_active, dpen = hard_concrete(noise[step], log_alpha)
             penalty = float(p_active.sum())
-            dpen = p_active * (1.0 - p_active)
         else:
             eps = draws[step]
             sigma = np.exp(log_sigma)
             z = mu + eps * sigma
             terms, dpen_dmu, dpen_dsigma = _vib_term(mu, sigma)
             penalty = float(terms.sum())
-        pred = x @ (weights * z)
-        err = pred - y
+        err = x @ (weights * z) - y
         loss = float(err @ err) / n + lambda_reg * penalty
         if not math.isfinite(loss):
             raise DivergedError(f"loss diverged at step {step}; lower the learning rate")
         loss_trace.append(loss)
-        g_wz = (2.0 / n) * (x.T @ err)
-        grad_w = g_wz * z
+        g_wz = mse_scale * (xt @ err)
+        g_w = g_wz * weights
+        np.multiply(g_wz, z, out=grad_w)
         if kind == "l0":
-            grad_la = g_wz * weights * dz_dla + lambda_reg * dpen
-            weights = weights - lr * grad_w
-            log_alpha = log_alpha - lr * grad_la
+            np.add(g_w * dz_dla, lam * dpen, out=grad_gate[0])
         else:
-            grad_mu = g_wz * weights + lambda_reg * dpen_dmu
-            grad_ls = (g_wz * weights * eps + lambda_reg * dpen_dsigma) * sigma
-            weights = weights - lr * grad_w
-            mu = mu - lr * grad_mu
-            log_sigma = log_sigma - lr * grad_ls
+            np.add(g_w, lam * dpen_dmu, out=grad_gate[0])
+            np.multiply(g_w * eps + lam * dpen_dsigma, sigma, out=grad_gate[1])
+        theta -= lrs * grad
+    weights = weights.copy()
     params = [weights, log_alpha] if kind == "l0" else [weights, mu, np.exp(log_sigma)]
     if not all(np.isfinite(a).all() for a in params) or (kind == "vib" and not params[2].all()):
         raise DivergedError(f"parameters diverged at step {steps - 1}; lower the learning rate")

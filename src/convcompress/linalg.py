@@ -24,7 +24,6 @@ solves with a 1e-10 ridge.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -278,21 +277,28 @@ def lasso_gram(
     if beta.size != p:
         raise ValueError(f"beta0 length {beta.size} does not match G size {p}")
     beta[g.diagonal() == 0.0] = 0.0
-    diag = g.diagonal().tolist()
-    live = [j for j in range(p) if diag[j] != 0.0]
+    # (j, G[j, j], row j) of each live coordinate; G is symmetric: row j is column j
+    live = [(j, d, row) for j, (d, row) in enumerate(zip(g.diagonal().tolist(), g)) if d != 0.0]
     q = c - g @ beta
-    rows = list(g)  # G is symmetric: row j is column j
     b = beta.tolist()
     for sweep in range(1, max_sweeps + 1):
         max_change = 0.0
-        for j in live:
+        for j, d, row in live:
             old = b[j]
-            rho = q.item(j) + diag[j] * old
-            new = math.copysign(abs(rho) - lam, rho) / diag[j] if abs(rho) > lam else 0.0
+            rho = q.item(j) + d * old
+            # soft threshold: -((-rho) - lam) is exactly rho + lam
+            if rho > lam:
+                new = (rho - lam) / d
+            elif rho < -lam:
+                new = (rho + lam) / d
+            else:
+                new = 0.0
             if new != old:
-                q -= rows[j] * (new - old)
+                q -= row * (new - old)
                 b[j] = new
-                max_change = max(max_change, abs(new - old))
+                change = abs(new - old)
+                if change > max_change:
+                    max_change = change
         if max_change <= tol:
             return LassoResult(beta=np.array(b), sweeps=sweep, converged=True)
     return LassoResult(beta=np.array(b), sweeps=max_sweeps, converged=False)

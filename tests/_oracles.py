@@ -490,6 +490,37 @@ def cp_als_reference_loop(kernel, r: int, max_iters: int = 200, tol: float = 1e-
     return factors, {"iterations": len(errors), "rel_error": errors[-1]}
 
 
+def lasso_gram_reference_loop(g, c, lam: float, beta0=None, tol: float = 1e-8,
+                              max_sweeps: int = 10000):
+    """The sweep loop of ``linalg.lasso_gram`` with its soft threshold as
+    ``copysign(abs(rho) - lam, rho)`` and its largest change kept by the
+    ``max`` builtin, for valid inputs.  Returns ``beta``, ``sweeps`` and
+    ``converged``."""
+    g = np.ascontiguousarray(np.asarray(g, dtype=np.float64))
+    p = g.shape[0]
+    c = np.asarray(c, dtype=np.float64).ravel()
+    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64).ravel()
+    beta[g.diagonal() == 0.0] = 0.0
+    diag = g.diagonal().tolist()
+    live = [j for j in range(p) if diag[j] != 0.0]
+    q = c - g @ beta
+    rows = list(g)  # G is symmetric: row j is column j
+    b = beta.tolist()
+    for sweep in range(1, max_sweeps + 1):
+        max_change = 0.0
+        for j in live:
+            old = b[j]
+            rho = q.item(j) + diag[j] * old
+            new = math.copysign(abs(rho) - lam, rho) / diag[j] if abs(rho) > lam else 0.0
+            if new != old:
+                q -= rows[j] * (new - old)
+                b[j] = new
+                max_change = max(max_change, abs(new - old))
+        if max_change <= tol:
+            return {"beta": np.array(b), "sweeps": sweep, "converged": True}
+    return {"beta": np.array(b), "sweeps": max_sweeps, "converged": False}
+
+
 def tucker_hooi_reference_loop(kernel, r1: int, r2: int, max_iters: int = 50,
                                tol: float = 1e-10):
     """``tucker_hooi`` with the returned core recomputed from the final

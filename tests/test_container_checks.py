@@ -313,6 +313,23 @@ class TestRankTables:
             reader(cont, table)
         assert err.value.code == "bad_manifest"
 
+    @pytest.mark.parametrize(
+        "macs",
+        [{"1": 100, "01": 300, "2": 200}, {" 1": 100, "2": 200}, {"1": 100, "2": 200, "1_0": 5},
+         {"+1": 100, "2": 200}, {"1": 100, "2 ": 200}],
+        ids=["leading-zero", "leading-space", "underscore", "plus-sign", "trailing-space"],
+    )
+    @pytest.mark.parametrize("table", ["acc", "sv"])
+    def test_rank_key_not_written_as_the_writer_writes_it(self, tmp_path, macs, table):
+        """A key that int() reads but _ranks_key would not write, which
+        could name the rank of another key, is refused, not parsed."""
+        cont = self._tables(tmp_path, lambda meta: meta.update(macs=macs))
+        reader = read_acc_tables if table == "acc" else read_sv_tables
+        with pytest.raises(ContainerError) as err:
+            reader(cont, table)
+        assert err.value.code == "bad_manifest"
+        assert "rank key" in str(err.value)
+
     @staticmethod
     def _plan(tmp_path, edit):
         c = Container()

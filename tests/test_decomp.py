@@ -498,6 +498,18 @@ class TestSolverLoopsPinned:
             factors, meta = cp_als_reference_loop(kernel, r, max_iters=300, tol=1e-14, seed=0)
             assert_same_layer(layer, factors, {**layer.meta, **meta})
 
+    @pytest.mark.parametrize("t,s,r", [(8, 8, 2), (24, 16, 4)])
+    def test_cp_als_equals_reference_loop_at_benchmark_scale(self, t, s, r):
+        """50 sweeps that never stop early, at the smallest and largest
+        layer and rank of the ``datafree`` benchmark: each Gram formed once
+        per factor change gives the factors and errors of the loop that
+        formed every Gram per solve."""
+        kernel = random_kernel(np.random.default_rng(450 + t), t=t, s=s, k=3)
+        layer = cp_als(kernel, r, max_iters=50, tol=0.0, seed=0)
+        factors, meta = cp_als_reference_loop(kernel, r, max_iters=50, tol=0.0, seed=0)
+        assert meta["iterations"] == 50
+        assert_same_layer(layer, factors, {**layer.meta, **meta})
+
     @pytest.mark.parametrize(
         "solve",
         [lambda kernel, **kw: cp_als(kernel, 2, **kw),

@@ -394,3 +394,19 @@ class TestTrainerOracle:
             s = 1.0 / (1.0 + np.exp(-((np.log(mid) - np.log1p(-mid) + la) / beta)))
             assert hc_deterministic(g, "expected") == np.mean(
                 np.clip(s * (zeta - gamma) + gamma, 0.0, 1.0))
+
+
+class TestTrainerAtBenchmarkScale:
+    @pytest.mark.parametrize("kind", ["l0", "vib"])
+    @pytest.mark.parametrize("seed", [1, 47])
+    def test_matches_inline_loop_over_2000_steps(self, kind, seed):
+        """At the length and penalty of a ``gates`` benchmark run, 8
+        features and lambda = 0.05, the trainer on the stacked gate step
+        still reproduces the inline loop bit for bit."""
+        task = ToyRegressionTask(n_features=8)
+        got = train_toy_gated(task, kind, lambda_reg=0.05, steps=2000, lr=0.05, seed=seed)
+        want = train_toy_gated_inline(task, kind, lambda_reg=0.05, steps=2000, lr=0.05, seed=seed)
+        assert np.array_equal(got.draws, want["draws"])
+        assert got.loss_trace == want["loss_trace"]
+        assert got.weights.tobytes() == want["weights"].tobytes()
+        assert got.gates.criteria().tobytes() == want["criteria"].tobytes()

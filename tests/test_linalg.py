@@ -20,7 +20,12 @@ from convcompress.linalg import (
     svd,
 )
 
-from _oracles import best_rank1_response_residual, jacobi_eigvals, lasso_cd_sample_space
+from _oracles import (
+    best_rank1_response_residual,
+    jacobi_eigvals,
+    lasso_cd_sample_space,
+    lasso_gram_reference_loop,
+)
 
 
 class TestSvd:
@@ -391,6 +396,42 @@ class TestLassoGram:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
             lasso_gram(np.eye(2), np.ones(2), -1.0)
+
+
+class TestLassoGramPinned:
+    """lasso_gram's two-branch soft threshold returns the bits of the loop
+    that took ``copysign(abs(rho) - lam, rho)``."""
+
+    @staticmethod
+    def _problem(rng):
+        """Correlated columns, sometimes a zero one, a lambda from zero to
+        past the largest correlation, and sometimes a warm start or a sweep
+        cap that stops the loop unconverged."""
+        n, p = int(rng.integers(3, 40)), int(rng.integers(1, 13))
+        x = rng.normal(size=(n, p)) + rng.normal() * rng.normal(size=(n, 1))
+        if p > 1 and rng.random() < 0.3:
+            x[:, int(rng.integers(p))] = 0.0
+        y = x @ rng.normal(size=p) * rng.random() + rng.normal(size=n)
+        g, c = x.T @ x, x.T @ y
+        lam = float(rng.choice([0.0, 1.0, 2.0 * np.abs(c).max()])) * rng.random()
+        beta0 = rng.normal(size=p) * 3.0 if rng.random() < 0.3 else None
+        kw = {"tol": float(rng.choice([1e-8, 1e-12, 0.0]))}
+        if rng.random() < 0.2:
+            kw["max_sweeps"] = int(rng.integers(1, 5))
+        return g, c, lam, beta0, kw
+
+    def test_equals_the_copysign_loop_on_random_problems(self):
+        rng = np.random.default_rng(345)
+        outcomes = set()
+        for _ in range(300):
+            g, c, lam, beta0, kw = self._problem(rng)
+            got = lasso_gram(g, c, lam, beta0=beta0, **kw)
+            want = lasso_gram_reference_loop(g, c, lam, beta0=beta0, **kw)
+            assert got.beta.tobytes() == want["beta"].tobytes()
+            assert (got.sweeps, got.converged) == (want["sweeps"], want["converged"])
+            outcomes.add((got.converged, bool(got.beta.any())))
+        # converged and capped runs, all-zero and nonzero solutions all occur
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestRidgeSingularGuard:
