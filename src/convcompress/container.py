@@ -434,8 +434,9 @@ def add_plan(container: Container, name: str, plan: RankPlan) -> None:
 
 def read_plan(container: Container, name: str) -> RankPlan:
     """Read a rank plan: ``bad_manifest`` for missing, ill-typed or
-    non-finite metadata, a rank that is not an integer >= 1, or an
-    ``arity`` that does not sum to the payload length."""
+    non-finite metadata, a rank that is not an integer >= 1, an
+    ``achieved_macs`` below 1, or an ``arity`` that does not sum to the
+    payload length."""
     e, payload = _lookup(container, name, "plan", (0,))
     where = f"plan {name!r}"
     arity = _ints(e.metadata.get("arity"), f"{where} arity", 1)
@@ -447,6 +448,9 @@ def read_plan(container: Container, name: str) -> RankPlan:
     strategy = e.metadata.get("strategy")
     if not isinstance(strategy, str):
         raise ContainerError("bad_manifest", f"{where}: strategy must be a string")
+    achieved = _int_field(e.metadata, "achieved_macs", where)
+    if achieved < 1:
+        raise ContainerError("bad_manifest", f"{where}: achieved_macs must be >= 1, got {achieved}")
     ranks = []
     pos = 0
     for a in arity:
@@ -455,7 +459,7 @@ def read_plan(container: Container, name: str) -> RankPlan:
     return RankPlan(
         ranks=tuple(ranks),
         tau=_number_field(e.metadata, "tau", where),
-        achieved_macs=_int_field(e.metadata, "achieved_macs", where),
+        achieved_macs=achieved,
         achieved_ratio=_number_field(e.metadata, "achieved_ratio", where),
         strategy=strategy,
     )

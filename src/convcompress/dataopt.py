@@ -10,9 +10,8 @@ All fits work on explicitly centered responses.  A fitted layer predicts
     y_hat = M @ (z - z_mean) + y_mean
 
 which as an affine map of raw responses has bias ``y_mean - M @ z_mean``.
-The ``new_bias`` field of :class:`RefinedLayer` keeps the documented
-mean-correction convention ``z_mean - M @ y_mean`` (the two coincide in the
-symmetric case z = y); ``predict`` and all residuals use the centered form.
+``predict`` and all residuals use the centered form; the value each method
+stores as ``new_bias`` is listed on :class:`RefinedLayer`.
 
 The layer a fit returns (:func:`refined_kernel`, its factored form
 :func:`refined_layer`, the :func:`asym3d` layer and the layer
@@ -150,6 +149,12 @@ class RefinedLayer:
     ``predict(z) = M @ (z - z_mean) + y_mean``.  ``residual`` is in the
     units the producing method documents (summed discarded eigenvalues for
     ``data_svd``, Frobenius response error for the asymmetric fits).
+
+    ``new_bias`` is ``z_mean - M @ y_mean`` from :func:`data_svd` (where
+    ``z_mean = y_mean``) and :func:`asym_data_svd`, the fitted ``b`` from
+    :func:`relu_asym`, and ``y_mean - M @ z_mean`` from
+    :func:`spatial_refine`.  The bias of a returned layer is not read from
+    it (:func:`refined_kernel`).
     """
 
     M: Array

@@ -35,21 +35,21 @@ and ``tucker_hooi`` under one stop test, ``abs(err_prev - err) < tol``; and
 :func:`convcompress.kernel.check_ranks` checks ranks by the cost table
 before any solver does work.
 
-Factor array layouts (all float64), in stage order.  The shapes are the
-entries of :data:`convcompress.kernel.METHOD_COSTS`; the names, the
-reconstruction einsum and the stages are the entries of :data:`LAYOUTS`:
+Factor layouts (all float64), in stage order: the axis strings of
+:data:`convcompress.kernel.METHOD_COSTS` (``s``, ``t`` channels, ``x``, ``y``
+spatial, other letters ranks) and the names in :data:`LAYOUTS`, from which
+each stage and the reconstruction einsum are derived:
 
-=============  =====================================================
-method         factors
-=============  =====================================================
-weight_svd     w1 (k, k, s, r); w2 (r, t)
-spatial_svd    wh (s, k, r) and wv (r, k, t) for order "hv";
-               wv (s, k, r) and wh (r, k, t) for order "vh"
-cp             ws (s, r); wy (k, r); wx (k, r); wt (t, r)
-tucker         w1 (s, r1); core (k, k, r1, r2); w2 (t, r2)
-tt             w1 (s, r1); w2 (r1, k, r2); w3 (r2, k, r3); w4 (r3, t)
-asym3d         wv (s, k, r_s); wh (r_s, k, r_d); wp (r_d, t)
-=============  =====================================================
+=============  =============================  ================================
+method         factors                        axes
+=============  =============================  ================================
+weight_svd     w1, w2                         xysr, rt
+spatial_svd    wh, wv ("hv"); wv, wh ("vh")   sxr, ryt; syr, rxt
+cp             ws, wy, wx, wt                 sr, yr, xr, tr
+tucker         w1, core, w2                   sa, xyab, tb (a = r1, b = r2)
+tt             w1, w2, w3, w4                 sa, axb, byc, ct
+asym3d         wv, wh, wp                     syr, rxd, dt (r = r_s, d = r_d)
+=============  =============================  ================================
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ import numpy as np
 
 from . import linalg
 from .kernel import (
-    Array, Kernel4D, _int_ranks, check_ranks, conv, feature_map, matricize_spatial,
-    matricize_weight,
+    METHOD_COSTS, Array, Kernel4D, _int_ranks, check_ranks, conv, feature_map,
+    matricize_spatial, matricize_weight,
 )
 
 
@@ -314,78 +314,60 @@ def tt_svd(kernel: Kernel4D, r1: int, r2: int, r3: int) -> DecomposedLayer:
     return _layer("tt", kernel, (r1, r2, r3), factors)
 
 
-def _kxk(w: Array) -> Array:  # (k, k, c_in, c_out)
-    return w.transpose(3, 2, 0, 1)
-
-
-def _mix(w: Array) -> Array:  # (c_in, c_out)
-    return w.T[:, :, None, None]
-
-
-def _mix_rows(w: Array) -> Array:  # (c_out, c_in)
-    return w[:, :, None, None]
-
-
-def _along_x(w: Array) -> Array:  # (c_in, k, c_out)
-    return w.transpose(2, 0, 1)[:, :, :, None]
-
-
-def _along_y(w: Array) -> Array:  # (c_in, k, c_out)
-    return w.transpose(2, 0, 1)[:, :, None, :]
-
-
-def _depth_x(w: Array) -> Array:  # (k, channels), depthwise
-    return w.T[:, None, :, None]
-
-
-def _depth_y(w: Array) -> Array:  # (k, channels), depthwise
-    return w.T[:, None, None, :]
-
-
 class Layout(NamedTuple):
     """Decomposition-side table entry: each factor's stage, keyed by factor
-    name in stage order, and the einsum that densifies the factors into
-    (t, s, x, y), taking them in ``operands`` order (else in stage order).
-    A stage views its factor as the ``(c_out, c_in/g, kx, ky)`` weight that
-    :func:`convcompress.kernel.conv` runs."""
+    name in stage order, and the einsum that densifies the factors, taken
+    in stage order, into (t, s, x, y).  A stage views its factor as the
+    ``(c_out, c_in/g, kx, ky)`` weight that :func:`convcompress.kernel.conv` runs."""
 
     stages: dict[str, Callable[[Array], Array]]
     subscripts: str
-    operands: tuple[str, ...] = ()
 
 
-_SPATIAL_HV = Layout({"wh": _along_x, "wv": _along_y}, "sxr,ryt->tsxy")
+def _layout(method: str, *names: str, mirror: bool = False) -> Layout:
+    """The layout of ``method``'s factors, named ``names`` in stage order, from
+    their axes in :data:`convcompress.kernel.METHOD_COSTS`, with x and y
+    swapped if ``mirror``.  A stage reads channel axis c, s at first, and
+    writes the factor's other channel axis, or c if it has none (depthwise).
+    Its weight is the factor transposed to (out, in, x, y), with a singleton
+    for each axis it lacks, and for ``in`` if depthwise."""
+    axes = METHOD_COSTS[method].axes
+    if mirror:
+        axes = tuple(a.translate(str.maketrans("xy", "yx")) for a in axes)
+    stages, c = {}, "s"
+    for name, a in zip(names, axes, strict=True):
+        out = next((d for d in a if d not in ("x", "y", c)), c)
+        want = out + (c if out != c else "1") + "xy"
+        perm = tuple(a.index(d) for d in want if d in a)
+        index = tuple(slice(None) if d in a else None for d in want)
+        stages[name] = lambda w, perm=perm, index=index: w.transpose(perm)[index]
+        c = out
+    return Layout(stages, ",".join(axes) + "->tsxy")
+
+
+_SPATIAL_HV = _layout("spatial_svd", "wh", "wv")
 
 #: method -> spatial order -> layout.  The order is the layer's
 #: ``meta["order"]``, None when the meta names none.
 LAYOUTS: dict[str, dict[str | None, Layout]] = {
-    "weight_svd": {None: Layout({"w1": _kxk, "w2": _mix}, "xysr,rt->tsxy")},
+    "weight_svd": {None: _layout("weight_svd", "w1", "w2")},
     "spatial_svd": {
         None: _SPATIAL_HV,
         "hv": _SPATIAL_HV,
-        "vh": Layout({"wv": _along_y, "wh": _along_x}, "syr,rxt->tsxy"),
+        "vh": _layout("spatial_svd", "wv", "wh", mirror=True),
     },
-    "cp": {None: Layout(
-        {"ws": _mix, "wy": _depth_y, "wx": _depth_x, "wt": _mix_rows},
-        "sr,yr,xr,tr->tsxy",
-    )},
-    "tucker": {None: Layout(
-        {"w1": _mix, "core": _kxk, "w2": _mix_rows},
-        "xyab,sa,tb->tsxy",
-        operands=("core", "w1", "w2"),
-    )},
-    "tt": {None: Layout(
-        {"w1": _mix, "w2": _along_x, "w3": _along_y, "w4": _mix}, "sa,axb,byc,ct->tsxy"
-    )},
+    "cp": {None: _layout("cp", "ws", "wy", "wx", "wt")},
+    "tucker": {None: _layout("tucker", "w1", "core", "w2")},
+    "tt": {None: _layout("tt", "w1", "w2", "w3", "w4")},
     # vertical (s -> r_s), horizontal (r_s -> r_d), pointwise (r_d -> t)
-    "asym3d": {None: Layout({"wv": _along_y, "wh": _along_x, "wp": _mix}, "syr,rxd,dt->tsxy")},
+    "asym3d": {None: _layout("asym3d", "wv", "wh", "wp")},
 }
 
 
 def reconstruct(layer: DecomposedLayer) -> Kernel4D:
     """Evaluate the factorization back into a dense (t, s, k, k) kernel."""
     lay = layer.layout
-    operands = [layer.factors[n] for n in lay.operands or lay.stages]
+    operands = [layer.factors[n] for n in lay.stages]
     # left to right: each step contracts the running product with the next
     # operand, which einsum_path numbers 0 while the product sits last
     path = ["einsum_path", (0, 1)] + [(0, i) for i in range(len(operands) - 2, 0, -1)]

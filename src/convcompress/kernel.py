@@ -220,14 +220,18 @@ class LayerCost:
 
 
 class MethodCost(NamedTuple):
-    """Cost-side table entry: rank names, ``shapes(s, t, k, *ranks)`` of the
-    stored factors in stage order, ``limits(s, t, k)`` on each rank (None:
-    unbounded), ``top(s, t, k)``, the largest usable ranks if not the limits,
-    and ``chain(s, t, k, *ranks)``, the ranks each lowered to the bound the
-    ranks before it leave, for methods whose rank bounds chain."""
+    """Cost-side table entry: rank names; ``axes``, one string per stored
+    factor in stage order, each letter one axis of the factor (``s`` and
+    ``t`` the kernel's input and output channels, ``x`` and ``y`` its
+    spatial axes, any other letter a rank; in order of first use these
+    letters name the ranks in the order ``ranks`` lists them);
+    ``limits(s, t, k)`` on each rank (None: unbounded), ``top(s, t, k)``,
+    the largest usable ranks if not the limits, and ``chain(s, t, k,
+    *ranks)``, the ranks each lowered to the bound the ranks before it
+    leave, for methods whose rank bounds chain."""
 
     ranks: tuple[str, ...]
-    shapes: Callable[..., tuple[tuple[int, ...], ...]]
+    axes: tuple[str, ...]
     limits: Callable[[int, int, int], tuple[int | None, ...]]
     top: Callable[[int, int, int], tuple[int, ...]] | None = None
     chain: Callable[..., tuple[int, ...]] | None = None
@@ -243,30 +247,21 @@ def _tt_chain(s: int, t: int, k: int, r1: int, r2: int, r3: int) -> tuple[int, i
 #: One entry per method.  Every stage is a stride-1, same-padded convolution,
 #: so each stored factor entry costs one MAC per output pixel.
 METHOD_COSTS: dict[str, MethodCost] = {
-    "original": MethodCost((), lambda s, t, k: ((t, s, k, k),), lambda s, t, k: ()),
-    "weight_svd": MethodCost(
-        ("r",), lambda s, t, k, r: ((k, k, s, r), (r, t)), lambda s, t, k: (min(k * k * s, t),)
-    ),
-    "spatial_svd": MethodCost(
-        ("r",), lambda s, t, k, r: ((s, k, r), (r, k, t)), lambda s, t, k: (min(s * k, t * k),)
-    ),
+    "original": MethodCost((), ("tsxy",), lambda s, t, k: ()),
+    "weight_svd": MethodCost(("r",), ("xysr", "rt"), lambda s, t, k: (min(k * k * s, t),)),
+    "spatial_svd": MethodCost(("r",), ("sxr", "ryt"), lambda s, t, k: (min(s * k, t * k),)),
     "cp": MethodCost(
-        ("r",), lambda s, t, k, r: ((s, r), (k, r), (k, r), (t, r)), lambda s, t, k: (None,),
+        ("r",), ("sr", "yr", "xr", "tr"), lambda s, t, k: (None,),
         top=lambda s, t, k: (min(k * k * t, s * k * t, s * k * k),),
     ),
-    "tucker": MethodCost(
-        ("r1", "r2"), lambda s, t, k, r1, r2: ((s, r1), (k, k, r1, r2), (t, r2)),
-        lambda s, t, k: (s, t),
-    ),
+    "tucker": MethodCost(("r1", "r2"), ("sa", "xyab", "tb"), lambda s, t, k: (s, t)),
     "tt": MethodCost(
-        ("r1", "r2", "r3"),
-        lambda s, t, k, r1, r2, r3: ((s, r1), (r1, k, r2), (r2, k, r3), (r3, t)),
+        ("r1", "r2", "r3"), ("sa", "axb", "byc", "ct"),
         lambda s, t, k: _tt_chain(s, t, k, s, k * t, t),
         chain=_tt_chain,
     ),
     "asym3d": MethodCost(
-        ("rs", "rd"), lambda s, t, k, rs, rd: ((s, k, rs), (rs, k, rd), (rd, t)),
-        lambda s, t, k: (min(s * k, t * k), t),
+        ("rs", "rd"), ("syr", "rxd", "dt"), lambda s, t, k: (min(s * k, t * k), t)
     ),
 }
 
@@ -288,7 +283,9 @@ def factor_shapes(
     cost = _method_cost(method)
     if len(ranks) != len(cost.ranks):
         raise ValueError(f"method {method!r} takes {len(cost.ranks)} rank(s), got {len(ranks)}")
-    return cost.shapes(s, t, k, *ranks)
+    letters = dict.fromkeys(c for c in "".join(cost.axes) if c not in "stxy")  # first-use order
+    sizes = {"s": s, "t": t, "x": k, "y": k, **dict(zip(letters, ranks))}
+    return tuple(tuple(sizes[c] for c in axes) for axes in cost.axes)
 
 
 def _int_ranks(ranks) -> tuple[int, ...]:

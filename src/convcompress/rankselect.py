@@ -56,7 +56,8 @@ class AccTable:
 @dataclass(frozen=True)
 class GridCosts:
     """MACs of each grid option of one layer plus the uncompressed MACs; a
-    rank that is not an integer is a ``ValueError``, a MAC count a ``TypeError``."""
+    rank that is not an integer or a MAC count below 1 is a ``ValueError``,
+    a MAC count that is not an integer a ``TypeError``."""
 
     macs: dict[tuple[int, ...], int]
     macs_original: int
@@ -66,8 +67,8 @@ class GridCosts:
             self, "macs", {_int_ranks(k): operator.index(v) for k, v in self.macs.items()}
         )
         object.__setattr__(self, "macs_original", operator.index(self.macs_original))
-        if self.macs_original <= 0:
-            raise ValueError("original MACs must be positive")
+        if min(self.macs_original, *self.macs.values()) < 1:
+            raise ValueError(f"MACs must be >= 1, got {self.macs}, original {self.macs_original}")
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ is used to check (plain loops, brute-force search, textbook formulas).
 The exceptions are ``solve_gram``, the ``*_reference_loop`` and
 ``*_reference_fit`` functions, ``weight_factors_reference``,
 ``conv_shift_reference``, ``conv_flat_row_reference``,
-``ranks_from_ratio_reference`` and ``equal_acc_select_reference`` at the
-end: verbatim copies of earlier solvers, solver loops, data-optimized fits
-and splits, two versions of the convolution primitive and the hand-written
-bisections of the rank searches, kept to pin the current code to them bit
-for bit (the convolution to rounding against the shift-and-copy version).
+``ranks_from_ratio_reference``, ``equal_acc_select_reference`` and the
+hand-written stage views ``STAGE_VIEWS`` at the end: verbatim copies of
+earlier solvers, solver loops, data-optimized fits and splits, two versions
+of the convolution primitive, the hand-written bisections of the rank
+searches and the per-method weight views of the staged forwards, kept to
+pin the current code to them bit for bit (the convolution to rounding
+against the shift-and-copy version).
 They call the same ``linalg``, ``decomp``, ``kernel`` and ``rankselect``
 primitives the copies called.
 """
@@ -821,3 +823,45 @@ def equal_acc_select_reference(
         strategy="equal_acc",
         meta={"p_orig": p_orig, "alpha": alpha},
     )
+
+
+def kxk_view(w: Array) -> Array:  # (k, k, c_in, c_out)
+    return w.transpose(3, 2, 0, 1)
+
+
+def mix_view(w: Array) -> Array:  # (c_in, c_out)
+    return w.T[:, :, None, None]
+
+
+def mix_rows_view(w: Array) -> Array:  # (c_out, c_in)
+    return w[:, :, None, None]
+
+
+def along_x_view(w: Array) -> Array:  # (c_in, k, c_out)
+    return w.transpose(2, 0, 1)[:, :, :, None]
+
+
+def along_y_view(w: Array) -> Array:  # (c_in, k, c_out)
+    return w.transpose(2, 0, 1)[:, :, None, :]
+
+
+def depth_x_view(w: Array) -> Array:  # (k, channels), depthwise
+    return w.T[:, None, :, None]
+
+
+def depth_y_view(w: Array) -> Array:  # (k, channels), depthwise
+    return w.T[:, None, None, :]
+
+
+#: (method, spatial order) -> the hand-written weight view of each stage, by
+#: factor name in stage order
+STAGE_VIEWS = {
+    ("weight_svd", None): {"w1": kxk_view, "w2": mix_view},
+    ("spatial_svd", None): {"wh": along_x_view, "wv": along_y_view},
+    ("spatial_svd", "hv"): {"wh": along_x_view, "wv": along_y_view},
+    ("spatial_svd", "vh"): {"wv": along_y_view, "wh": along_x_view},
+    ("cp", None): {"ws": mix_view, "wy": depth_y_view, "wx": depth_x_view, "wt": mix_rows_view},
+    ("tucker", None): {"w1": mix_view, "core": kxk_view, "w2": mix_rows_view},
+    ("tt", None): {"w1": mix_view, "w2": along_x_view, "w3": along_y_view, "w4": mix_view},
+    ("asym3d", None): {"wv": along_y_view, "wh": along_x_view, "wp": mix_view},
+}

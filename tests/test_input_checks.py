@@ -1,0 +1,372 @@
+"""Each library input check raises its documented exception with its message,
+and a MAC count below 1 is refused wherever a rank plan or cost grid is built
+or read."""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from convcompress import linalg
+from convcompress.cli import cli_dispatch
+from convcompress.container import (
+    Container,
+    ContainerError,
+    add_acc_tables,
+    add_gates,
+    add_plan,
+    read_acc_tables,
+    read_container,
+    read_plan,
+    write_container,
+)
+from convcompress.dataopt import (
+    PatchBatch,
+    asym_data_svd,
+    data_svd,
+    refined_kernel,
+    relu_asym,
+    sample_patches,
+)
+from convcompress.decomp import DecomposedLayer, spatial_svd, weight_svd, with_factors
+from convcompress.gates import (
+    GateVector,
+    HardConcreteGate,
+    ToyRegressionTask,
+    VibGate,
+    hc_penalty,
+    prune_by_gates,
+    train_toy_gated,
+    vib_penalty,
+)
+from convcompress.kernel import (
+    Kernel4D,
+    aggregate_ratio,
+    feature_map,
+    max_ranks,
+    unmatricize_spatial,
+    unmatricize_weight,
+)
+from convcompress.pruning import channel_prune
+from convcompress.rankselect import (
+    AccTable,
+    GridCosts,
+    RankPlan,
+    check_sv_table,
+    equal_acc_select,
+    greedy_energy_select,
+)
+
+T, S, K = 4, 3, 3
+
+
+def raises(exc, message):
+    """``pytest.raises`` of ``exc`` whose message is exactly ``message``."""
+    return pytest.raises(exc, match=f"^{re.escape(message)}$")
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    rng = np.random.default_rng(50)
+    return Kernel4D(rng.normal(size=(T, S, K, K)), bias=rng.normal(size=T))
+
+
+@pytest.fixture(scope="module")
+def batch(kernel):
+    """Patches with their reference responses and no current responses."""
+    x = np.random.default_rng(51).normal(size=(20, S * K * K))
+    return PatchBatch(inputs=x, ref_outputs=x @ kernel.as_matrix().T)
+
+
+def replace_cur(batch, cur):
+    """``batch`` with current responses ``cur``."""
+    return PatchBatch(batch.inputs, batch.ref_outputs, cur_outputs=cur)
+
+
+class TestContainer:
+    def test_add_a_duplicate_name(self):
+        c = Container()
+        c.add("a", "kernel", np.zeros(3))
+        with raises(ContainerError, "entry 'a' already present") as err:
+            c.add("a", "kernel", np.zeros(3))
+        assert err.value.code == "duplicate_name"
+
+    def test_add_an_unknown_kind(self):
+        with raises(ContainerError, "unknown entry kind 'weights'") as err:
+            Container().add("a", "weights", np.zeros(3))
+        assert err.value.code == "bad_manifest"
+
+    def test_add_an_empty_gate_vector(self):
+        with raises(ContainerError, "cannot serialize an empty gate vector") as err:
+            add_gates(Container(), "gates", GateVector(gates=[]))
+        assert err.value.code == "bad_manifest"
+
+
+class TestDataopt:
+    def test_patch_batch_of_non_matrices(self):
+        with raises(ValueError, "inputs and ref_outputs must be 2-D"):
+            PatchBatch(inputs=np.zeros(5), ref_outputs=np.zeros((5, T)))
+        with raises(ValueError, "inputs and ref_outputs must be 2-D"):
+            PatchBatch(inputs=np.zeros((5, 2)), ref_outputs=np.zeros((5, T, 1)))
+
+    def test_patch_batch_current_outputs_of_another_shape(self):
+        with raises(ValueError, "cur_outputs shape (5, 3) != ref shape (5, 4)"):
+            PatchBatch(np.zeros((5, 2)), np.zeros((5, T)), cur_outputs=np.zeros((5, 3)))
+
+    def test_z_mean_without_current_outputs(self, batch):
+        with raises(ValueError, "batch has no current outputs"):
+            batch.z_mean
+
+    @pytest.mark.parametrize("per_image", [0, -1])
+    def test_sample_patches_per_image_below_one(self, per_image):
+        maps = [(np.zeros((S, 5, 5)), np.zeros((T, 5, 5)))]
+        with raises(ValueError, f"per_image must be >= 1, got {per_image}"):
+            sample_patches(maps, per_image=per_image, k=3)
+
+    def test_sample_patches_even_size(self):
+        maps = [(np.zeros((S, 5, 5)), np.zeros((T, 5, 5)))]
+        with raises(ValueError, "patch size must be odd and >= 1, got 2"):
+            sample_patches(maps, per_image=2, k=2)
+
+    def test_sample_patches_maps_of_unequal_dims(self):
+        maps = [(np.zeros((S, 5, 5)), np.zeros((T, 5, 5))),
+                (np.zeros((S, 5, 5)), np.zeros((T, 4, 5)))]
+        with raises(ValueError, "map pair 1: spatial dims differ, (3, 5, 5) vs (4, 4, 5)"):
+            sample_patches(maps, per_image=2, k=3)
+
+    def test_data_svd_responses_not_n_by_t(self, kernel):
+        with raises(ValueError, "ref_outputs must be (n, 4), got (6, 5)"):
+            data_svd(kernel, np.zeros((6, T + 1)), 2)
+        with raises(ValueError, "ref_outputs must be (n, 4), got (6,)"):
+            data_svd(kernel, np.zeros(6), 2)
+
+    def test_refined_kernel_of_a_decomposed_fit(self, kernel, batch):
+        layer = weight_svd(kernel, 2)
+        fit = asym_data_svd(replace_cur(batch, batch.ref_outputs), layer, 2)
+        with raises(ValueError, "refined layer does not wrap a dense kernel"):
+            refined_kernel(fit)
+
+    def test_relu_asym_without_current_outputs(self, kernel, batch):
+        want = "batch has no current outputs; call attach_current_outputs first"
+        with raises(ValueError, want):
+            relu_asym(batch, kernel, 2)
+
+    @pytest.mark.parametrize("schedule", [(), (1.0, 0.0), (-1.0,)])
+    def test_relu_asym_schedule_empty_or_not_positive(self, kernel, batch, schedule):
+        with raises(ValueError, "lambda schedule must be nonempty and positive"):
+            relu_asym(replace_cur(batch, batch.ref_outputs), kernel, 2, lambda_schedule=schedule)
+
+
+class TestDecomp:
+    def test_layer_of_an_unknown_method(self):
+        with raises(ValueError, "unknown method 'svd'"):
+            DecomposedLayer("svd", {"w1": np.zeros((2, 2))}, (2,), (2, 2, 1))
+
+    def test_spatial_svd_of_an_unknown_order(self, kernel):
+        with raises(ValueError, "order must be 'hv' or 'vh', got 'xy'"):
+            spatial_svd(kernel, 2, order="xy")
+
+    def test_with_factors_of_an_unknown_name(self, kernel):
+        layer = weight_svd(kernel, 2)
+        with raises(ValueError, "layer has no factors named ['w3', 'wx']"):
+            with_factors(layer, wx=np.zeros(2), w3=np.zeros(2), w1=layer.factors["w1"])
+
+
+class TestGates:
+    L0 = GateVector([HardConcreteGate(0.5), HardConcreteGate(-0.5)])
+    VIB = GateVector([VibGate(1.0, 0.5), VibGate(0.2, 1.0)])
+
+    def test_hc_penalty_of_vib_gates(self):
+        with raises(ValueError, "hc_penalty needs hard-concrete gates"):
+            hc_penalty(self.VIB)
+
+    def test_vib_penalty_of_l0_gates(self):
+        with raises(ValueError, "vib_penalty needs Gaussian gates"):
+            vib_penalty(self.L0)
+
+    def test_prune_by_gates_of_another_count(self, kernel):
+        with raises(ValueError, "2 gates for 4 output channels"):
+            prune_by_gates(self.L0, kernel, 0.1)
+
+    def test_train_an_unknown_kind(self):
+        with raises(ValueError, "kind must be 'l0' or 'vib', got 'l1'"):
+            train_toy_gated(ToyRegressionTask(), "l1", 0.1, steps=1)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("shape, t, s", [((0, 2, 3, 3), 0, 2), ((2, 0, 1, 1), 2, 0)])
+    def test_kernel_of_no_channels(self, shape, t, s):
+        with raises(ValueError, f"channel counts must be positive, got t={t}, s={s}"):
+            Kernel4D(np.zeros(shape))
+
+    def test_feature_map_not_3d(self):
+        with raises(ValueError, "feature map must be 3-D (channels, h, w), got shape (4, 4)"):
+            feature_map(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4), (2, 4, 0)])
+    def test_feature_map_of_an_empty_dim(self, shape):
+        with raises(ValueError, f"feature map dims must be positive, got {shape}"):
+            feature_map(np.zeros(shape))
+
+    def test_unmatricize_weight_of_the_wrong_shape(self):
+        with raises(ValueError, "expected shape (27, 4), got (4, 27)"):
+            unmatricize_weight(np.zeros((4, 27)), T, S, K)
+
+    def test_unmatricize_spatial_of_the_wrong_shape(self):
+        with raises(ValueError, "expected shape (9, 12), got (12, 9)"):
+            unmatricize_spatial(np.zeros((12, 9)), T, S, K)
+
+    def test_max_ranks_of_an_unknown_method(self):
+        with raises(ValueError, "unknown method 'svd'"):
+            max_ranks("svd", S, T, K)
+
+    def test_aggregate_ratio_of_no_layers(self):
+        with raises(ValueError, "no layer costs to aggregate"):
+            aggregate_ratio([])
+
+
+class TestLinalg:
+    def test_matrix_not_2d(self):
+        with raises(ValueError, "matrix must be 2-D, got shape (3,)"):
+            linalg.svd(np.zeros(3))
+        with raises(ValueError, "X must be 2-D, got shape (2, 2, 2)"):
+            linalg.lasso_cd(np.zeros((2, 2, 2)), np.zeros(2), 0.1)
+
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_truncate_out_of_range(self, r):
+        res = linalg.svd(np.eye(2))
+        with raises(ValueError, f"rank {r} out of range [1, 2]"):
+            res.truncate(r)
+
+    def test_eig_sym_of_a_non_square_matrix(self):
+        with raises(ValueError, "matrix must be square, got (2, 3)"):
+            linalg.eig_sym(np.zeros((2, 3)))
+
+    def test_ridge_solve_of_unequal_column_counts(self):
+        with raises(ValueError, "Y and Z need equal column counts, got (2, 5) vs (3, 4)"):
+            linalg.ridge_solve(np.zeros((2, 5)), np.ones((3, 4)))
+
+    def test_ridge_solve_of_a_negative_eps(self):
+        with raises(ValueError, "eps must be >= 0"):
+            linalg.ridge_solve(np.ones((2, 5)), np.ones((3, 5)), eps=-1e-3)
+
+    def test_lasso_cd_of_a_wrong_response_length(self):
+        with raises(ValueError, "y length 4 does not match X rows 5"):
+            linalg.lasso_cd(np.ones((5, 2)), np.ones(4), 0.1)
+
+
+class TestPruning:
+    @pytest.mark.parametrize("shape", [(10, S * K * K), (10, S + 1, K * K), (10, S, K)])
+    def test_channel_prune_of_bad_patches(self, kernel, shape):
+        with raises(ValueError, f"x must be (n, {S}, {K * K}), got {shape}"):
+            channel_prune(kernel, np.ones(shape), np.ones((10, T)), 2)
+
+    @pytest.mark.parametrize("shape", [(9, T), (10, T + 1), (10,)])
+    def test_channel_prune_of_bad_responses(self, kernel, shape):
+        with raises(ValueError, f"y must be (10, {T}), got {shape}"):
+            channel_prune(kernel, np.ones((10, S, K * K)), np.ones(shape), 2)
+
+
+COST = GridCosts({(1,): 10, (2,): 20}, 40)
+TABLE = AccTable({(1,): 0.5, (2,): 0.8}, 0.9)
+
+
+class TestRankselect:
+    def test_empty_accuracy_table(self):
+        with raises(ValueError, "accuracy table is empty"):
+            AccTable({}, 0.9)
+
+    @pytest.mark.parametrize("acc", [1.5, -0.1])
+    def test_accuracy_outside_the_unit_interval(self, acc):
+        with raises(ValueError, f"accuracy {acc} for ranks (2,) outside [0, 1]"):
+            AccTable({(1,): 0.5, (2,): acc}, 0.9)
+
+    @pytest.mark.parametrize("sv", [np.ones((2, 1)), np.ones(0)])
+    def test_check_sv_table_of_a_non_vector(self, sv):
+        with raises(ValueError, "singular values must be a nonempty vector"):
+            check_sv_table(sv, COST)
+
+    def test_selectors_without_tables(self):
+        with raises(ValueError, "no accuracy tables"):
+            equal_acc_select([], [], 0.5)
+        with raises(ValueError, "no singular value lists"):
+            greedy_energy_select([], [], 0.5)
+
+    def test_selectors_with_mismatched_counts(self):
+        with raises(ValueError, "2 tables vs 1 cost grids"):
+            equal_acc_select([TABLE, TABLE], [COST], 0.5)
+        with raises(ValueError, "1 layers vs 2 cost grids"):
+            greedy_energy_select([np.array([2.0, 1.0])], [COST, COST], 0.5)
+
+    def test_equal_acc_select_of_disagreeing_original_accuracies(self):
+        other = AccTable({(1,): 0.5, (2,): 0.8}, 0.8)
+        with raises(ValueError, "tables disagree on the original accuracy"):
+            equal_acc_select([TABLE, other], [COST, COST], 0.5)
+
+    def test_greedy_when_macs_do_not_grow_with_rank(self):
+        flat = GridCosts({(1,): 20, (2,): 20}, 40)
+        with raises(ValueError, "layer 1: MACs not increasing in rank"):
+            greedy_energy_select([np.array([2.0, 1.0])] * 2, [COST, flat], 0.4)
+
+
+class TestMacCountsBelowOne:
+    """A MAC count must be an integer >= 1: a grid or a plan priced at 0 or
+    below would give a budget ratio of the wrong sign."""
+
+    @pytest.mark.parametrize("macs", [-50, 0])
+    def test_grid_costs_refuse_an_option(self, macs):
+        want = f"MACs must be >= 1, got {{(1,): {macs}, (2,): 100}}, original 400"
+        with raises(ValueError, want):
+            GridCosts({(1,): macs, (2,): 100}, 400)
+
+    @pytest.mark.parametrize("orig", [-400, 0])
+    def test_grid_costs_refuse_the_original(self, orig):
+        with raises(ValueError, f"MACs must be >= 1, got {{(1,): 100}}, original {orig}"):
+            GridCosts({(1,): 100}, orig)
+
+    def test_grid_costs_accept_one(self):
+        assert GridCosts({(1,): 1}, 1).macs == {(1,): 1}
+
+    @staticmethod
+    def _tables(path, macs):
+        costs = [GridCosts({(1,): 100, (2,): 200}, 400)] * 2
+        c = Container()
+        add_acc_tables(c, "acc", [AccTable({(1,): 0.6, (2,): 0.8}, 0.9)] * 2, costs)
+        write_container(c, path)
+        manifest_path = Path(path) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["entries"][0]["metadata"]["macs"] = macs
+        manifest_path.write_text(json.dumps(manifest))
+        return Path(path)
+
+    @pytest.mark.parametrize("macs", [-50, 0])
+    def test_stored_table(self, tmp_path, macs):
+        path = self._tables(tmp_path / "t", {"1": macs, "2": 100})
+        want = (f"table 'acc/layer0': MACs must be >= 1, "
+                f"got {{(1,): {macs}, (2,): 100}}, original 400")
+        with raises(ContainerError, want) as err:
+            read_acc_tables(read_container(path), "acc")
+        assert err.value.code == "bad_manifest"
+        out, errs = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+            code = cli_dispatch(["rank-select", "--strategy", "equal-acc", "--ratio", "0.3",
+                                 "--acc-table", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1 and out.getvalue() == ""
+        assert json.loads(errs.getvalue())["code"] == "bad_manifest"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("achieved", [-50, 0])
+    def test_stored_plan(self, tmp_path, achieved):
+        c = Container()
+        add_plan(c, "plan", RankPlan(ranks=((3,), (2, 4)), tau=0.05, achieved_macs=1200,
+                                     achieved_ratio=0.4, strategy="equal_acc"))
+        c.entries[0].metadata["achieved_macs"] = achieved
+        write_container(c, tmp_path / "p")
+        want = f"plan 'plan': achieved_macs must be >= 1, got {achieved}"
+        with raises(ContainerError, want) as err:
+            read_plan(read_container(tmp_path / "p"), "plan")
+        assert err.value.code == "bad_manifest"
