@@ -7,22 +7,25 @@ order.  Arrays come back as float64; the file keeps float32.
 
 Malformed containers raise :class:`ContainerError` with a stable ``code``:
 ``bad_manifest``, ``duplicate_name``, ``shape_mismatch``, ``truncated``,
-``overlap`` or ``missing``.  Every payload must be finite, or
-:func:`read_container` fails with ``bad_manifest``.  A typed reader fails
-with ``bad_manifest`` on an entry of another kind than it reads: ``kernel``
-(``read_kernel``), ``factor`` (``read_layer``, and every ``/bias``),
-``patchbatch`` (``read_batch``), ``gates`` (``read_gates``) or ``plan``
-(``read_plan`` and the table readers).  Decomposed layers are checked
-against the method tables: method, spatial order, rank arity, factor names
-and shapes, and their sweep diagnostics (:data:`DIAGNOSTICS`), if stored,
-for type.  Gate vectors are checked for kind, shape, sigma > 0 and
-``lambda_reg``; patch batches for equal row counts (``shape_mismatch``);
-rank plans and rank-selection tables for the type of each metadata field
-(a number must be finite) and their payload shapes (``shape_mismatch``),
-plans and accuracy tables for ranks that are integers >= 1 (never
-rounded), accuracy tables for a rank vector listed twice, and tables for
-the checks of :mod:`convcompress.rankselect` on their values
-(``bad_manifest``).
+``overlap`` or ``missing``.  The manifest must be UTF-8 JSON and every
+payload finite, or :func:`read_container` fails with ``bad_manifest``.
+Each stored value is checked by kind, with a minimum where one applies
+(:func:`_field`), else ``bad_manifest``: an entry's name, kind, dtype and
+byte range, a kernel's ``h`` and ``w`` and every metadata field a typed
+reader reads.  A typed reader fails with ``bad_manifest`` on an entry of
+another kind than it reads: ``kernel`` (``read_kernel``), ``factor``
+(``read_layer``, and every ``/bias``), ``patchbatch`` (``read_batch``),
+``gates`` (``read_gates``) or ``plan`` (``read_plan`` and the table
+readers).  The decomposed layer ``name`` is its direct children
+``name/<factor>``, checked against the method tables: method, spatial
+order, rank arity, factor names and shapes, and its sweep diagnostics
+(:data:`DIAGNOSTICS`), all three or none.  Gate vectors are checked for
+kind, shape and sigma > 0; patch batches for equal row counts
+(``shape_mismatch``); rank plans and rank-selection tables for their
+payload shapes (``shape_mismatch``), plans and accuracy tables for ranks
+that are integers >= 1 (never rounded), accuracy tables for a rank vector
+listed twice, and tables for the checks of :mod:`convcompress.rankselect`
+on their values (``bad_manifest``).
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .rankselect import AccTable, GridCosts, RankPlan, check_acc_table, check_sv
 KINDS = ("kernel", "factor", "patchbatch", "gates", "plan")
 
 #: The sweep diagnostics of ``cp_als`` and ``tucker_hooi`` that a layer
-#: entry stores beside ``order``.
-DIAGNOSTICS = ("iterations", "rel_error", "converged")
+#: entry stores beside ``order``: key -> (kind, minimum) of :func:`_field`.
+DIAGNOSTICS = {"iterations": (int, 1), "rel_error": (float, None), "converged": (bool, None)}
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "blob.bin"
@@ -78,24 +81,27 @@ def _stored_ranks(payload: Array, where: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-def _int_field(meta: dict, key: str, where: str) -> int:
-    """``meta[key]`` as an int, else ``bad_manifest``."""
+_REQUIRED = object()
+_KIND_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string"}
+
+
+def _field(meta: dict, key: str, where: str, kind: type, minimum=None, default=_REQUIRED):
+    """``meta[key]``, or ``default`` for a missing key if one is given;
+    ``bad_manifest`` unless it is of ``kind`` and at least ``minimum`` (if
+    given).  An ``int`` is never a bool; a ``float`` is an int or a float,
+    finite as a float, and is returned as a float."""
+    if key not in meta and default is not _REQUIRED:
+        return default
     value = meta.get(key)
-    if not _is_int(value):
-        raise ContainerError("bad_manifest", f"{where}: {key} must be an int, got {value!r}")
-    return value
-
-
-def _number_field(meta: dict, key: str, where: str, default: float | None = None) -> float:
-    """``meta[key]`` (an int or a float, finite as a float) as a float, else
-    ``bad_manifest``; ``default`` for a missing key, if given."""
-    value = meta.get(key, default)
-    # a NaN fails the comparison; an int too large for a float exceeds the bound
-    if not (_is_int(value) or isinstance(value, float)) or not abs(value) <= sys.float_info.max:
-        raise ContainerError(
-            "bad_manifest", f"{where}: {key} must be a finite number, got {value!r}"
-        )
-    return float(value)
+    if kind is float:
+        # a NaN fails the comparison; an int too large for a float exceeds the bound
+        ok = (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = _is_int(value) if kind is int else isinstance(value, kind)
+    if not ok or (minimum is not None and not value >= minimum):
+        want = f">= {minimum}" if ok else _KIND_NAMES[kind]
+        raise ContainerError("bad_manifest", f"{where}: {key} must be {want}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 @dataclass
@@ -153,22 +159,8 @@ def write_container(container: Container, path) -> None:
     """Write manifest and blob under ``path`` (a directory, created if needed)."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format": "convcompress-container",
-        "version": 1,
-        "entries": [
-            {
-                "name": e.name,
-                "kind": e.kind,
-                "dtype": e.dtype,
-                "shape": list(e.shape),
-                "byte_offset": e.byte_offset,
-                "byte_length": e.byte_length,
-                "metadata": e.metadata,
-            }
-            for e in container.entries
-        ],
-    }
+    entries = [vars(e) for e in container.entries]
+    manifest = {"format": "convcompress-container", "version": 1, "entries": entries}
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     (root / BLOB_NAME).write_bytes(container.blob)
 
@@ -181,40 +173,38 @@ def read_container(path) -> Container:
     if not mpath.is_file() or not bpath.is_file():
         raise ContainerError("bad_manifest", f"{root} is not a container directory")
     try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise ContainerError("bad_manifest", f"manifest is not valid JSON: {exc}") from exc
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ContainerError("bad_manifest", f"manifest is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):
         raise ContainerError("bad_manifest", "manifest lacks an entries list")
     blob = bpath.read_bytes()
     entries = []
     seen = set()
     for raw in manifest["entries"]:
-        try:
-            e = Entry(
-                name=str(raw["name"]),
-                kind=str(raw["kind"]),
-                shape=_ints(raw["shape"], "shape", 0),
-                byte_offset=raw["byte_offset"],
-                byte_length=raw["byte_length"],
-                metadata=dict(raw.get("metadata", {})),
-                dtype=str(raw.get("dtype", "f32")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContainerError("bad_manifest", f"malformed entry: {raw!r}") from exc
-        if not (_is_int(e.byte_offset) and _is_int(e.byte_length)):
-            raise ContainerError("bad_manifest", f"entry {e.name!r} has a non-integer byte range")
+        if not isinstance(raw, dict) or not isinstance(raw.get("metadata", {}), dict):
+            raise ContainerError("bad_manifest", f"malformed entry: {raw!r}")
+        name = _field(raw, "name", "entry", str)
+        where = f"entry {name!r}"
+        e = Entry(
+            name=name,
+            kind=_field(raw, "kind", where, str),
+            shape=_ints(raw.get("shape"), f"{where} shape", 0),
+            byte_offset=_field(raw, "byte_offset", where, int),
+            byte_length=_field(raw, "byte_length", where, int),
+            metadata=raw.get("metadata", {}),
+            dtype=_field(raw, "dtype", where, str, default="f32"),
+        )
         if e.kind not in KINDS:
-            raise ContainerError("bad_manifest", f"entry {e.name!r} has unknown kind {e.kind!r}")
+            raise ContainerError("bad_manifest", f"{where} has unknown kind {e.kind!r}")
         if e.dtype != "f32":
-            raise ContainerError("bad_manifest", f"entry {e.name!r} has unsupported dtype")
+            raise ContainerError("bad_manifest", f"{where} has unsupported dtype")
         if e.name in seen:
             raise ContainerError("duplicate_name", f"duplicate entry name {e.name!r}")
         seen.add(e.name)
-        if e.kind == "kernel" and not all(
-            _is_int(e.metadata.get(dim, 1)) and e.metadata.get(dim, 1) >= 1 for dim in ("h", "w")
-        ):
-            raise ContainerError("bad_manifest", f"kernel {e.name!r}: h and w must be positive ints")
+        if e.kind == "kernel":
+            for dim in ("h", "w"):
+                _field(e.metadata, dim, f"kernel {e.name!r}", int, 1, default=1)
         expected = math.prod(e.shape) * 4
         if e.byte_length != expected:
             raise ContainerError(
@@ -299,33 +289,27 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
     tables: ``bad_manifest`` for an unknown method or order, a wrong rank
     arity, factors that disagree on the layer metadata or the wrong factor
     names; ``shape_mismatch`` for factor or bias shapes the ranks do not give.
-    The layer's meta holds its order and the :data:`DIAGNOSTICS` stored, all
-    three or none: ``iterations`` an int >= 1, ``rel_error`` a finite number
-    and ``converged`` a bool, else ``bad_manifest``.
+    The layer's factors are the direct children ``name/<factor>``; its meta
+    holds its order and the :data:`DIAGNOSTICS` stored, all three or none.
     """
-    prefix = f"{name}/"
-    picked = [
-        e
-        for e in container.entries
-        if e.kind == "factor" and e.name.startswith(prefix) and e.metadata.get("role") != "bias"
-    ]
+    picked = [e for e in container.entries if e.kind == "factor"
+              and e.name.rpartition("/")[:2] == (name, "/") and e.metadata.get("role") != "bias"]
     if not picked:
         raise ContainerError("missing", f"no factor entries under {name!r}")
     keys = ("method", "ranks", "source_dims", "order", *DIAGNOSTICS)
-    meta = {key: picked[0].metadata.get(key) for key in keys}
-    if any({key: e.metadata.get(key) for key in keys} != meta for e in picked):
+    meta = picked[0].metadata
+    if any(e.metadata.get(key) != meta.get(key) for e in picked for key in keys):
         raise ContainerError("bad_manifest", f"factors of {name!r} disagree on {keys}")
-    diagnostics = {key: meta[key] for key in DIAGNOSTICS if key in picked[0].metadata}
-    if diagnostics:
-        iters, converged = meta["iterations"], meta["converged"]
-        complete = len(diagnostics) == len(DIAGNOSTICS)
-        if not (complete and _is_int(iters) and iters >= 1 and type(converged) is bool):
-            raise ContainerError("bad_manifest", f"{name!r}: iterations, rel_error, converged "
-                                 f"must be an int >= 1, a number and a bool, got {diagnostics}")
-        diagnostics["rel_error"] = _number_field(meta, "rel_error", repr(name))
-    method, order = meta["method"], meta["order"]
-    orders = LAYOUTS.get(method, {}) if isinstance(method, str) else {}
-    if not isinstance(order, (str, type(None))) or order not in orders:
+    where = repr(name)
+    diagnostics = {}
+    if any(key in meta for key in DIAGNOSTICS):  # all three or none
+        diagnostics = {key: _field(meta, key, where, kind, minimum)
+                       for key, (kind, minimum) in DIAGNOSTICS.items()}
+    method = _field(meta, "method", where, str)
+    # a null order is no order, as in LAYOUTS
+    order = None if meta.get("order") is None else _field(meta, "order", where, str)
+    orders = LAYOUTS.get(method, {})
+    if order not in orders:
         raise ContainerError("bad_manifest", f"{name!r}: no layout for {method!r}, order {order!r}")
     layout = orders[order]
     ranks = _ints(meta["ranks"], f"{name!r} ranks", 1)
@@ -337,8 +321,8 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
         shapes = factor_shapes(method, s, t, k, ranks)
     except ValueError as exc:
         raise ContainerError("bad_manifest", f"{name!r}: {exc}") from exc
-    names = [e.metadata.get("factor") for e in picked]
-    if not all(isinstance(n, str) for n in names) or sorted(names) != sorted(layout.stages):
+    names = [_field(e.metadata, "factor", repr(e.name), str) for e in picked]
+    if sorted(names) != sorted(layout.stages):
         raise ContainerError(
             "bad_manifest", f"{name!r} stores factors {names}, {method} has {list(layout.stages)}"
         )
@@ -398,7 +382,7 @@ def read_gates(container: Container, name: str) -> GateVector:
     kind = e.metadata.get("kind")
     if kind not in ("l0", "vib"):
         raise ContainerError("bad_manifest", f"gate vector {name!r} has unknown kind {kind!r}")
-    lam = _number_field(e.metadata, "lambda_reg", f"gate vector {name!r}", default=0.0)
+    lam = _field(e.metadata, "lambda_reg", f"gate vector {name!r}", float, default=0.0)
     n = payload.size if kind == "l0" else payload.size // 2
     if n == 0 or payload.shape != ((n,) if kind == "l0" else (n, 2)):
         want = "(n,)" if kind == "l0" else "(n, 2)"
@@ -445,12 +429,6 @@ def read_plan(container: Container, name: str) -> RankPlan:
         raise ContainerError(
             "bad_manifest", f"{where}: arity {list(arity)} does not sum to {len(flat)} ranks"
         )
-    strategy = e.metadata.get("strategy")
-    if not isinstance(strategy, str):
-        raise ContainerError("bad_manifest", f"{where}: strategy must be a string")
-    achieved = _int_field(e.metadata, "achieved_macs", where)
-    if achieved < 1:
-        raise ContainerError("bad_manifest", f"{where}: achieved_macs must be >= 1, got {achieved}")
     ranks = []
     pos = 0
     for a in arity:
@@ -458,10 +436,10 @@ def read_plan(container: Container, name: str) -> RankPlan:
         pos += a
     return RankPlan(
         ranks=tuple(ranks),
-        tau=_number_field(e.metadata, "tau", where),
-        achieved_macs=achieved,
-        achieved_ratio=_number_field(e.metadata, "achieved_ratio", where),
-        strategy=strategy,
+        tau=_field(e.metadata, "tau", where, float),
+        achieved_macs=_field(e.metadata, "achieved_macs", where, int, 1),
+        achieved_ratio=_field(e.metadata, "achieved_ratio", where, float),
+        strategy=_field(e.metadata, "strategy", where, str),
     )
 
 
@@ -512,7 +490,7 @@ def _read_tables(
         macs = e.metadata.get("macs")
         if not isinstance(macs, dict) or not all(_is_int(v) for v in macs.values()):
             raise ContainerError("bad_manifest", f"{where}: macs must map rank keys to ints")
-        orig = _int_field(e.metadata, "macs_original", where)
+        orig = _field(e.metadata, "macs_original", where, int)
         try:
             keyed = {_parse_ranks_key(key): value for key, value in macs.items()}
             cost = GridCosts(macs=keyed, macs_original=orig)
@@ -531,7 +509,7 @@ def read_acc_tables(container: Container, name: str) -> tuple[list[AccTable], li
         accs = {_stored_ranks(row[:-1], where): float(row[-1]) for row in payload}
         if len(accs) < len(payload):
             raise ContainerError("bad_manifest", f"{where}: a rank vector is listed twice")
-        p_orig = _number_field(e.metadata, "p_orig", where)
+        p_orig = _field(e.metadata, "p_orig", where, float)
         return check_acc_table(AccTable(accuracies=accs, p_orig=p_orig), cost)
 
     return _read_tables(container, name, "accuracy", (1, 2), build)

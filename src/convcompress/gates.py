@@ -232,10 +232,14 @@ class GatePruneResult:
 
 
 def kept_by_criteria(crit: Array, threshold: float) -> tuple[int, ...]:
-    """Indices of the gates whose keep criterion reaches ``threshold`` (> 0)."""
+    """Indices of the gates whose keep criterion reaches ``threshold`` (> 0);
+    a threshold that keeps no gate is refused."""
     if not threshold > 0:  # also rejects NaN
         raise ValueError(f"threshold must be positive, got {threshold}")
-    return tuple(int(i) for i in np.flatnonzero(crit >= threshold))
+    kept = tuple(int(i) for i in np.flatnonzero(crit >= threshold))
+    if not kept:
+        raise ValueError("threshold prunes every channel")
+    return kept
 
 
 def prune_by_gates(
@@ -250,8 +254,6 @@ def prune_by_gates(
     if crit.size != kernel.t:
         raise ValueError(f"{crit.size} gates for {kernel.t} output channels")
     kept = kept_by_criteria(crit, threshold)
-    if not kept:
-        raise ValueError("threshold prunes every channel")
     pruned = Kernel4D(
         kernel.data[list(kept)].copy(),
         bias=None if kernel.bias is None else kernel.bias[list(kept)].copy(),

@@ -220,7 +220,7 @@ class TestCompressReconstruct:
         assert rep["retained"] <= 0.5
         r1, r2, r3 = rep["ranks"]
         assert r2 <= r1 * kernel.k and r3 <= r2 * kernel.k
-        assert read_layer(read_container(tmp_path / "comp"), "conv1").ranks == (r1, r2, r3)
+        assert read_layer(read_container(tmp_path / "comp"), "conv1/decomposed").ranks == (r1, r2, r3)
 
     def test_reconstruct_keeps_the_map_size(self, capsys, tmp_path):
         """compress -> reconstruct -> prune counts MACs at the stored map
@@ -663,9 +663,10 @@ class TestGatesCli:
             (["--lr", "nan"], "lr must be finite and positive"),
             (["--lambda", "-0.5"], "lambda_reg must be finite and nonnegative"),
             (["--lambda", "nan"], "lambda_reg must be finite and nonnegative"),
+            (["--threshold", "2"], "threshold prunes every channel"),
         ],
         ids=["steps-0", "informative-over-features", "informative-0", "threshold-negative",
-             "lr-negative", "lr-nan", "lambda-negative", "lambda-nan"],
+             "lr-negative", "lr-nan", "lambda-negative", "lambda-nan", "threshold-keeps-none"],
     )
     def test_bad_arguments_fail_and_write_nothing(self, capsys, tmp_path, argv, message):
         code, _, err = run(

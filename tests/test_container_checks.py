@@ -149,6 +149,20 @@ class TestLayerAgainstTables:
             "weight_svd", layer.factors, layer.ranks, layer.source_dims, bias=np.ones(T + 1)))
         assert _read_code(path) == "shape_mismatch"
 
+    def test_layer_is_its_direct_children(self, tmp_path):
+        """An asym output stores its refined layer under ``conv1/decomposed/``
+        beside the kernel's bias ``conv1/bias``: the layer ``conv1`` is not
+        those factors with that bias, it is missing."""
+        kernel = _kernel()
+        model = _write(tmp_path / "m", kernel, weight_svd(kernel, 2))
+        batch = _batch_dir(tmp_path / "b", kernel)
+        assert _cli("dataopt", model, "--layer", "conv1", "--mode", "asym", "--rank", "2",
+                    "--batch", batch, "--out", tmp_path / "o")[0] == 0
+        cont = read_container(tmp_path / "o")
+        assert _read_code(tmp_path / "o", "conv1") == "missing"
+        layer = read_layer(cont, "conv1/decomposed")
+        assert np.array_equal(layer.bias, cont.get("conv1/decomposed/bias"))
+
     def test_reconstruct_against_a_kernel_of_other_shape(self, tmp_path):
         kernel = _kernel(bias=False)
         path = _write(tmp_path / "c", kernel, weight_svd(kernel, 2))
@@ -195,6 +209,28 @@ class TestManifestGaps:
         assert code == 1 and out == ""
         assert json.loads(err)["code"] == "bad_manifest"
 
+    @pytest.mark.parametrize("value", [[], "", [["h", 3]]], ids=["list", "string", "pairs"])
+    def test_metadata_that_is_not_a_map(self, tmp_path, value):
+        """An entry's metadata must be a JSON object: no other value is read
+        as one."""
+        path = self._kernel_container(tmp_path)
+        _edit(path, lambda m: m["entries"][0].update(metadata=value))
+        assert self._code(path) == "bad_manifest"
+        code, out, err = _cli("report", path)
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "bad_manifest"
+
+    def test_manifest_that_is_not_utf8(self, tmp_path):
+        """A Latin-1 byte in the manifest is ``bad_manifest``, as invalid
+        JSON is, in the library and through ``report``."""
+        path = self._kernel_container(tmp_path)
+        mpath = path / "manifest.json"
+        mpath.write_bytes(mpath.read_bytes().replace(b'"conv1"', b'"conv\xe91"'))
+        assert self._code(path) == "bad_manifest"
+        code, out, err = _cli("report", path)
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "bad_manifest"
+
     def test_kernel_entry_that_is_not_a_kernel(self, tmp_path):
         path = self._kernel_container(tmp_path)
         _edit(path, lambda m: m["entries"][0].update(shape=[T * S * K * K]))
@@ -227,10 +263,12 @@ class TestGateVectors:
             ([[0.5, 1.0, 1.0]], VIB, "shape_mismatch"),
             (np.empty(0), L0, "shape_mismatch"),
             (np.empty((0, 2)), VIB, "shape_mismatch"),
+            ([0.5], {"kind": "l0", "lambda_reg": [0.1]}, "bad_manifest"),
         ],
         ids=["unknown-kind", "missing-kind", "nan-log-alpha", "inf-mu", "zero-sigma",
              "negative-sigma", "lambda-string", "lambda-null", "lambda-bool", "lambda-nan",
-             "lambda-huge-int", "vib-1d", "l0-2d", "vib-3-columns", "l0-empty", "vib-empty"],
+             "lambda-huge-int", "vib-1d", "l0-2d", "vib-3-columns", "l0-empty", "vib-empty",
+             "lambda-list"],
     )
     def test_malformed_gate_vector(self, tmp_path, payload, metadata, code):
         """Each cause gives its coded error, never a raw TypeError or
@@ -274,8 +312,9 @@ class TestRankTables:
         _edit(tmp_path / "t", lambda m: [edit(e["metadata"]) for e in m["entries"]])
         return read_container(tmp_path / "t")
 
-    @pytest.mark.parametrize("value", [None, "0.9", True, 1.5, NAN],
-                             ids=["missing", "string", "bool", "above-one", "nan"])
+    @pytest.mark.parametrize("value", [None, "0.9", True, 1.5, NAN, [0.9], 10**400],
+                             ids=["missing", "string", "bool", "above-one", "nan", "list",
+                                  "huge-int"])
     def test_bad_p_orig(self, tmp_path, value):
         def edit(meta):
             if meta["role"] != "acc-table":
@@ -295,9 +334,9 @@ class TestRankTables:
         [("macs", None), ("macs", [100, 200]), ("macs", {"1": 100, "2": "200"}),
          ("macs", {"1": 100, "2": 2.5}), ("macs", {"1": 100, "two": 200}),
          ("macs_original", None), ("macs_original", 400.0), ("macs_original", "400"),
-         ("macs_original", 0)],
+         ("macs_original", 0), ("macs_original", True), ("macs_original", [400])],
         ids=["macs-missing", "macs-list", "macs-string", "macs-float", "rank-key-not-int",
-             "orig-missing", "orig-float", "orig-string", "orig-zero"],
+             "orig-missing", "orig-float", "orig-string", "orig-zero", "orig-bool", "orig-list"],
     )
     @pytest.mark.parametrize("table", ["acc", "sv"])
     def test_bad_grid_costs(self, tmp_path, key, value, table):
@@ -345,11 +384,17 @@ class TestRankTables:
          ("arity", [1, 1]), ("arity", [2, 2]), ("tau", None), ("tau", "0.05"),
          ("achieved_macs", None), ("achieved_macs", 1200.5), ("achieved_ratio", None),
          ("achieved_ratio", [0.4]), ("strategy", None), ("strategy", 7), ("tau", NAN),
-         ("achieved_ratio", float("inf"))],
+         ("achieved_ratio", float("inf")), ("tau", True), ("tau", [0.05]), ("tau", 10**400),
+         ("achieved_macs", "1200"), ("achieved_macs", True), ("achieved_macs", [1200]),
+         ("achieved_macs", 0), ("achieved_ratio", "0.4"), ("achieved_ratio", False),
+         ("achieved_ratio", NAN), ("achieved_ratio", 10**400), ("strategy", True),
+         ("strategy", ["equal_acc"]), ("strategy", 2.5)],
         ids=["arity-missing", "arity-int", "arity-string", "arity-zero", "arity-short",
              "arity-long", "tau-missing", "tau-string", "macs-missing", "macs-float",
              "ratio-missing", "ratio-list", "strategy-missing", "strategy-int", "tau-nan",
-             "ratio-inf"],
+             "ratio-inf", "tau-bool", "tau-list", "tau-huge-int", "macs-string", "macs-bool",
+             "macs-list", "macs-zero", "ratio-string", "ratio-bool", "ratio-nan",
+             "ratio-huge-int", "strategy-bool", "strategy-list", "strategy-float"],
     )
     def test_bad_plan(self, tmp_path, key, value):
         def edit(meta):
@@ -823,11 +868,13 @@ class TestSweepDiagnostics:
          ("iterations", None), ("iterations", DROP), ("rel_error", "0.5"),
          ("rel_error", float("nan")), ("rel_error", [0.5]), ("rel_error", True),
          ("rel_error", None), ("rel_error", DROP), ("converged", 1), ("converged", "true"),
-         ("converged", None), ("converged", DROP)],
+         ("converged", None), ("converged", DROP), ("iterations", [3]),
+         ("rel_error", 10**400), ("converged", [True]), ("converged", 1.0)],
         ids=["iters-zero", "iters-float", "iters-string", "iters-bool", "iters-null",
              "iters-missing", "error-string", "error-nan", "error-list", "error-bool",
              "error-null", "error-missing", "converged-int", "converged-string",
-             "converged-null", "converged-missing"],
+             "converged-null", "converged-missing", "iters-list", "error-huge-int",
+             "converged-list", "converged-float"],
     )
     @pytest.mark.parametrize("case", ["cp", "tucker"])
     def test_tampered(self, tmp_path, case, key, value):
@@ -856,3 +903,106 @@ class TestSweepDiagnostics:
         assert layer.meta == {"iterations": 3, "rel_error": 0.5, "converged": True}
         _edit(path, lambda m: _layer_entries(m)[-1]["metadata"].pop(key))
         assert _read_code(path) == "bad_manifest"
+
+
+#: One value of each JSON kind, and the two ints and floats that are not
+#: finite numbers as floats.
+VALUES_BY_KIND = {"string": "7", "int": 7, "float": 2.5, "bool": True, "null": None,
+                  "list": [7], "nan": float("nan"), "huge-int": 10**400}
+#: kind -> the names in :data:`VALUES_BY_KIND` of the values it accepts
+ACCEPTED = {str: {"string"}, int: {"int", "huge-int"}, float: {"int", "float"},
+            bool: {"bool"}}
+MISSING = object()
+
+
+def _bad_values(kind, minimum=None, default=False):
+    """``(id, value)`` of every value that a field of ``kind`` refuses: those
+    of :data:`VALUES_BY_KIND` it does not accept, one below ``minimum`` and,
+    without a ``default``, none at all (:data:`MISSING`)."""
+    bad = [(name, v) for name, v in VALUES_BY_KIND.items() if name not in ACCEPTED[kind]]
+    if minimum is not None:
+        bad.append(("below-minimum", minimum - 1))
+    if not default:
+        bad.append(("missing", MISSING))
+    return bad
+
+
+def _set(target, key, value):
+    if value is MISSING:
+        target.pop(key, None)
+    else:
+        target[key] = value
+
+
+class TestFieldRule:
+    """Every stored value is read by kind, with a minimum where one applies:
+    any other value is ``bad_manifest`` from its reader and through the
+    command that reads it.  The fields here are those that the tests
+    above do not tamper with, and the values those tests cannot write."""
+
+    #: field -> (kind, minimum, has a default, entries it is set on)
+    FIELDS = {
+        "name": (str, None, False, "entry"),
+        "kind": (str, None, False, "entry"),
+        "dtype": (str, None, True, "entry"),
+        "byte_offset": (int, None, False, "entry"),
+        "byte_length": (int, None, False, "entry"),
+        "w": (int, 1, True, "kernel"),
+        "method": (str, None, False, "layer"),
+        "order": (str, None, True, "layer"),
+        "factor": (str, None, False, "layer"),
+    }
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [pytest.param(field, value, id=f"{field}-{name}")
+         for field, (kind, minimum, default, _) in FIELDS.items()
+         for name, value in _bad_values(kind, minimum, default)
+         if (field, name) != ("order", "null")],  # a null order is no order
+    )
+    def test_model_field(self, tmp_path, field, value):
+        path = _write(tmp_path / "c", _kernel(), spatial_svd(_kernel(), 3))
+        target = self.FIELDS[field][3]
+
+        def edit(manifest):
+            if target == "layer":
+                for e in _layer_entries(manifest):
+                    _set(e["metadata"], field, value)
+            else:
+                (kernel,) = [e for e in manifest["entries"] if e["name"] == "conv1"]
+                _set(kernel if target == "entry" else kernel["metadata"], field, value)
+
+        _edit(path, edit)
+        with pytest.raises(ContainerError) as err:
+            read_layer(read_container(path), "conv1/decomposed")
+        assert err.value.code == "bad_manifest"
+        code, out, err = _cli("report", path)
+        assert code == 1 and out == "" and json.loads(err)["code"] == "bad_manifest"
+
+    @pytest.mark.parametrize(
+        "table, key, value",
+        [pytest.param(table, key, value, id=f"{table}-{key}-{name}")
+         for table, key, kind in [("acc", "p_orig", float), ("acc", "macs_original", int),
+                                  ("sv", "macs_original", int)]
+         for name, value in _bad_values(kind)],
+    )
+    def test_table_field(self, tmp_path, table, key, value):
+        path = _tables_dir(tmp_path / "t")
+        _edit(path, lambda m: _set(m["entries"][0 if table == "acc" else 2]["metadata"],
+                                   key, value))
+        reader, strategy, flag = TestTablePayloads.TABLES[table]
+        with pytest.raises(ContainerError) as err:
+            reader(read_container(path), table)
+        assert err.value.code == "bad_manifest"
+        code, out, err = _cli("rank-select", "--strategy", strategy, "--ratio", "0.7", flag,
+                              path, "--out", tmp_path / "o")
+        assert code == 1 and out == "" and json.loads(err)["code"] == "bad_manifest"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["tau", "achieved_macs", "achieved_ratio", "strategy"])
+    def test_plan_field_of_null(self, tmp_path, key):
+        """No command reads a plan: its reader alone refuses a null field."""
+        with pytest.raises(ContainerError) as err:
+            read_plan(TestRankTables._plan(tmp_path, lambda meta: meta.update({key: None})),
+                      "plan")
+        assert err.value.code == "bad_manifest"
