@@ -314,7 +314,9 @@ def _cmd_report(args) -> tuple[dict, cio.Container | None]:
                 }
             )
         elif e.kind == "factor" and e.metadata.get("role") != "bias":
-            base = e.name.rsplit("/", 1)[0]
+            base = cio.layer_of(e.name)
+            if base is None:
+                raise cio.ContainerError("missing", f"factor {e.name!r} is under no layer")
             if base in seen_layers:
                 continue
             seen_layers.add(base)

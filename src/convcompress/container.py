@@ -17,9 +17,9 @@ another kind than it reads: ``kernel`` (``read_kernel``), ``factor``
 (``read_layer``, and every ``/bias``), ``patchbatch`` (``read_batch``),
 ``gates`` (``read_gates``) or ``plan`` (``read_plan`` and the table
 readers).  The decomposed layer ``name`` is its direct children
-``name/<factor>``, checked against the method tables: method, spatial
-order, rank arity, factor names and shapes, and its sweep diagnostics
-(:data:`DIAGNOSTICS`), all three or none.  Gate vectors are checked for
+``name/<factor>`` (:func:`layer_of`), checked against the method tables:
+method, spatial order, rank arity, factor names and shapes, and its sweep
+diagnostics (:data:`DIAGNOSTICS`), all three or none.  Gate vectors are checked for
 kind, shape and sigma > 0; patch batches for equal row counts
 (``shape_mismatch``); rank plans and rank-selection tables for their
 payload shapes (``shape_mismatch``), plans and accuracy tables for ranks
@@ -284,6 +284,13 @@ def add_layer(container: Container, name: str, layer: DecomposedLayer) -> None:
         container.add(f"{name}/bias", "factor", layer.bias, metadata={"role": "bias"})
 
 
+def layer_of(entry_name: str) -> str | None:
+    """The layer that factor entry ``entry_name`` belongs to: its parent
+    path, or None for a name with no ``/``."""
+    parent, slash, _ = entry_name.rpartition("/")
+    return parent if slash else None
+
+
 def read_layer(container: Container, name: str) -> DecomposedLayer:
     """Read the layer stored under ``name/`` and check it against the method
     tables: ``bad_manifest`` for an unknown method or order, a wrong rank
@@ -293,7 +300,7 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
     holds its order and the :data:`DIAGNOSTICS` stored, all three or none.
     """
     picked = [e for e in container.entries if e.kind == "factor"
-              and e.name.rpartition("/")[:2] == (name, "/") and e.metadata.get("role") != "bias"]
+              and layer_of(e.name) == name and e.metadata.get("role") != "bias"]
     if not picked:
         raise ContainerError("missing", f"no factor entries under {name!r}")
     keys = ("method", "ranks", "source_dims", "order", *DIAGNOSTICS)
@@ -312,8 +319,8 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
     if order not in orders:
         raise ContainerError("bad_manifest", f"{name!r}: no layout for {method!r}, order {order!r}")
     layout = orders[order]
-    ranks = _ints(meta["ranks"], f"{name!r} ranks", 1)
-    dims = _ints(meta["source_dims"], f"{name!r} source_dims", 1)
+    ranks = _ints(meta.get("ranks"), f"{name!r} ranks", 1)
+    dims = _ints(meta.get("source_dims"), f"{name!r} source_dims", 1)
     if len(dims) != 3:
         raise ContainerError("bad_manifest", f"{name!r}: source_dims must be [t, s, k]")
     t, s, k = dims

@@ -97,6 +97,35 @@ def _read_code(path, name="conv1/decomposed"):
     return err.value.code
 
 
+#: One value of each JSON kind, and the two ints and floats that are not
+#: finite numbers as floats.
+VALUES_BY_KIND = {"string": "7", "int": 7, "float": 2.5, "bool": True, "null": None,
+                  "list": [7], "nan": float("nan"), "huge-int": 10**400}
+#: kind -> the names in :data:`VALUES_BY_KIND` of the values it accepts
+ACCEPTED = {str: {"string"}, int: {"int", "huge-int"}, float: {"int", "float"},
+            bool: {"bool"}}
+MISSING = object()
+
+
+def _bad_values(kind, minimum=None, default=False):
+    """``(id, value)`` of every value that a field of ``kind`` refuses: those
+    of :data:`VALUES_BY_KIND` it does not accept, one below ``minimum`` and,
+    without a ``default``, none at all (:data:`MISSING`)."""
+    bad = [(name, v) for name, v in VALUES_BY_KIND.items() if name not in ACCEPTED[kind]]
+    if minimum is not None:
+        bad.append(("below-minimum", minimum - 1))
+    if not default:
+        bad.append(("missing", MISSING))
+    return bad
+
+
+def _set(target, key, value):
+    if value is MISSING:
+        target.pop(key, None)
+    else:
+        target[key] = value
+
+
 class TestLayerAgainstTables:
     def test_rank_one_factor_under_rank_two_metadata(self, tmp_path):
         """w1 stored at rank 1 while the metadata says rank 2: einsum would
@@ -117,7 +146,11 @@ class TestLayerAgainstTables:
     @pytest.mark.parametrize(
         "key, value",
         [("method", "original"), ("method", "tt"), ("method", "cp"), ("order", "hv"),
-         ("ranks", [2, 3]), ("ranks", [0]), ("source_dims", [5, 4]), ("factor", "w9")],
+         ("ranks", [2, 3]), ("ranks", [0]), ("source_dims", [5, 4]), ("factor", "w9"),
+         *[pytest.param(key, value, id=f"{key}-{name}")
+           for key in ("method", "factor") for name, value in _bad_values(str)],
+         pytest.param("ranks", MISSING, id="ranks-missing"),
+         pytest.param("source_dims", MISSING, id="source_dims-missing")],
     )
     def test_bad_manifest(self, tmp_path, key, value):
         """Unknown method or order, wrong rank arity, bad ranks or dims, and
@@ -127,10 +160,12 @@ class TestLayerAgainstTables:
         def edit(manifest):
             entries = _layer_entries(manifest)
             for e in entries if key != "factor" else entries[-1:]:
-                e["metadata"][key] = value
+                _set(e["metadata"], key, value)
 
         _edit(path, edit)
         assert _read_code(path) == "bad_manifest"
+        code, out, err = _cli("report", path)
+        assert code == 1 and out == "" and json.loads(err)["code"] == "bad_manifest"
 
     def test_factors_disagreeing_on_ranks(self, tmp_path):
         path = _write(tmp_path / "c", _kernel(), tucker_hooi(_kernel(), 2, 3))
@@ -312,45 +347,49 @@ class TestRankTables:
         _edit(tmp_path / "t", lambda m: [edit(e["metadata"]) for e in m["entries"]])
         return read_container(tmp_path / "t")
 
-    @pytest.mark.parametrize("value", [None, "0.9", True, 1.5, NAN, [0.9], 10**400],
+    @pytest.mark.parametrize("value", [MISSING, "0.9", True, 1.5, NAN, [0.9], 10**400, None],
                              ids=["missing", "string", "bool", "above-one", "nan", "list",
-                                  "huge-int"])
+                                  "huge-int", "null"])
     def test_bad_p_orig(self, tmp_path, value):
         def edit(meta):
-            if meta["role"] != "acc-table":
-                return
-            if value is None:
-                meta.pop("p_orig")
-            else:
-                meta["p_orig"] = value
+            if meta["role"] == "acc-table":
+                _set(meta, "p_orig", value)
 
         cont = self._tables(tmp_path, edit)
         with pytest.raises(ContainerError) as err:
             read_acc_tables(cont, "acc")
         assert err.value.code == "bad_manifest"
+        assert self._rank_select_code(tmp_path, "acc") == "bad_manifest"
 
     @pytest.mark.parametrize(
         "key, value",
-        [("macs", None), ("macs", [100, 200]), ("macs", {"1": 100, "2": "200"}),
+        [("macs", MISSING), ("macs", [100, 200]), ("macs", {"1": 100, "2": "200"}),
          ("macs", {"1": 100, "2": 2.5}), ("macs", {"1": 100, "two": 200}),
-         ("macs_original", None), ("macs_original", 400.0), ("macs_original", "400"),
-         ("macs_original", 0), ("macs_original", True), ("macs_original", [400])],
+         ("macs_original", MISSING), ("macs_original", 400.0), ("macs_original", "400"),
+         ("macs_original", 0), ("macs_original", True), ("macs_original", [400]),
+         ("macs_original", None), ("macs_original", NAN)],
         ids=["macs-missing", "macs-list", "macs-string", "macs-float", "rank-key-not-int",
-             "orig-missing", "orig-float", "orig-string", "orig-zero", "orig-bool", "orig-list"],
+             "orig-missing", "orig-float", "orig-string", "orig-zero", "orig-bool", "orig-list",
+             "orig-null", "orig-nan"],
     )
     @pytest.mark.parametrize("table", ["acc", "sv"])
     def test_bad_grid_costs(self, tmp_path, key, value, table):
-        def edit(meta):
-            if value is None:
-                meta.pop(key)
-            else:
-                meta[key] = value
-
-        cont = self._tables(tmp_path, edit)
+        cont = self._tables(tmp_path, lambda meta: _set(meta, key, value))
         reader = read_acc_tables if table == "acc" else read_sv_tables
         with pytest.raises(ContainerError) as err:
             reader(cont, table)
         assert err.value.code == "bad_manifest"
+        assert self._rank_select_code(tmp_path, table) == "bad_manifest"
+
+    @staticmethod
+    def _rank_select_code(tmp_path, table):
+        """The error code of ``rank-select`` on the tables written by
+        :meth:`_tables`, after checking it failed and wrote nothing."""
+        _, strategy, flag = TestTablePayloads.TABLES[table]
+        code, out, err = _cli("rank-select", "--strategy", strategy, "--ratio", "0.7", flag,
+                              tmp_path / "t", "--out", tmp_path / "o")
+        assert code == 1 and out == "" and not (tmp_path / "o").exists()
+        return json.loads(err)["code"]
 
     @pytest.mark.parametrize(
         "macs",
@@ -380,31 +419,28 @@ class TestRankTables:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("arity", None), ("arity", 3), ("arity", [1, "2"]), ("arity", [1, 0, 2]),
-         ("arity", [1, 1]), ("arity", [2, 2]), ("tau", None), ("tau", "0.05"),
-         ("achieved_macs", None), ("achieved_macs", 1200.5), ("achieved_ratio", None),
-         ("achieved_ratio", [0.4]), ("strategy", None), ("strategy", 7), ("tau", NAN),
+        [("arity", MISSING), ("arity", 3), ("arity", [1, "2"]), ("arity", [1, 0, 2]),
+         ("arity", [1, 1]), ("arity", [2, 2]), ("tau", MISSING), ("tau", "0.05"),
+         ("achieved_macs", MISSING), ("achieved_macs", 1200.5), ("achieved_ratio", MISSING),
+         ("achieved_ratio", [0.4]), ("strategy", MISSING), ("strategy", 7), ("tau", NAN),
          ("achieved_ratio", float("inf")), ("tau", True), ("tau", [0.05]), ("tau", 10**400),
          ("achieved_macs", "1200"), ("achieved_macs", True), ("achieved_macs", [1200]),
          ("achieved_macs", 0), ("achieved_ratio", "0.4"), ("achieved_ratio", False),
          ("achieved_ratio", NAN), ("achieved_ratio", 10**400), ("strategy", True),
-         ("strategy", ["equal_acc"]), ("strategy", 2.5)],
+         ("strategy", ["equal_acc"]), ("strategy", 2.5), ("arity", None), ("tau", None),
+         ("achieved_macs", None), ("achieved_ratio", None), ("strategy", None)],
         ids=["arity-missing", "arity-int", "arity-string", "arity-zero", "arity-short",
              "arity-long", "tau-missing", "tau-string", "macs-missing", "macs-float",
              "ratio-missing", "ratio-list", "strategy-missing", "strategy-int", "tau-nan",
              "ratio-inf", "tau-bool", "tau-list", "tau-huge-int", "macs-string", "macs-bool",
              "macs-list", "macs-zero", "ratio-string", "ratio-bool", "ratio-nan",
-             "ratio-huge-int", "strategy-bool", "strategy-list", "strategy-float"],
+             "ratio-huge-int", "strategy-bool", "strategy-list", "strategy-float",
+             "arity-null", "tau-null", "macs-null", "ratio-null", "strategy-null"],
     )
     def test_bad_plan(self, tmp_path, key, value):
-        def edit(meta):
-            if value is None:
-                meta.pop(key)
-            else:
-                meta[key] = value
-
+        """No command reads a plan: its reader alone refuses each value."""
         with pytest.raises(ContainerError) as err:
-            read_plan(self._plan(tmp_path, edit), "plan")
+            read_plan(self._plan(tmp_path, lambda meta: _set(meta, key, value)), "plan")
         assert err.value.code == "bad_manifest"
 
 
@@ -905,40 +941,12 @@ class TestSweepDiagnostics:
         assert _read_code(path) == "bad_manifest"
 
 
-#: One value of each JSON kind, and the two ints and floats that are not
-#: finite numbers as floats.
-VALUES_BY_KIND = {"string": "7", "int": 7, "float": 2.5, "bool": True, "null": None,
-                  "list": [7], "nan": float("nan"), "huge-int": 10**400}
-#: kind -> the names in :data:`VALUES_BY_KIND` of the values it accepts
-ACCEPTED = {str: {"string"}, int: {"int", "huge-int"}, float: {"int", "float"},
-            bool: {"bool"}}
-MISSING = object()
-
-
-def _bad_values(kind, minimum=None, default=False):
-    """``(id, value)`` of every value that a field of ``kind`` refuses: those
-    of :data:`VALUES_BY_KIND` it does not accept, one below ``minimum`` and,
-    without a ``default``, none at all (:data:`MISSING`)."""
-    bad = [(name, v) for name, v in VALUES_BY_KIND.items() if name not in ACCEPTED[kind]]
-    if minimum is not None:
-        bad.append(("below-minimum", minimum - 1))
-    if not default:
-        bad.append(("missing", MISSING))
-    return bad
-
-
-def _set(target, key, value):
-    if value is MISSING:
-        target.pop(key, None)
-    else:
-        target[key] = value
-
-
 class TestFieldRule:
     """Every stored value is read by kind, with a minimum where one applies:
     any other value is ``bad_manifest`` from its reader and through the
-    command that reads it.  The fields here are those that the tests
-    above do not tamper with, and the values those tests cannot write."""
+    command that reads it.  The fields here are those that no other test
+    tampers with: an entry's own fields, a kernel's ``w`` and a layer's
+    ``order``."""
 
     #: field -> (kind, minimum, has a default, entries it is set on)
     FIELDS = {
@@ -948,9 +956,7 @@ class TestFieldRule:
         "byte_offset": (int, None, False, "entry"),
         "byte_length": (int, None, False, "entry"),
         "w": (int, 1, True, "kernel"),
-        "method": (str, None, False, "layer"),
         "order": (str, None, True, "layer"),
-        "factor": (str, None, False, "layer"),
     }
 
     @pytest.mark.parametrize(
@@ -978,31 +984,3 @@ class TestFieldRule:
         assert err.value.code == "bad_manifest"
         code, out, err = _cli("report", path)
         assert code == 1 and out == "" and json.loads(err)["code"] == "bad_manifest"
-
-    @pytest.mark.parametrize(
-        "table, key, value",
-        [pytest.param(table, key, value, id=f"{table}-{key}-{name}")
-         for table, key, kind in [("acc", "p_orig", float), ("acc", "macs_original", int),
-                                  ("sv", "macs_original", int)]
-         for name, value in _bad_values(kind)],
-    )
-    def test_table_field(self, tmp_path, table, key, value):
-        path = _tables_dir(tmp_path / "t")
-        _edit(path, lambda m: _set(m["entries"][0 if table == "acc" else 2]["metadata"],
-                                   key, value))
-        reader, strategy, flag = TestTablePayloads.TABLES[table]
-        with pytest.raises(ContainerError) as err:
-            reader(read_container(path), table)
-        assert err.value.code == "bad_manifest"
-        code, out, err = _cli("rank-select", "--strategy", strategy, "--ratio", "0.7", flag,
-                              path, "--out", tmp_path / "o")
-        assert code == 1 and out == "" and json.loads(err)["code"] == "bad_manifest"
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("key", ["tau", "achieved_macs", "achieved_ratio", "strategy"])
-    def test_plan_field_of_null(self, tmp_path, key):
-        """No command reads a plan: its reader alone refuses a null field."""
-        with pytest.raises(ContainerError) as err:
-            read_plan(TestRankTables._plan(tmp_path, lambda meta: meta.update({key: None})),
-                      "plan")
-        assert err.value.code == "bad_manifest"
