@@ -45,6 +45,16 @@ EXTRACTORS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer >= 0, the seeds numpy's generators take."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -59,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=sorted(EXTRACTORS))
     p.add_argument("--rank", help="rank r, or r1,r2 / r1,r2,r3 for tucker / tt")
     p.add_argument("--ratio", type=float, help="retained MAC fraction to derive ranks from")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("dataopt", help="data-optimized refinement")
@@ -90,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--features", type=int, default=8)
     p.add_argument("--informative", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("rank-select", help="allocate per-layer ranks under a MAC budget")
@@ -316,7 +326,7 @@ def _cmd_report(args) -> tuple[dict, cio.Container | None]:
         elif e.kind == "factor" and e.metadata.get("role") != "bias":
             base = cio.layer_of(e.name)
             if base is None:
-                raise cio.ContainerError("missing", f"factor {e.name!r} is under no layer")
+                raise cio.ContainerError("bad_manifest", f"factor {e.name!r} is under no layer")
             if base in seen_layers:
                 continue
             seen_layers.add(base)

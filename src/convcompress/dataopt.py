@@ -52,8 +52,8 @@ class PatchBatch:
     cur_outputs: Array | None = None
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        ref = np.asarray(self.ref_outputs, dtype=np.float64)
+        inputs = linalg.float_array(self.inputs, "inputs")
+        ref = linalg.float_array(self.ref_outputs, "ref_outputs")
         if inputs.ndim != 2 or ref.ndim != 2:
             raise ValueError("inputs and ref_outputs must be 2-D")
         if inputs.shape[0] != ref.shape[0]:
@@ -63,7 +63,7 @@ class PatchBatch:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "ref_outputs", ref)
         if self.cur_outputs is not None:
-            cur = np.asarray(self.cur_outputs, dtype=np.float64)
+            cur = linalg.float_array(self.cur_outputs, "cur_outputs")
             if cur.shape != ref.shape:
                 raise ValueError(f"cur_outputs shape {cur.shape} != ref shape {ref.shape}")
             object.__setattr__(self, "cur_outputs", cur)
@@ -184,7 +184,7 @@ def data_svd(kernel: Kernel4D, ref_outputs: Array, r: int) -> RefinedLayer:
     W2 = U_r^T W (k x k, s->r).  ``residual`` is the summed discarded
     eigenvalues, i.e. the squared Frobenius fit error.
     """
-    y = np.asarray(ref_outputs, dtype=np.float64)
+    y = linalg.float_array(ref_outputs, "ref_outputs")
     if y.ndim != 2 or y.shape[1] != kernel.t:
         raise ValueError(f"ref_outputs must be (n, {kernel.t}), got {y.shape}")
     if not 1 <= r <= kernel.t:

@@ -10,6 +10,8 @@ Conventions used throughout the package:
   filters act along ``x``, "vertical" (kx1) filters along ``y``.
 * All convolutions use stride 1 and zero padding of width ``delta=(k-1)/2``
   so the output spatial size equals the input spatial size.
+* :class:`Kernel4D` (data and bias) and :func:`feature_map` take their
+  arrays through :func:`convcompress.linalg.float_array`; :func:`conv` does not.
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-Array = np.ndarray
-
-
-def _require_finite(a: Array, what: str) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} contains non-finite entries")
+from .linalg import Array, float_array
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,7 @@ class Kernel4D:
     bias: Array | None = None
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
+        data = float_array(self.data, "kernel")
         object.__setattr__(self, "data", data)
         if data.ndim != 4:
             raise ValueError(f"kernel must be 4-D (t, s, k, k), got shape {data.shape}")
@@ -53,12 +50,10 @@ class Kernel4D:
             raise ValueError(f"kernel size must be odd and >= 1, got {kh}")
         if t < 1 or s < 1:
             raise ValueError(f"channel counts must be positive, got t={t}, s={s}")
-        _require_finite(data, "kernel")
         if self.bias is not None:
-            bias = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
+            bias = float_array(self.bias, "bias")
             if bias.shape != (t,):
                 raise ValueError(f"bias must have shape ({t},), got {bias.shape}")
-            _require_finite(bias, "bias")
             object.__setattr__(self, "bias", bias)
 
     @property
@@ -88,12 +83,11 @@ class Kernel4D:
 
 def feature_map(data) -> Array:
     """Validate and convert a ``(channels, h, w)`` feature map to float64."""
-    x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    x = float_array(data, "feature map")
     if x.ndim != 3:
         raise ValueError(f"feature map must be 3-D (channels, h, w), got shape {x.shape}")
     if min(x.shape) < 1:
         raise ValueError(f"feature map dims must be positive, got {x.shape}")
-    _require_finite(x, "feature map")
     return x
 
 

@@ -12,7 +12,12 @@ unchanged, which gives the same bits as symmetrizing them.
 :func:`rrr_fitter` checks and whitens a fixed Z once for many
 reduced-rank fits.
 
-Two rules are written once here.  Truncation: ``svd(a, r)`` checks
+Three rules are written once here.  Input: :func:`float_array` gives the
+float arrays the package takes in (kernels, feature maps, patch batches,
+responses, singular-value tables and the matrices below; not the factors
+of a ``DecomposedLayer``) as C-contiguous float64, of a required ndim where
+one applies, and refuses a NaN or an infinity with a ``ValueError`` naming
+the array.  Truncation: ``svd(a, r)`` checks
 1 <= r <= min(m, n) and returns the leading r triplets; every truncating
 decomposition asks it for r.  PSD inverse: :func:`psd_inverse` returns
 ``(C + eps*I)^-power``, zero on C's null space, and with ``eps=0`` refuses a C
@@ -33,13 +38,15 @@ import numpy as np
 Array = np.ndarray
 
 
-def _check_matrix(a, what: str = "matrix") -> Array:
-    m = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-    if m.ndim != 2:
-        raise ValueError(f"{what} must be 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
+def float_array(a, what: str, ndim: int | None = None) -> Array:
+    """``a`` as a C-contiguous float64 array, of ``ndim`` dimensions when
+    given, with finite entries; else ``ValueError`` naming it ``what``."""
+    arr = np.asarray(a, dtype=np.float64, order="C")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
-    return m
+    return arr
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ def svd(a, r: int | None = None) -> SvdResult:
     With ``r`` (1 <= r <= p) only the leading r triplets are returned, the
     same bits as ``svd(a).truncate(r)``.
     """
-    m = _check_matrix(a)
+    m = float_array(a, "matrix", 2)
     if r is not None and not 1 <= r <= min(m.shape):
         raise ValueError(f"rank {r} out of range [1, {min(m.shape)}]")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -119,7 +126,7 @@ def eig_sym(a) -> tuple[Array, Array]:
     input within that tolerance is symmetrized as ``0.5 * (a + a.T)``, and an
     exactly symmetric matrix, which that would return bit for bit, is not.
     """
-    m = _check_matrix(a)
+    m = float_array(a, "matrix", 2)
     n, n2 = m.shape
     if n != n2:
         raise ValueError(f"matrix must be square, got {m.shape}")
@@ -141,7 +148,7 @@ def default_ridge_eps(z: Array) -> float:
     1e-8 * trace(Z Z^T) / rows: small relative to the average eigenvalue,
     handles the degenerate systems an exact pseudo-inverse would hide.
     """
-    z = _check_matrix(z, "Z")
+    z = float_array(z, "Z", 2)
     rows = z.shape[0]
     return 1e-8 * float(np.sum(z * z)) / max(rows, 1)
 
@@ -177,8 +184,8 @@ def ridge_solve(y, z, eps: float | None = None) -> Array:
     Y is (a x n), Z is (b x n), result is (a x b).  ``eps=None`` uses
     :func:`default_ridge_eps`; ``eps=0`` demands a nonsingular system.
     """
-    y = _check_matrix(y, "Y")
-    z = _check_matrix(z, "Z")
+    y = float_array(y, "Y", 2)
+    z = float_array(z, "Z", 2)
     if y.shape[1] != z.shape[1]:
         raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {z.shape}")
     if eps is None:
@@ -211,9 +218,9 @@ def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
 
     def fit(y) -> Array:
         nonlocal zc, c_neg_half
-        y = _check_matrix(y, "Y")
+        y = float_array(y, "Y", 2)
         if c_neg_half is None:
-            zc = _check_matrix(z, "Z")
+            zc = float_array(z, "Z", 2)
         if y.shape[1] != zc.shape[1]:
             raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {zc.shape}")
         if not 1 <= r <= y.shape[0]:
@@ -235,8 +242,8 @@ def reduced_rank_regression(y, z, r: int, eps: float | None = None) -> RrrResult
     (SVD of M_full C^{1/2} to rank r, mapped back by C^{-1/2}), which
     attains the constrained optimum.  One :func:`rrr_fitter` fit gives M.
     """
-    y = _check_matrix(y, "Y")
-    z = _check_matrix(z, "Z")
+    y = float_array(y, "Y", 2)
+    z = float_array(z, "Z", 2)
     m = rrr_fitter(z, r, eps)(y)
     residual = float(np.linalg.norm(y - m @ z))
     return RrrResult(M=m, rank=r, residual=residual)
@@ -264,11 +271,11 @@ def lasso_gram(
     sweeps (default zero).  Coordinates with ``G[j, j] == 0`` (zero-norm
     columns) keep a zero coefficient.
     """
-    g = _check_matrix(g, "G")
+    g = float_array(g, "G", 2)
     p = g.shape[0]
     if g.shape != (p, p):
         raise ValueError(f"G must be square, got {g.shape}")
-    c = np.asarray(c, dtype=np.float64).ravel()
+    c = float_array(c, "c").ravel()
     if c.size != p:
         raise ValueError(f"c length {c.size} does not match G size {p}")
     if lam < 0:
@@ -312,8 +319,8 @@ def lasso_cd(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10000) -> Ar
     in a sweep drops below ``tol``.  Zero-norm columns keep a zero
     coefficient.
     """
-    x = _check_matrix(x, "X")
-    y = np.asarray(y, dtype=np.float64).ravel()
+    x = float_array(x, "X", 2)
+    y = float_array(y, "y").ravel()
     if y.size != x.shape[0]:
         raise ValueError(f"y length {y.size} does not match X rows {x.shape[0]}")
     res = lasso_gram(x.T @ x, x.T @ y, lam, tol=tol, max_sweeps=max_sweeps)

@@ -83,8 +83,8 @@ def channel_prune(
     t, s, k = kernel.t, kernel.s, kernel.k
     if not 1 <= s_prime < s:
         raise ValueError(f"s_prime must be in [1, {s - 1}], got {s_prime}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = linalg.float_array(x, "x")
+    y = linalg.float_array(y, "y")
     if x.ndim != 3 or x.shape[1] != s or x.shape[2] != k * k:
         raise ValueError(f"x must be (n, {s}, {k * k}), got {x.shape}")
     if y.shape != (x.shape[0], t):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import _int_ranks, clamp_ranks, mac_cost, max_ranks
+from .linalg import float_array
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,10 @@ def check_acc_table(table: AccTable, cost: GridCosts) -> AccTable:
 
 
 def check_sv_table(sv, cost: GridCosts) -> np.ndarray:
-    """``sv`` as a float64 vector, if it is nonempty, positive and descending
-    and ``cost`` prices each of its ranks 1..len(sv); else ``ValueError``."""
-    sv = np.asarray(sv, dtype=np.float64)
+    """``sv`` as a float64 vector, if it is finite, nonempty, positive and
+    descending and ``cost`` prices each of its ranks 1..len(sv); else
+    ``ValueError``."""
+    sv = float_array(sv, "singular value table")
     if sv.ndim != 1 or sv.size == 0:
         raise ValueError("singular values must be a nonempty vector")
     if np.any(sv <= 0) or np.any(np.diff(sv) > 0):

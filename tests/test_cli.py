@@ -172,6 +172,21 @@ class TestUsageErrors:
         assert "cannot parse ranks" in json.loads(err)["error"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["compress", "{model}", "--layer", "conv1", "--method", "cp", "--rank", "2"],
+         ["gates", "--lambda", "0.05", "--steps", "10"]],
+        ids=["compress", "gates"],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, model_dir, tmp_path, argv):
+        """numpy's generators take no negative seed: ``--seed`` refuses one
+        before the command runs, naming the flag."""
+        argv = [a.format(model=model_dir[0]) for a in argv]
+        code, out, err = run(capsys, *argv, "--seed", "-1", "--out", tmp_path / "o")
+        assert code == 2 and out is None
+        assert "argument --seed: must be an integer >= 0, got '-1'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_container_exits_1(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "compress", tmp_path / "nope", "--layer", "x", "--method", "cp",
@@ -583,6 +598,16 @@ class TestReportOtherEntries:
              "metadata": {"role": "rank-plan", "arity": [1, 2], "tau": 0.05, "achieved_macs": 1200,
                           "achieved_ratio": 0.4, "strategy": "equal_acc"}},
         ]
+
+    def test_factor_under_no_layer_is_a_bad_manifest(self, capsys, tmp_path):
+        """A factor entry names its layer by its parent path; one whose name
+        has no ``/`` is malformed, not missing."""
+        c = Container()
+        c.add("a", "factor", np.ones(3))
+        write_container(c, tmp_path / "c")
+        code, out, err = run(capsys, "report", tmp_path / "c")
+        assert code == 1 and out is None
+        assert json.loads(err) == {"code": "bad_manifest", "error": "factor 'a' is under no layer"}
 
 
 class TestPruneCli:

@@ -370,3 +370,53 @@ class TestMacCountsBelowOne:
         with raises(ContainerError, want) as err:
             read_plan(read_container(tmp_path / "p"), "plan")
         assert err.value.code == "bad_manifest"
+
+
+def poisoned(a, value):
+    """A float copy of ``a`` with its first entry set to ``value``."""
+    a = np.array(a, dtype=np.float64)
+    a.flat[0] = value
+    return a
+
+
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+
+
+@NON_FINITE
+class TestNonFiniteInputs:
+    """Every float array the library takes in is refused, by name, when an
+    entry is not finite."""
+
+    @pytest.mark.parametrize("field", ["inputs", "ref_outputs", "cur_outputs"])
+    def test_patch_batch_field(self, batch, field, value):
+        arrays = {"inputs": batch.inputs, "ref_outputs": batch.ref_outputs,
+                  "cur_outputs": batch.ref_outputs}
+        arrays[field] = poisoned(arrays[field], value)
+        with raises(ValueError, f"{field} contains non-finite entries"):
+            PatchBatch(**arrays)
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_channel_prune(self, kernel, batch, name, value):
+        arrays = {"x": batch.inputs.reshape(-1, S, K * K), "y": batch.ref_outputs}
+        arrays[name] = poisoned(arrays[name], value)
+        with raises(ValueError, f"{name} contains non-finite entries"):
+            channel_prune(kernel, arrays["x"], arrays["y"], 2)
+
+    def test_data_svd_responses(self, kernel, batch, value):
+        with raises(ValueError, "ref_outputs contains non-finite entries"):
+            data_svd(kernel, poisoned(batch.ref_outputs, value), 2)
+
+    def test_lasso_gram_correlations(self, value):
+        with raises(ValueError, "c contains non-finite entries"):
+            linalg.lasso_gram(np.eye(2), poisoned([1.0, 1.0], value), 0.1)
+
+    def test_lasso_cd_response(self, value):
+        x = np.random.default_rng(52).normal(size=(5, 3))
+        with raises(ValueError, "y contains non-finite entries"):
+            linalg.lasso_cd(x, poisoned(np.ones(5), value), 0.1)
+
+    def test_singular_value_table(self, value):
+        with raises(ValueError, "singular value table contains non-finite entries"):
+            check_sv_table(poisoned([2.0, 1.0], value), COST)
+        with raises(ValueError, "layer 0: singular value table contains non-finite entries"):
+            greedy_energy_select([poisoned([2.0, 1.0], value)], [COST], 0.5)
