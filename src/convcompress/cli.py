@@ -48,10 +48,11 @@ EXTRACTORS = {
 def _seed(text: str) -> int:
     """A ``--seed``: an integer >= 0, the seeds numpy's generators take."""
     try:
-        if int(text) >= 0:
-            return int(text)
+        seed = int(text)
     except ValueError:
-        pass
+        seed = -1
+    if seed >= 0:
+        return seed
     raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
 
 

@@ -469,7 +469,7 @@ def _add_tables(container: Container, name: str, tables: list, costs: list[GridC
     for i, ((payload, grid, meta), cost) in enumerate(zip(tables, costs)):
         meta = {**meta, "macs": {_ranks_key(r): cost.macs[r] for r in grid},
                 "macs_original": cost.macs_original}
-        container.add(f"{name}/layer{i}", "plan", np.asarray(payload, dtype=np.float64), meta)
+        container.add(f"{name}/layer{i}", "plan", payload, meta)
 
 
 def add_acc_tables(

@@ -14,8 +14,9 @@ reduced-rank fits.
 
 Three rules are written once here.  Input: :func:`float_array` gives the
 float arrays the package takes in (kernels, feature maps, patch batches,
-responses, singular-value tables and the matrices below; not the factors
-of a ``DecomposedLayer``) as C-contiguous float64, of a required ndim where
+responses, singular-value tables, ``lasso_gram``'s warm start and the
+matrices below; not the factors of a ``DecomposedLayer``) as C-contiguous
+float64, of a required ndim where
 one applies, and refuses a NaN or an infinity with a ``ValueError`` naming
 the array.  Truncation: ``svd(a, r)`` checks
 1 <= r <= min(m, n) and returns the leading r triplets; every truncating
@@ -280,7 +281,7 @@ def lasso_gram(
         raise ValueError(f"c length {c.size} does not match G size {p}")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64).ravel()
+    beta = np.zeros(p) if beta0 is None else float_array(beta0, "beta0").flatten()
     if beta.size != p:
         raise ValueError(f"beta0 length {beta.size} does not match G size {p}")
     beta[g.diagonal() == 0.0] = 0.0

@@ -439,15 +439,25 @@ class TestReluAsymPinned:
         assert str(got.value) == str(want.value)
         assert "rank deficient" in str(got.value)
 
-    @pytest.mark.parametrize("r", [6], ids=["bad-rank"])
-    def test_errors_come_in_the_reference_loop_order(self, r):
+    @pytest.mark.parametrize(
+        "nan_ref,nan_cur,r",
+        [(True, False, 2), (True, True, 2), (True, False, 6), (False, True, 6), (False, False, 6)],
+        ids=["nan-ref", "nan-both", "nan-ref-bad-rank", "nan-cur-bad-rank", "bad-rank"],
+    )
+    def test_errors_come_in_the_reference_loop_order(self, nan_ref, nan_cur, r):
         """With eps=0 on a rank-deficient Z, the first error is still the
-        one the per-fit regression raised first.  (A batch holding a NaN
-        never reaches the fit: :class:`PatchBatch` refuses it.)"""
+        one the per-fit regression raised first.  :class:`PatchBatch`
+        refuses a NaN when built, so the NaN is written into the built
+        batch's own arrays."""
         kernel, batch = make_setup(64)
+        ref = batch.ref_outputs.copy()
         cur = batch.cur_outputs.copy()
         cur[:, 1] = cur[:, 0]
-        batch = PatchBatch(inputs=batch.inputs, ref_outputs=batch.ref_outputs, cur_outputs=cur)
+        batch = PatchBatch(inputs=batch.inputs, ref_outputs=ref, cur_outputs=cur)
+        if nan_ref:
+            batch.ref_outputs[3, 2] = np.nan
+        if nan_cur:
+            batch.cur_outputs[4, 1] = np.nan
         with pytest.raises(ValueError) as want:
             relu_asym_reference_loop(batch, r, eps=0.0)
         with pytest.raises(ValueError) as got:

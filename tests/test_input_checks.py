@@ -410,6 +410,11 @@ class TestNonFiniteInputs:
         with raises(ValueError, "c contains non-finite entries"):
             linalg.lasso_gram(np.eye(2), poisoned([1.0, 1.0], value), 0.1)
 
+    def test_lasso_gram_warm_start(self, value):
+        beta0 = poisoned([0.0, 0.0], value)
+        with raises(ValueError, "beta0 contains non-finite entries"):
+            linalg.lasso_gram(np.eye(2), [1.0, 1.0], 0.1, beta0=beta0)
+
     def test_lasso_cd_response(self, value):
         x = np.random.default_rng(52).normal(size=(5, 3))
         with raises(ValueError, "y contains non-finite entries"):
@@ -420,3 +425,4 @@ class TestNonFiniteInputs:
             check_sv_table(poisoned([2.0, 1.0], value), COST)
         with raises(ValueError, "layer 0: singular value table contains non-finite entries"):
             greedy_energy_select([poisoned([2.0, 1.0], value)], [COST], 0.5)
+

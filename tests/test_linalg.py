@@ -381,6 +381,13 @@ class TestLassoGram:
         lasso_gram(g, np.array([1.0, 1.0]), 0.1, beta0=beta0)
         assert beta0.tolist() == [3.0, -3.0]
 
+    def test_beta0_of_a_dead_coordinate_not_modified(self):
+        """A zero-norm column's warm start is zeroed in a copy."""
+        beta0 = np.array([1.0, 1.0])
+        res = lasso_gram(np.diag([1.0, 0.0]), np.array([1.0, 1.0]), 0.1, beta0=beta0)
+        assert res.beta.tolist() == [0.9, 0.0]
+        assert beta0.tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize(
         "g, c, beta0, match",
         [
