@@ -8,7 +8,9 @@ order.  Arrays come back as float64; the file keeps float32.
 Malformed containers raise :class:`ContainerError` with a stable ``code``:
 ``bad_manifest``, ``duplicate_name``, ``shape_mismatch``, ``truncated``,
 ``overlap`` or ``missing``.  The manifest must be UTF-8 JSON and every
-payload finite, or :func:`read_container` fails with ``bad_manifest``.
+payload finite, or :func:`read_container` fails with ``bad_manifest``;
+:meth:`Container.add` refuses, with the same error, a payload that is not
+finite as float32, so it writes only what is read back.
 Each stored value is checked by kind, with a minimum where one applies
 (:func:`_field`), else ``bad_manifest``: an entry's name, kind, dtype and
 byte range, a kernel's ``h`` and ``w`` and every metadata field a typed
@@ -59,6 +61,12 @@ class ContainerError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _check_finite(payload: Array, name: str) -> None:
+    """``bad_manifest`` unless every float32 of entry ``name``'s payload is finite."""
+    if not np.isfinite(payload).all():
+        raise ContainerError("bad_manifest", f"entry {name!r} holds non-finite values")
 
 
 def _is_int(value) -> bool:
@@ -141,7 +149,10 @@ class Container:
         if kind not in KINDS:
             raise ContainerError("bad_manifest", f"unknown entry kind {kind!r}")
         arr = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
-        payload = arr.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):  # past the float32 range is inf, refused next
+            f32 = arr.astype("<f4")
+        _check_finite(f32, name)
+        payload = f32.tobytes()
         self.entries.append(
             Entry(
                 name=name,
@@ -218,8 +229,7 @@ def read_container(path) -> Container:
                 f"entry {e.name!r} spans [{e.byte_offset}, "
                 f"{e.byte_offset + e.byte_length}) beyond blob of {len(blob)} bytes",
             )
-        if not np.isfinite(np.frombuffer(blob, "<f4", e.byte_length // 4, e.byte_offset)).all():
-            raise ContainerError("bad_manifest", f"entry {e.name!r} holds non-finite values")
+        _check_finite(np.frombuffer(blob, "<f4", e.byte_length // 4, e.byte_offset), e.name)
         entries.append(e)
     spans = sorted((e.byte_offset, e.byte_offset + e.byte_length, e.name) for e in entries)
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):

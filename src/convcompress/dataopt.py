@@ -25,6 +25,7 @@ layer's own).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -96,12 +97,12 @@ def sample_patches(maps, per_image: int, k: int, seed: int = 0) -> PatchBatch:
     maps = list(maps)
     if not maps:
         raise ValueError("no feature maps to sample from")
-    if per_image < 1:
-        raise ValueError(f"per_image must be >= 1, got {per_image}")
+    per_image = linalg.integer(per_image, "per_image", 1)
+    k = linalg.integer(k, "k")
     if k < 1 or k % 2 == 0:
         raise ValueError(f"patch size must be odd and >= 1, got {k}")
     d = (k - 1) // 2
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(linalg.integer(seed, "seed", 0))
     rows = []
     refs = []
     for idx, (xin, yref) in enumerate(maps):
@@ -187,8 +188,7 @@ def data_svd(kernel: Kernel4D, ref_outputs: Array, r: int) -> RefinedLayer:
     y = linalg.float_array(ref_outputs, "ref_outputs")
     if y.ndim != 2 or y.shape[1] != kernel.t:
         raise ValueError(f"ref_outputs must be (n, {kernel.t}), got {y.shape}")
-    if not 1 <= r <= kernel.t:
-        raise ValueError(f"rank {r} out of range [1, {kernel.t}]")
+    r = linalg.integer(r, "rank", 1, kernel.t)
     y_mean = y.mean(axis=0)
     yc = y - y_mean
     cov = yc.T @ yc
@@ -263,9 +263,7 @@ def asym_data_svd(
     """
     if batch.cur_outputs is None:
         raise ValueError("batch has no current outputs; call attach_current_outputs first")
-    t = batch.ref_outputs.shape[1]
-    if not 1 <= r <= t:
-        raise ValueError(f"rank {r} out of range [1, {t}]")
+    r = linalg.integer(r, "rank", 1, batch.ref_outputs.shape[1])
     y_mean = batch.y_mean
     z_mean = batch.z_mean
     yc = (batch.ref_outputs - y_mean).T
@@ -326,8 +324,9 @@ def relu_asym(
     if batch.cur_outputs is None:
         raise ValueError("batch has no current outputs; call attach_current_outputs first")
     lambda_schedule = tuple(float(l) for l in lambda_schedule)
-    if not lambda_schedule or any(l <= 0 for l in lambda_schedule):
+    if not lambda_schedule or not all(0 < l < math.inf for l in lambda_schedule):
         raise ValueError("lambda schedule must be nonempty and positive")
+    max_outer = linalg.integer(max_outer, "max_outer", 0)
     y_raw = batch.ref_outputs
     z_hat = batch.cur_outputs
     ry = _relu(y_raw)

@@ -138,8 +138,8 @@ def _sweeps(sweep: Callable[[], float], max_iters: int, tol: float, what: str) -
     """Run ``sweep`` (it returns the relative error) until the error changes by
     less than ``tol`` or ``max_iters`` (>= 1) sweeps ran; returns the meta
     fields ``iterations``, ``rel_error`` and ``converged``."""
-    if max_iters < 1:  # the solvers' factors are only filled by the first sweep
-        raise ValueError(f"{what} max_iters must be >= 1, got {max_iters}")
+    # the solvers' factors are only filled by the first sweep
+    max_iters = linalg.integer(max_iters, f"{what} max_iters", 1)
     err_prev = np.inf
     for i in range(1, max_iters + 1):
         err = sweep()
@@ -215,6 +215,7 @@ def cp_als(
     """
     t, s, k = kernel.t, kernel.s, kernel.k
     check_ranks("cp", s, t, k, (r,))
+    seed = linalg.integer(seed, "seed", 0)
     tens = kernel.data.transpose(1, 3, 2, 0)  # (s, y, x, t)
     # mode-n unfoldings, the other modes kept in (s, y, x, t) order
     unf = [np.moveaxis(tens, mode, 0).reshape(tens.shape[mode], -1) for mode in range(4)]

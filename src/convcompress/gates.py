@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernel import Array, Kernel4D, mac_cost, LayerCost
+from .linalg import integer
 
 HC_BETA = 2.0 / 3.0
 HC_ZETA = 1.1
@@ -281,6 +282,10 @@ class ToyRegressionTask:
     noise_std: float = 0.05
 
     def __post_init__(self):
+        for name, minimum in (("n_samples", 1), ("n_features", None), ("n_informative", None)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, minimum))
+        if not math.isfinite(self.noise_std):
+            raise ValueError(f"noise_std must be finite, got {self.noise_std}")
         if not 1 <= self.n_informative <= self.n_features:
             raise ValueError(
                 f"need 1 <= n_informative <= n_features, got {self.n_informative} "
@@ -332,13 +337,14 @@ def train_toy_gated(
     """
     if kind not in ("l0", "vib"):
         raise ValueError(f"kind must be 'l0' or 'vib', got {kind!r}")
+    steps = integer(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and positive, got {lr}")
     if not (math.isfinite(lambda_reg) and lambda_reg >= 0):
         raise ValueError(f"lambda_reg must be finite and nonnegative, got {lambda_reg}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     x, y, _ = task.materialize(rng)
     n, p = x.shape
     xt = x.T

@@ -12,6 +12,9 @@ Conventions used throughout the package:
   so the output spatial size equals the input spatial size.
 * :class:`Kernel4D` (data and bias) and :func:`feature_map` take their
   arrays through :func:`convcompress.linalg.float_array`; :func:`conv` does not.
+* The cost model's ``s``, ``t``, ``k``, ``h`` and ``w`` are integers >= 1
+  (:func:`convcompress.linalg.integer`) in :func:`mac_cost`, :func:`check_ranks`,
+  :func:`max_ranks`, :func:`clamp_ranks` and the ``unmatricize_*`` functions.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Array, float_array
+from .linalg import Array, float_array, integer
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,14 @@ def matricize_weight(kernel: Kernel4D) -> Array:
     return kernel.data.transpose(2, 3, 1, 0).reshape(k * k * s, t).copy()
 
 
+def _dims(s, t, k) -> tuple[int, int, int]:
+    """``(s, t, k)`` as ints, each an integer >= 1; else ``ValueError``."""
+    return integer(s, "s", 1), integer(t, "t", 1), integer(k, "k", 1)
+
+
 def unmatricize_weight(m: Array, t: int, s: int, k: int) -> Kernel4D:
     """Inverse of :func:`matricize_weight`."""
+    s, t, k = _dims(s, t, k)
     if m.shape != (k * k * s, t):
         raise ValueError(f"expected shape {(k * k * s, t)}, got {m.shape}")
     return Kernel4D(m.reshape(k, k, s, t).transpose(3, 2, 0, 1))
@@ -187,6 +196,7 @@ def matricize_spatial(kernel: Kernel4D) -> Array:
 
 def unmatricize_spatial(m: Array, t: int, s: int, k: int) -> Kernel4D:
     """Inverse of :func:`matricize_spatial`."""
+    s, t, k = _dims(s, t, k)
     if m.shape != (s * k, t * k):
         raise ValueError(f"expected shape {(s * k, t * k)}, got {m.shape}")
     return Kernel4D(m.reshape(s, k, t, k).transpose(2, 0, 1, 3))
@@ -299,6 +309,7 @@ def check_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> 
     """``ranks`` as ints if ``method`` takes them on a (t, s, k, k) kernel: each
     an integer (:func:`_int_ranks`), the arity of :func:`factor_shapes`, each
     >= 1 and within its limit; else ``ValueError``."""
+    s, t, k = _dims(s, t, k)
     ranks = _int_ranks(ranks)
     factor_shapes(method, s, t, k, ranks)
     if any(r < 1 for r in ranks):
@@ -318,6 +329,7 @@ def mac_cost(
     ``ranks`` must pass :func:`check_ranks` (arity, >= 1, limits).  The
     parameters are the stored factor entries, and MACs = parameters * h * w.
     """
+    (s, t, k), h, w = _dims(s, t, k), integer(h, "h", 1), integer(w, "w", 1)
     ranks = check_ranks(method, s, t, k, ranks)
     shapes = factor_shapes(method, s, t, k, ranks)
     params = sum(math.prod(shape) for shape in shapes)
@@ -339,7 +351,7 @@ def max_ranks(method: str, s: int, t: int, k: int) -> tuple[int, ...]:
     through the sequential unfoldings.
     """
     cost = _method_cost(method)
-    return (cost.top or cost.limits)(s, t, k)
+    return (cost.top or cost.limits)(*_dims(s, t, k))
 
 
 def clamp_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
@@ -348,6 +360,7 @@ def clamp_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> 
     bounds its sequential unfoldings put on each bond given the bonds before.
     Each rank must be an integer (:func:`_int_ranks`)."""
     cost = _method_cost(method)
+    s, t, k = _dims(s, t, k)
     ranks = tuple(min(r, top) for r, top in zip(_int_ranks(ranks), max_ranks(method, s, t, k)))
     return cost.chain(s, t, k, *ranks) if cost.chain else ranks
 

@@ -12,24 +12,31 @@ unchanged, which gives the same bits as symmetrizing them.
 :func:`rrr_fitter` checks and whitens a fixed Z once for many
 reduced-rank fits.
 
-Three rules are written once here.  Input: :func:`float_array` gives the
+Four rules are written once here.  Input: :func:`float_array` gives the
 float arrays the package takes in (kernels, feature maps, patch batches,
 responses, singular-value tables, ``lasso_gram``'s warm start and the
 matrices below; not the factors of a ``DecomposedLayer``) as C-contiguous
 float64, of a required ndim where
 one applies, and refuses a NaN or an infinity with a ``ValueError`` naming
-the array.  Truncation: ``svd(a, r)`` checks
+the array.  Integers: :func:`integer` gives every scalar integer the package
+takes in (ranks, kept channel counts, sweep and step caps, seeds, patch
+counts and sizes, the toy task's sizes and the cost model's dims) as an
+int, within its bounds; numpy integers pass, and a float is refused, never
+truncated, even 2.0.  Truncation: ``svd(a, r)`` checks
 1 <= r <= min(m, n) and returns the leading r triplets; every truncating
 decomposition asks it for r.  PSD inverse: :func:`psd_inverse` returns
-``(C + eps*I)^-power``, zero on C's null space, and with ``eps=0`` refuses a C
-whose condition number exceeds 1e12.  An explicit ``eps=0`` in
-:func:`ridge_solve`, :func:`reduced_rank_regression` or :func:`rrr_fitter`
-therefore refuses such a ``Z @ Z.T``; ``cp_als`` catches the refusal and
-solves with a 1e-10 ridge.
+``(C + eps*I)^-power``, zero on C's null space; it refuses an eps that is
+negative, NaN or infinite, and with ``eps=0`` a C whose condition number
+exceeds 1e12.  Every ridge ``eps`` of the package reaches it, so an explicit
+``eps=0`` in :func:`ridge_solve`, :func:`reduced_rank_regression` or
+:func:`rrr_fitter` refuses such a ``Z @ Z.T``; ``cp_als`` catches the
+refusal and solves with a 1e-10 ridge.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -50,6 +57,21 @@ def float_array(a, what: str, ndim: int | None = None) -> Array:
     return arr
 
 
+def integer(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """``value`` as an int (numpy integers pass, a float never does), within
+    [``minimum``, ``maximum``] when both are given, else at least ``minimum``
+    when it is given; else ``ValueError`` naming it ``what``."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if maximum is not None and not minimum <= v <= maximum:
+        raise ValueError(f"{what} {v} out of range [{minimum}, {maximum}]")
+    if minimum is not None and v < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD ``A = U @ diag(S) @ V.T`` with S descending."""
@@ -60,8 +82,7 @@ class SvdResult:
 
     def truncate(self, r: int) -> tuple[Array, Array, Array]:
         """First ``r`` singular triplets ``(U_r, S_r, V_r)``."""
-        if not 1 <= r <= self.S.size:
-            raise ValueError(f"rank {r} out of range [1, {self.S.size}]")
+        r = integer(r, "rank", 1, self.S.size)
         return self.U[:, :r], self.S[:r], self.V[:, :r]
 
 
@@ -82,8 +103,7 @@ def svd(a, r: int | None = None) -> SvdResult:
     same bits as ``svd(a).truncate(r)``.
     """
     m = float_array(a, "matrix", 2)
-    if r is not None and not 1 <= r <= min(m.shape):
-        raise ValueError(f"rank {r} out of range [1, {min(m.shape)}]")
+    r = None if r is None else integer(r, "rank", 1, min(m.shape))
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if r is not None:
         u, s, vt = u[:, :r], s[:r], vt[:r]
@@ -100,6 +120,7 @@ def orthonormal_extend(u: Array, r: int) -> Array:
     ``[u | I]``, whose trailing columns span the complement of ``u``.
     """
     m, p = u.shape
+    r = integer(r, "rank")
     if r > m:
         raise ValueError(f"cannot extend to {r} orthonormal columns in dimension {m}")
     if r <= p:
@@ -165,7 +186,10 @@ def psd_inverse(
     keeps its components along C's large eigenvalues when a tiny eps meets
     a singular C.  With ``eps=0`` a C whose condition number exceeds 1e12
     raises; with ``eps > 0`` eigenvalues that still read <= 0 are left out.
+    A negative, NaN or infinite eps raises.
     """
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be >= 0" if eps < math.inf else "eps must be finite")
     if eps == 0:
         vals, vecs = eig_sym(c)
         if not vals[-1] > vals[0] / 1e12:
@@ -191,8 +215,6 @@ def ridge_solve(y, z, eps: float | None = None) -> Array:
         raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {z.shape}")
     if eps is None:
         eps = default_ridge_eps(z)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
     if eps == 0 and z.shape[0] > z.shape[1]:
         raise ValueError("singular system: Z has more rows than columns and eps is 0")
     return psd_inverse(z @ z.T, eps, left=y @ z.T)
@@ -224,12 +246,11 @@ def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
             zc = float_array(z, "Z", 2)
         if y.shape[1] != zc.shape[1]:
             raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {zc.shape}")
-        if not 1 <= r <= y.shape[0]:
-            raise ValueError(f"rank {r} out of range [1, {y.shape[0]}]")
+        rank = integer(r, "rank", 1, y.shape[0])
         if c_neg_half is None:
             c_neg_half = psd_inverse(zc @ zc.T, default_ridge_eps(zc) if eps is None else eps, 0.5)
         whitened = (y @ zc.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
-        res = svd(whitened, min(r, whitened.shape[1]))
+        res = svd(whitened, min(rank, whitened.shape[1]))
         return (res.U * res.S) @ res.V.T @ c_neg_half
 
     return fit
@@ -279,8 +300,9 @@ def lasso_gram(
     c = float_array(c, "c").ravel()
     if c.size != p:
         raise ValueError(f"c length {c.size} does not match G size {p}")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be >= 0")
+    max_sweeps = integer(max_sweeps, "max_sweeps", 1)
     beta = np.zeros(p) if beta0 is None else float_array(beta0, "beta0").flatten()
     if beta.size != p:
         raise ValueError(f"beta0 length {beta.size} does not match G size {p}")

@@ -81,8 +81,7 @@ def channel_prune(
     centred data; the refit kernel carries the fitted bias.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
-    if not 1 <= s_prime < s:
-        raise ValueError(f"s_prime must be in [1, {s - 1}], got {s_prime}")
+    s_prime = linalg.integer(s_prime, "s_prime", 1, s - 1)
     x = linalg.float_array(x, "x")
     y = linalg.float_array(y, "y")
     if x.ndim != 3 or x.shape[1] != s or x.shape[2] != k * k:
@@ -152,8 +151,7 @@ def magnitude_prune(kernel: Kernel4D, s_prime: int) -> PruneResult:
     ``residual`` is the Frobenius norm of the removed weights.
     """
     s = kernel.s
-    if not 1 <= s_prime <= s:
-        raise ValueError(f"s_prime must be in [1, {s}], got {s_prime}")
+    s_prime = linalg.integer(s_prime, "s_prime", 1, s)
     norms = np.linalg.norm(kernel.data.reshape(kernel.t, s, -1), axis=(0, 2))
     order = sorted(range(s), key=lambda i: (-norms[i], i))
     kept = tuple(sorted(order[:s_prime]))

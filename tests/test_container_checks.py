@@ -307,10 +307,14 @@ class TestGateVectors:
     )
     def test_malformed_gate_vector(self, tmp_path, payload, metadata, code):
         """Each cause gives its coded error, never a raw TypeError or
-        ValueError, and no input is silently read as another gate kind."""
+        ValueError, and no input is silently read as another gate kind.
+        ``Container.add`` refuses a non-finite payload, so the payload is
+        written into the blob after a finite one of its shape."""
+        payload = np.array(payload, dtype="<f4")
         c = Container()
-        c.add("gates", "gates", np.array(payload), metadata=metadata)
+        c.add("gates", "gates", np.zeros(payload.shape), metadata=metadata)
         write_container(c, tmp_path / "g")
+        (tmp_path / "g" / "blob.bin").write_bytes(payload.tobytes())
         with pytest.raises(ContainerError) as err:
             read_gates(read_container(tmp_path / "g"), "gates")
         assert err.value.code == code

@@ -3,6 +3,7 @@ and a MAC count below 1 is refused wherever a rank plan or cost grid is built
 or read."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -26,13 +27,22 @@ from convcompress.container import (
 )
 from convcompress.dataopt import (
     PatchBatch,
+    asym3d,
     asym_data_svd,
+    attach_current_outputs,
     data_svd,
     refined_kernel,
     relu_asym,
     sample_patches,
 )
-from convcompress.decomp import DecomposedLayer, spatial_svd, weight_svd, with_factors
+from convcompress.decomp import (
+    DecomposedLayer,
+    cp_als,
+    spatial_svd,
+    tucker_hooi,
+    weight_svd,
+    with_factors,
+)
 from convcompress.gates import (
     GateVector,
     HardConcreteGate,
@@ -46,12 +56,15 @@ from convcompress.gates import (
 from convcompress.kernel import (
     Kernel4D,
     aggregate_ratio,
+    check_ranks,
+    clamp_ranks,
     feature_map,
+    mac_cost,
     max_ranks,
     unmatricize_spatial,
     unmatricize_weight,
 )
-from convcompress.pruning import channel_prune
+from convcompress.pruning import channel_prune, magnitude_prune
 from convcompress.rankselect import (
     AccTable,
     GridCosts,
@@ -59,6 +72,7 @@ from convcompress.rankselect import (
     check_sv_table,
     equal_acc_select,
     greedy_energy_select,
+    ranks_from_ratio,
 )
 
 T, S, K = 4, 3, 3
@@ -426,3 +440,178 @@ class TestNonFiniteInputs:
         with raises(ValueError, "layer 0: singular value table contains non-finite entries"):
             greedy_energy_select([poisoned([2.0, 1.0], value)], [COST], 0.5)
 
+
+A = np.random.default_rng(53).normal(size=(5, 4))
+Z = np.random.default_rng(54).normal(size=(3, 30))
+Y = np.random.default_rng(55).normal(size=(4, 30))
+MAPS = [(np.random.default_rng(56).normal(size=(S, 6, 6)),
+         np.random.default_rng(57).normal(size=(T, 6, 6)))]
+TASK = ToyRegressionTask(n_samples=24, n_features=4, n_informative=2)
+
+
+@pytest.fixture(scope="module")
+def fitted(kernel, batch):
+    """``batch`` with the kernel's current responses."""
+    return attach_current_outputs(batch, kernel)
+
+
+#: id -> (the name the message gives, a valid value, the call of that value
+#: with the kernel and the fitted batch).  Every scalar integer argument is here.
+INTEGER_ARGUMENTS = {
+    "svd-r": ("rank", 2, lambda k, b, v: linalg.svd(A, v)),
+    "truncate-r": ("rank", 2, lambda k, b, v: linalg.svd(A).truncate(v)),
+    "rrr_fitter-r": ("rank", 2, lambda k, b, v: linalg.rrr_fitter(Z, v)(Y)),
+    "reduced_rank_regression-r": ("rank", 2, lambda k, b, v: linalg.reduced_rank_regression(Y, Z, v)),
+    "orthonormal_extend-r": ("rank", 3, lambda k, b, v: linalg.orthonormal_extend(np.eye(4)[:, :2], v)),
+    "data_svd-r": ("rank", 2, lambda k, b, v: data_svd(k, b.ref_outputs, v)),
+    "asym_data_svd-r": ("rank", 2, lambda k, b, v: asym_data_svd(b, k, v)),
+    "relu_asym-r": ("rank", 2, lambda k, b, v: relu_asym(b, k, v, max_outer=1)),
+    "channel_prune-s_prime": (
+        "s_prime", 2, lambda k, b, v: channel_prune(k, b.inputs.reshape(-1, S, K * K), b.ref_outputs, v)),
+    "magnitude_prune-s_prime": ("s_prime", 2, lambda k, b, v: magnitude_prune(k, v)),
+    "cp_als-max_iters": ("CP max_iters", 3, lambda k, b, v: cp_als(k, 2, max_iters=v)),
+    "tucker_hooi-max_iters": ("tucker max_iters", 2, lambda k, b, v: tucker_hooi(k, 2, 2, max_iters=v)),
+    "lasso_gram-max_sweeps": (
+        "max_sweeps", 2, lambda k, b, v: linalg.lasso_gram(A.T @ A, A.T @ A[:, 0], 0.1, max_sweeps=v)),
+    "lasso_cd-max_sweeps": (
+        "max_sweeps", 500, lambda k, b, v: linalg.lasso_cd(A, A[:, 0], 0.1, max_sweeps=v)),
+    "train_toy_gated-steps": ("steps", 3, lambda k, b, v: train_toy_gated(TASK, "l0", 0.1, steps=v)),
+    "relu_asym-max_outer": ("max_outer", 1, lambda k, b, v: relu_asym(b, k, 2, max_outer=v)),
+    "sample_patches-per_image": ("per_image", 4, lambda k, b, v: sample_patches(MAPS, v, 3)),
+    "sample_patches-k": ("k", 3, lambda k, b, v: sample_patches(MAPS, 4, v)),
+    "sample_patches-seed": ("seed", 2, lambda k, b, v: sample_patches(MAPS, 4, 3, seed=v)),
+    "cp_als-seed": ("seed", 2, lambda k, b, v: cp_als(k, 2, max_iters=3, seed=v)),
+    "train_toy_gated-seed": (
+        "seed", 2, lambda k, b, v: train_toy_gated(TASK, "vib", 0.1, steps=3, seed=v)),
+    "ToyRegressionTask-n_samples": ("n_samples", 24, lambda k, b, v: ToyRegressionTask(n_samples=v)),
+    "ToyRegressionTask-n_features": ("n_features", 6, lambda k, b, v: ToyRegressionTask(n_features=v)),
+    "ToyRegressionTask-n_informative": (
+        "n_informative", 2, lambda k, b, v: ToyRegressionTask(n_informative=v)),
+    "mac_cost-s": ("s", 8, lambda k, b, v: mac_cost(v, 8, 3, 4, 4, "weight_svd", (4,))),
+    "mac_cost-t": ("t", 8, lambda k, b, v: mac_cost(8, v, 3, 4, 4, "weight_svd", (4,))),
+    "mac_cost-k": ("k", 3, lambda k, b, v: mac_cost(8, 8, v, 4, 4, "weight_svd", (4,))),
+    "mac_cost-h": ("h", 4, lambda k, b, v: mac_cost(8, 8, 3, v, 4, "weight_svd", (4,))),
+    "mac_cost-w": ("w", 4, lambda k, b, v: mac_cost(8, 8, 3, 4, v, "weight_svd", (4,))),
+    "check_ranks-s": ("s", 8, lambda k, b, v: check_ranks("tucker", v, 8, 3, (2, 3))),
+    "max_ranks-t": ("t", 8, lambda k, b, v: max_ranks("cp", 8, v, 3)),
+    "clamp_ranks-k": ("k", 3, lambda k, b, v: clamp_ranks("tt", 8, 8, v, (9, 9, 9))),
+    "unmatricize_weight-s": ("s", S, lambda k, b, v: unmatricize_weight(np.ones((27, 4)), T, v, K)),
+    "unmatricize_spatial-t": ("t", T, lambda k, b, v: unmatricize_spatial(np.ones((9, 12)), v, S, K)),
+    "ranks_from_ratio-s": ("s", 8, lambda k, b, v: ranks_from_ratio("weight_svd", v, 8, 3, 0.5)),
+}
+
+
+def same_bits(a, b) -> bool:
+    """``a`` and ``b`` hold the same types of objects with the same bits: an
+    int and a numpy integer of one value count as the same."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[key], b[key]) for key in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_bits, a, b))
+    if a is None or isinstance(a, str):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", list(INTEGER_ARGUMENTS))
+class TestIntegerArguments:
+    """Every scalar integer argument goes through ``linalg.integer``: a float
+    is refused by name, never truncated, and a numpy integer is an int."""
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, np.float64(2.0)])
+    def test_a_float_is_refused(self, kernel, fitted, case, value):
+        what, _, call = INTEGER_ARGUMENTS[case]
+        with raises(ValueError, f"{what} must be an integer, got {value!r}"):
+            call(kernel, fitted, value)
+
+    def test_a_numpy_integer_gives_the_bits_of_an_int(self, kernel, fitted, case):
+        _, valid, call = INTEGER_ARGUMENTS[case]
+        assert same_bits(call(kernel, fitted, np.int64(valid)), call(kernel, fitted, valid))
+
+
+#: id -> (a call of an integer just below its minimum, the message it gives).
+BELOW_MINIMUM = {
+    "cp_als-seed": (lambda k, b: cp_als(k, 2, seed=-1), "seed must be >= 0, got -1"),
+    "sample_patches-seed": (lambda k, b: sample_patches(MAPS, 4, 3, seed=-1),
+                            "seed must be >= 0, got -1"),
+    "train_toy_gated-seed": (lambda k, b: train_toy_gated(TASK, "l0", 0.1, seed=-2),
+                             "seed must be >= 0, got -2"),
+    "n_samples": (lambda k, b: ToyRegressionTask(n_samples=0), "n_samples must be >= 1, got 0"),
+    "max_sweeps": (lambda k, b: linalg.lasso_gram(np.eye(2), [1.0, 1.0], 0.1, max_sweeps=0),
+                   "max_sweeps must be >= 1, got 0"),
+    "max_outer": (lambda k, b: relu_asym(b, k, 2, max_outer=-1), "max_outer must be >= 0, got -1"),
+    "channel_prune-s_prime": (
+        lambda k, b: channel_prune(k, b.inputs.reshape(-1, S, K * K), b.ref_outputs, S),
+        f"s_prime {S} out of range [1, {S - 1}]"),
+    "magnitude_prune-s_prime": (lambda k, b: magnitude_prune(k, 0), f"s_prime 0 out of range [1, {S}]"),
+    "data_svd-r": (lambda k, b: data_svd(k, b.ref_outputs, T + 1), f"rank {T + 1} out of range [1, {T}]"),
+    "mac_cost-h": (lambda k, b: mac_cost(8, 8, 3, 0, 4, "weight_svd", (4,)), "h must be >= 1, got 0"),
+    "mac_cost-w": (lambda k, b: mac_cost(8, 8, 3, 4, -1, "original"), "w must be >= 1, got -1"),
+    "max_ranks-s": (lambda k, b: max_ranks("tt", 0, 8, 3), "s must be >= 1, got 0"),
+    "unmatricize_weight-k": (lambda k, b: unmatricize_weight(np.ones((0, 4)), T, S, 0),
+                             "k must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BELOW_MINIMUM))
+def test_an_integer_below_its_minimum_is_refused(kernel, fitted, case):
+    call, message = BELOW_MINIMUM[case]
+    with raises(ValueError, message):
+        call(kernel, fitted)
+
+
+#: id -> the call of an ``eps``; each reaches ``psd_inverse``'s one rule.
+EPS_CALLS = {
+    "psd_inverse": lambda k, b, eps: linalg.psd_inverse(Z @ Z.T, eps),
+    "ridge_solve": lambda k, b, eps: linalg.ridge_solve(Y, Z, eps=eps),
+    "reduced_rank_regression": lambda k, b, eps: linalg.reduced_rank_regression(Y, Z, 2, eps=eps),
+    "rrr_fitter": lambda k, b, eps: linalg.rrr_fitter(Z, 2, eps=eps)(Y),
+    "asym_data_svd": lambda k, b, eps: asym_data_svd(b, k, 2, eps=eps),
+    "relu_asym": lambda k, b, eps: relu_asym(b, k, 2, eps=eps),
+    "asym3d": lambda k, b, eps: asym3d(k, b, 2, 2, eps=eps),
+}
+
+
+class TestFloatParameters:
+    """A float parameter that is NaN, infinite or out of its range is refused
+    by name rather than surfacing later as another error or a quiet result."""
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [(-1.0, "eps must be >= 0"), (-np.inf, "eps must be >= 0"),
+         (np.nan, "eps must be finite"), (np.inf, "eps must be finite")],
+        ids=["negative", "-inf", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("case", list(EPS_CALLS))
+    def test_eps(self, kernel, fitted, case, eps, message):
+        with raises(ValueError, message):
+            EPS_CALLS[case](kernel, fitted, eps)
+
+    def test_lasso_gram_of_a_nan_lambda(self):
+        with raises(ValueError, "lambda must be >= 0"):
+            linalg.lasso_gram(np.eye(2), [1.0, 1.0], np.nan)
+
+    @pytest.mark.parametrize("schedule", [(1.0, np.nan), (np.inf,), (0.5, np.inf, 2.0)])
+    def test_relu_asym_of_a_non_finite_lambda(self, kernel, fitted, schedule):
+        with raises(ValueError, "lambda schedule must be nonempty and positive"):
+            relu_asym(fitted, kernel, 2, lambda_schedule=schedule)
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
+    def test_toy_task_of_a_non_finite_noise(self, noise):
+        with raises(ValueError, f"noise_std must be finite, got {noise}"):
+            ToyRegressionTask(noise_std=noise)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+def test_container_add_refuses_what_read_container_refuses(value):
+    """A payload that is not finite as float32, a float64 past the float32
+    range included, is refused when added, not when read back."""
+    c = Container()
+    with raises(ContainerError, "entry 'a' holds non-finite values") as err:
+        c.add("a", "kernel", [1.0, value])
+    assert err.value.code == "bad_manifest"
+    assert c.entries == [] and c.blob == b""
