@@ -13,6 +13,7 @@ from .kernel import (
     aggregate_ratio,
     conv_direct,
     feature_map,
+    layer_cost,
     mac_cost,
     matricize_spatial,
     matricize_weight,

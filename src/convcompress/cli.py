@@ -31,7 +31,7 @@ import numpy as np
 
 from . import container as cio
 from . import dataopt, decomp, gates as gates_mod, pruning, rankselect
-from .kernel import METHOD_COSTS, Kernel4D, mac_cost
+from .kernel import METHOD_COSTS, Kernel4D, LayerCost, layer_cost, mac_cost
 
 #: --method flag -> (method name, extractor(kernel, ranks, seed)).  Each
 #: extractor looks its function up on ``decomp`` when called, so a rebound
@@ -144,20 +144,20 @@ def _map_size(cont: cio.Container, name: str) -> tuple[int, int]:
     return 1, 1
 
 
-def _macs(before: int, after: int) -> dict:
-    return {"macs_before": before, "macs_after": after,
-            "retained": after / before, "ratio": 1.0 - after / before}
+def _cost(cost: LayerCost) -> dict:
+    """The six cost fields of a report."""
+    return {"macs_before": cost.macs_original, "macs_after": cost.macs_compressed,
+            "retained": cost.retained, "ratio": cost.ratio,
+            "params_before": cost.params_original, "params_after": cost.params_compressed}
 
 
 def _layer_report(layer: decomp.DecomposedLayer, h: int, w: int) -> dict:
-    orig = mac_cost(layer.s, layer.t, layer.k, h, w, "original")
     diagnostics = {key: layer.meta[key] for key in cio.DIAGNOSTICS if key in layer.meta}
     return {
         "method": layer.method,
         "ranks": list(layer.ranks),
-        **_macs(orig.macs_original, layer.macs(h, w)),
-        "params_before": orig.params_original,
-        "params_after": layer.param_count(),
+        **_cost(layer_cost(layer.s, layer.t, layer.k, h, w, layer.param_count(), layer.method,
+                           layer.ranks)),
         **({"diagnostics": diagnostics} if diagnostics else {}),
     }
 
@@ -242,14 +242,13 @@ def _cmd_prune(args) -> tuple[dict, cio.Container | None]:
     out = cio.Container()
     cio.add_kernel(out, f"{args.layer}/pruned", result.refit_kernel, h=h, w=w)
     out.entry(f"{args.layer}/pruned").metadata["kept"] = list(result.kept)
-    before = mac_cost(kernel.s, kernel.t, kernel.k, h, w, "original").macs_original
-    after = mac_cost(result.s_prime, kernel.t, kernel.k, h, w, "original").macs_original
     report = {
         "mode": args.mode,
         "layer": args.layer,
         "kept": list(result.kept),
         "residual": result.residual,
-        **_macs(before, after),
+        **_cost(layer_cost(kernel.s, kernel.t, kernel.k, h, w, result.refit_kernel.data.size,
+                           "channel_prune", (result.s_prime,))),
     }
     if args.mode == "lasso":
         report["diagnostics"] = {"lambda": result.lam, "solves": result.solves,

@@ -10,7 +10,9 @@ Malformed containers raise :class:`ContainerError` with a stable ``code``:
 ``overlap`` or ``missing``.  The manifest must be UTF-8 JSON and every
 payload finite, or :func:`read_container` fails with ``bad_manifest``;
 :meth:`Container.add` refuses, with the same error, a payload that is not
-finite as float32, so it writes only what is read back.
+finite as float32, so it writes only what is read back; :func:`add_kernel`
+takes ``h`` and ``w`` as integers >= 1 (:func:`convcompress.linalg.integer`),
+as they are read back.
 Each stored value is checked by kind, with a minimum where one applies
 (:func:`_field`), else ``bad_manifest``: an entry's name, kind, dtype and
 byte range, a kernel's ``h`` and ``w`` and every metadata field a typed
@@ -45,6 +47,7 @@ from .dataopt import PatchBatch
 from .decomp import LAYOUTS, DecomposedLayer
 from .gates import GateVector, HardConcreteGate, VibGate
 from .kernel import Array, Kernel4D, factor_shapes
+from .linalg import integer
 from .rankselect import AccTable, GridCosts, RankPlan, check_acc_table, check_sv_table
 
 KINDS = ("kernel", "factor", "patchbatch", "gates", "plan")
@@ -266,7 +269,8 @@ def _optional(container: Container, name: str, kind: str) -> Array | None:
 
 
 def add_kernel(container: Container, name: str, kernel: Kernel4D, h: int = 1, w: int = 1) -> None:
-    container.add(name, "kernel", kernel.data, metadata={"h": int(h), "w": int(w)})
+    meta = {"h": integer(h, "h", 1), "w": integer(w, "w", 1)}
+    container.add(name, "kernel", kernel.data, metadata=meta)
     if kernel.bias is not None:
         container.add(f"{name}/bias", "factor", kernel.bias, metadata={"role": "bias"})
 

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import linalg
 from .kernel import (
-    METHOD_COSTS, Array, Kernel4D, _int_ranks, check_ranks, conv, feature_map,
+    METHOD_COSTS, Array, Kernel4D, _int_ranks, check_ranks, conv, feature_map, layer_cost,
     matricize_spatial, matricize_weight,
 )
 
@@ -109,8 +109,9 @@ class DecomposedLayer:
         return int(sum(f.size for f in self.factors.values()))
 
     def macs(self, h: int, w: int) -> int:
-        """MACs of the staged forward pass on an (h, w) feature map."""
-        return self.param_count() * h * w
+        """MACs of the staged forward pass on an (h, w) feature map (:func:`layer_cost`)."""
+        return layer_cost(self.s, self.t, self.k, h, w, self.param_count(), self.method,
+                          self.ranks).macs_compressed
 
     @property
     def layout(self) -> Layout:

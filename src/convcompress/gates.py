@@ -36,11 +36,11 @@ draw for replay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Array, Kernel4D, mac_cost, LayerCost
+from .kernel import Array, Kernel4D, LayerCost, layer_cost
 from .linalg import integer
 
 HC_BETA = 2.0 / 3.0
@@ -117,6 +117,10 @@ class HardConcreteGate:
     zeta = HC_ZETA
     gamma = HC_GAMMA
 
+    def __post_init__(self):
+        if not math.isfinite(self.log_alpha):
+            raise ValueError(f"log_alpha must be finite, got {self.log_alpha}")
+
     @np.errstate(over="ignore")
     def active_probability(self) -> float:
         """P(z != 0) under the sampling distribution; the penalty term."""
@@ -131,6 +135,9 @@ class VibGate:
     sigma: float
 
     def __post_init__(self):
+        for name in ("mu", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
@@ -248,8 +255,8 @@ def prune_by_gates(
 ) -> GatePruneResult:
     """Drop output channels whose gate criterion falls below ``threshold``.
 
-    Reports the achieved MAC reduction: the cost model's original layer
-    with t reduced to the kept count.
+    Reports the achieved MAC reduction: the :func:`layer_cost` of the
+    pruned kernel's entries against the original layer.
     """
     crit = gates.criteria()
     if crit.size != kernel.t:
@@ -259,15 +266,8 @@ def prune_by_gates(
         kernel.data[list(kept)].copy(),
         bias=None if kernel.bias is None else kernel.bias[list(kept)].copy(),
     )
-    orig = mac_cost(kernel.s, kernel.t, kernel.k, h, w, "original")
-    slim = mac_cost(kernel.s, len(kept), kernel.k, h, w, "original")
-    cost = replace(
-        orig,
-        method="gate_prune",
-        ranks=(len(kept),),
-        macs_compressed=slim.macs_original,
-        params_compressed=slim.params_original,
-    )
+    cost = layer_cost(kernel.s, kernel.t, kernel.k, h, w, pruned.data.size, "gate_prune",
+                      (len(kept),))
     return GatePruneResult(kernel=pruned, kept=kept, cost=cost)
 
 

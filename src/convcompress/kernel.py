@@ -12,9 +12,9 @@ Conventions used throughout the package:
   so the output spatial size equals the input spatial size.
 * :class:`Kernel4D` (data and bias) and :func:`feature_map` take their
   arrays through :func:`convcompress.linalg.float_array`; :func:`conv` does not.
-* The cost model's ``s``, ``t``, ``k``, ``h`` and ``w`` are integers >= 1
-  (:func:`convcompress.linalg.integer`) in :func:`mac_cost`, :func:`check_ranks`,
-  :func:`max_ranks`, :func:`clamp_ranks` and the ``unmatricize_*`` functions.
+* The cost model's ``s``, ``t``, ``k``, ``h``, ``w`` and ``params`` are integers
+  >= 1 (:func:`convcompress.linalg.integer`) in :func:`layer_cost`, :func:`mac_cost`,
+  :func:`check_ranks`, :func:`max_ranks`, :func:`clamp_ranks` and ``unmatricize_*``.
 """
 
 from __future__ import annotations
@@ -204,11 +204,11 @@ def unmatricize_spatial(m: Array, t: int, s: int, k: int) -> Kernel4D:
 
 @dataclass(frozen=True)
 class LayerCost:
-    """MAC and parameter counts for one layer, original vs compressed.
-
-    ``ratio`` is the fraction of MACs saved, ``1 - macs_compressed /
-    macs_original``.  It is negative when a decomposition costs more than
-    the original layer (possible at high ranks); it is reported as-is.
+    """MAC and parameter counts for one layer, original vs compressed, built
+    by :func:`layer_cost`.  ``retained`` is ``macs_compressed / macs_original``
+    and ``ratio``, the fraction saved, ``1 - retained``: negative when a
+    decomposition costs more than the original layer (possible at high
+    ranks); it is reported as-is.
     """
 
     method: str
@@ -219,8 +219,12 @@ class LayerCost:
     params_compressed: int
 
     @property
+    def retained(self) -> float:
+        return self.macs_compressed / self.macs_original
+
+    @property
     def ratio(self) -> float:
-        return 1.0 - self.macs_compressed / self.macs_original
+        return 1.0 - self.retained
 
 
 class MethodCost(NamedTuple):
@@ -321,26 +325,27 @@ def check_ranks(method: str, s: int, t: int, k: int, ranks: tuple[int, ...]) -> 
     return ranks
 
 
+def layer_cost(s: int, t: int, k: int, h: int, w: int, params: int, method: str,
+               ranks: tuple[int, ...]) -> LayerCost:
+    """The :class:`LayerCost` of a layer of ``params`` stored entries, labelled
+    ``method`` at ``ranks``, against the (t, s, k, k) original on an (h, w)
+    map: each entry costs one MAC per output pixel, MACs = entries * h * w."""
+    (s, t, k), h, w = _dims(s, t, k), integer(h, "h", 1), integer(w, "w", 1)
+    params = integer(params, "params", 1)
+    return LayerCost(method, ranks, k * k * s * t * h * w, k * k * s * t, params * h * w, params)
+
+
 def mac_cost(
     s: int, t: int, k: int, h: int, w: int, method: str, ranks: tuple[int, ...] = ()
 ) -> LayerCost:
-    """Exact integer MAC/parameter counts for a layer compressed by ``method``.
-
-    ``ranks`` must pass :func:`check_ranks` (arity, >= 1, limits).  The
-    parameters are the stored factor entries, and MACs = parameters * h * w.
-    """
+    """Exact integer MAC/parameter counts for a layer compressed by ``method``:
+    the :func:`layer_cost` of its stored factor entries.  ``ranks`` must pass
+    :func:`check_ranks` (arity, >= 1, limits), checked after ``s``, ``t``,
+    ``k``, ``h`` and ``w``."""
     (s, t, k), h, w = _dims(s, t, k), integer(h, "h", 1), integer(w, "w", 1)
     ranks = check_ranks(method, s, t, k, ranks)
-    shapes = factor_shapes(method, s, t, k, ranks)
-    params = sum(math.prod(shape) for shape in shapes)
-    return LayerCost(
-        method=method,
-        ranks=ranks,
-        macs_original=k * k * s * t * h * w,
-        params_original=k * k * s * t,
-        macs_compressed=params * h * w,
-        params_compressed=params,
-    )
+    params = sum(math.prod(shape) for shape in factor_shapes(method, s, t, k, ranks))
+    return layer_cost(s, t, k, h, w, params, method, ranks)
 
 
 def max_ranks(method: str, s: int, t: int, k: int) -> tuple[int, ...]:

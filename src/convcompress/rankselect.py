@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernel import _int_ranks, clamp_ranks, mac_cost, max_ranks
-from .linalg import float_array
+from .linalg import float_array, integer
 
 
 @dataclass(frozen=True)
@@ -57,17 +56,17 @@ class AccTable:
 @dataclass(frozen=True)
 class GridCosts:
     """MACs of each grid option of one layer plus the uncompressed MACs; a
-    rank that is not an integer or a MAC count below 1 is a ``ValueError``,
-    a MAC count that is not an integer a ``TypeError``."""
+    rank or MAC count that is not an integer, or a MAC count below 1, is a
+    ``ValueError``."""
 
     macs: dict[tuple[int, ...], int]
     macs_original: int
 
     def __post_init__(self):
         object.__setattr__(
-            self, "macs", {_int_ranks(k): operator.index(v) for k, v in self.macs.items()}
+            self, "macs", {_int_ranks(k): integer(v, "MACs") for k, v in self.macs.items()}
         )
-        object.__setattr__(self, "macs_original", operator.index(self.macs_original))
+        object.__setattr__(self, "macs_original", integer(self.macs_original, "MACs"))
         if min(self.macs_original, *self.macs.values()) < 1:
             raise ValueError(f"MACs must be >= 1, got {self.macs}, original {self.macs_original}")
 

@@ -621,6 +621,7 @@ class TestPruneCli:
         assert len(rep["kept"]) == 3
         pruned, _ = read_kernel(read_container(tmp_path / "p"), "conv1/pruned")
         assert pruned.s == 3
+        assert (rep["params_before"], rep["params_after"]) == (kernel.data.size, pruned.data.size)
 
     def test_lasso_needs_batch(self, capsys, model_dir, tmp_path):
         path, _ = model_dir

@@ -25,7 +25,7 @@ from convcompress.gates import (
     vib_penalty,
     vib_sample,
 )
-from convcompress.kernel import Kernel4D
+from convcompress.kernel import Kernel4D, mac_cost
 
 
 def sigmoid(x):
@@ -174,9 +174,20 @@ class TestVib:
             )
             assert vib_penalty(gv) >= 0.0
 
-    def test_sigma_positive_enforced(self):
-        with pytest.raises(ValueError, match="sigma"):
-            VibGate(mu=0.1, sigma=0.0)
+    @pytest.mark.parametrize(
+        "make, message",
+        [(lambda: VibGate(mu=0.1, sigma=0.0), "sigma must be positive"),
+         (lambda: HardConcreteGate(math.nan), "log_alpha must be finite, got nan"),
+         (lambda: VibGate(math.nan, 1.0), "mu must be finite, got nan"),
+         (lambda: VibGate(1.0, math.nan), "sigma must be finite, got nan"),
+         (lambda: VibGate(1.0, math.inf), "sigma must be finite, got inf")],
+        ids=["zero-sigma", "nan-log-alpha", "nan-mu", "nan-sigma", "inf-sigma"],
+    )
+    def test_sigma_positive_enforced(self, make, message):
+        """A gate's parameters are checked when it is built: each finite, by
+        name, and a VIB sigma positive."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
     def test_penalty_grads_match_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -232,6 +243,11 @@ class TestPruneByGates:
         result = prune_by_gates(gv, kernel, threshold=0.5, h=8, w=8)
         assert result.kernel.t == 2
         assert result.cost.ratio == pytest.approx(0.5)
+        # field for field, the dense layer cut to the kept output channels
+        orig, slim = (mac_cost(3, t, 3, 8, 8, "original") for t in (4, 2))
+        assert result.cost == dataclasses.replace(
+            orig, method="gate_prune", ranks=(2,), macs_compressed=slim.macs_original,
+            params_compressed=slim.params_original)
 
 
 class TestToyTraining:

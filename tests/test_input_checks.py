@@ -19,6 +19,7 @@ from convcompress.container import (
     ContainerError,
     add_acc_tables,
     add_gates,
+    add_kernel,
     add_plan,
     read_acc_tables,
     read_container,
@@ -59,6 +60,7 @@ from convcompress.kernel import (
     check_ranks,
     clamp_ranks,
     feature_map,
+    layer_cost,
     mac_cost,
     max_ranks,
     unmatricize_spatial,
@@ -455,6 +457,13 @@ def fitted(kernel, batch):
     return attach_current_outputs(batch, kernel)
 
 
+def stored_kernel_metadata(kernel, **size) -> dict:
+    """The metadata ``add_kernel`` stores with ``kernel`` at map ``size``."""
+    c = Container()
+    add_kernel(c, "a", kernel, **size)
+    return c.entry("a").metadata
+
+
 #: id -> (the name the message gives, a valid value, the call of that value
 #: with the kernel and the fitted batch).  Every scalar integer argument is here.
 INTEGER_ARGUMENTS = {
@@ -498,6 +507,13 @@ INTEGER_ARGUMENTS = {
     "unmatricize_weight-s": ("s", S, lambda k, b, v: unmatricize_weight(np.ones((27, 4)), T, v, K)),
     "unmatricize_spatial-t": ("t", T, lambda k, b, v: unmatricize_spatial(np.ones((9, 12)), v, S, K)),
     "ranks_from_ratio-s": ("s", 8, lambda k, b, v: ranks_from_ratio("weight_svd", v, 8, 3, 0.5)),
+    "layer_cost-params": ("params", 60, lambda k, b, v: layer_cost(8, 8, 3, 4, 4, v, "weight_svd", (4,))),
+    "DecomposedLayer.macs-h": ("h", 2, lambda k, b, v: weight_svd(k, 2).macs(v, 2)),
+    "DecomposedLayer.macs-w": ("w", 2, lambda k, b, v: weight_svd(k, 2).macs(2, v)),
+    "add_kernel-h": ("h", 2, lambda k, b, v: stored_kernel_metadata(k, h=v)),
+    "add_kernel-w": ("w", 2, lambda k, b, v: stored_kernel_metadata(k, w=v)),
+    "GridCosts-macs": ("MACs", 10, lambda k, b, v: GridCosts({(2,): v}, 40)),
+    "GridCosts-macs_original": ("MACs", 40, lambda k, b, v: GridCosts({(2,): 10}, v)),
 }
 
 
@@ -554,6 +570,11 @@ BELOW_MINIMUM = {
     "max_ranks-s": (lambda k, b: max_ranks("tt", 0, 8, 3), "s must be >= 1, got 0"),
     "unmatricize_weight-k": (lambda k, b: unmatricize_weight(np.ones((0, 4)), T, S, 0),
                              "k must be >= 1, got 0"),
+    "layer_cost-params": (lambda k, b: layer_cost(8, 8, 3, 4, 4, 0, "weight_svd", (4,)),
+                          "params must be >= 1, got 0"),
+    "DecomposedLayer.macs-h": (lambda k, b: weight_svd(k, 2).macs(0, 2), "h must be >= 1, got 0"),
+    "add_kernel-h": (lambda k, b: stored_kernel_metadata(k, h=0), "h must be >= 1, got 0"),
+    "add_kernel-w": (lambda k, b: stored_kernel_metadata(k, w=-1), "w must be >= 1, got -1"),
 }
 
 

@@ -320,7 +320,7 @@ class TestIntegerRule:
     @pytest.mark.parametrize("macs, orig", [({(2,): 10.7}, 40), ({(2,): 10.0}, 40),
                                             ({(2,): 10}, 40.5), ({(2,): 10}, 40.0)])
     def test_non_integer_macs_are_refused(self, macs, orig):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             GridCosts(macs, orig)
 
     def test_numpy_integers_pass_as_ints(self):

@@ -20,6 +20,7 @@ from convcompress.kernel import (
     clamp_ranks,
     conv_direct,
     factor_shapes,
+    layer_cost,
     mac_cost,
     max_ranks,
 )
@@ -56,6 +57,7 @@ def test_cost_model_counts_the_stored_factors(kernel, case):
     cost = mac_cost(S, T, K, H, W, layer.method, layer.ranks)
     assert cost.macs_compressed == layer.macs(H, W) == layer.param_count() * H * W
     assert cost.params_compressed == layer.param_count()
+    assert layer_cost(S, T, K, H, W, layer.param_count(), layer.method, layer.ranks) == cost
 
 
 @pytest.mark.parametrize("case", sorted(BUILDERS))
