@@ -403,7 +403,7 @@ def read_gates(container: Container, name: str) -> GateVector:
     kind = e.metadata.get("kind")
     if kind not in ("l0", "vib"):
         raise ContainerError("bad_manifest", f"gate vector {name!r} has unknown kind {kind!r}")
-    lam = _field(e.metadata, "lambda_reg", f"gate vector {name!r}", float, default=0.0)
+    lam = _field(e.metadata, "lambda_reg", f"gate vector {name!r}", float, 0.0, default=0.0)
     n = payload.size if kind == "l0" else payload.size // 2
     if n == 0 or payload.shape != ((n,) if kind == "l0" else (n, 2)):
         want = "(n,)" if kind == "l0" else "(n, 2)"

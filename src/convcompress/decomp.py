@@ -210,9 +210,14 @@ def cp_als(
     updates ws, wy, wx, wt in turn; the column norms of the first three are
     absorbed into wt.  A factor's r x r Gram is formed once after each change
     of the factor, seven per sweep, and a solve multiplies the Grams of the
-    other three factors in mode order.  Iteration stops when the relative
-    reconstruction error changes by less than ``tol`` or after ``max_iters``
-    (>= 1) sweeps; non-convergence is reported in ``meta``, not raised.
+    other three factors in mode order and inverts the product with the
+    unchecked core of :func:`convcompress.linalg.psd_inverse`, which still
+    refuses a non-finite Gram (the Grams of a finite kernel can overflow);
+    above condition number 1e12 a 1e-10 ridge is added.  The Khatri-Rao product of wy, wx and wt that a
+    sweep's error test builds is the next sweep's ws operand.  Iteration
+    stops when the relative reconstruction error changes by less than
+    ``tol`` or after ``max_iters`` (>= 1) sweeps; non-convergence is
+    reported in ``meta``, not raised.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
     check_ranks("cp", s, t, k, (r,))
@@ -224,18 +229,20 @@ def cp_als(
     rng = np.random.default_rng(seed)
     # ws is solved first, so only the other three need a start
     fs = [np.empty((s, r))] + [rng.uniform(-1.0, 1.0, size=(n, r)) for n in (k, k, t)]
+    kr_0 = _khatri_rao(*fs[1:])  # mode 0's MTTKRP operand; each error test rebuilds it
 
     def sweep() -> float:
+        nonlocal kr_0
         # each factor's Gram, formed once per change of the factor
         grams = [None] + [f.T @ f for f in fs[1:]]
         for mode in range(4):
-            others = fs[:mode] + fs[mode + 1 :]
             gram = reduce(np.multiply, grams[:mode] + grams[mode + 1 :])
             try:
-                inv = linalg.psd_inverse(gram)
+                inv = linalg._psd_power(gram, 0.0)
             except ValueError:  # CP is ill-posed in general: a tiny ridge keeps ALS stable
-                inv = linalg.psd_inverse(gram, 1e-10)
-            fs[mode] = unf[mode] @ _khatri_rao(*others) @ inv
+                inv = linalg._psd_power(gram, 1e-10)
+            kr = kr_0 if mode == 0 else _khatri_rao(*fs[:mode], *fs[mode + 1 :])
+            fs[mode] = unf[mode] @ kr @ inv
             grams[mode] = fs[mode].T @ fs[mode]
         # Normalize, absorbing scales into wt.  The column norms and the error
         # norm below are computed as np.linalg.norm computes them.
@@ -244,7 +251,8 @@ def cp_als(
             norms = np.where(norms > 0, norms, 1.0)
             f /= norms
             fs[3] *= norms
-        diff = (unf[0] - fs[0] @ _khatri_rao(*fs[1:]).T).ravel()
+        kr_0 = _khatri_rao(*fs[1:])
+        diff = (unf[0] - fs[0] @ kr_0.T).ravel()
         return math.sqrt(diff.dot(diff)) / (norm_t if norm_t > 0 else 1.0)
 
     fit = _sweeps(sweep, max_iters, tol, "CP")

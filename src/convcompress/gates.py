@@ -108,6 +108,11 @@ def _vib_term(mu, sigma):
     return np.log1p(mu2 / sigma2), 2.0 * mu / denom, -2.0 * mu2 / (sigma * denom)
 
 
+def _check_lambda_reg(lambda_reg: float) -> None:
+    if not (math.isfinite(lambda_reg) and lambda_reg >= 0):
+        raise ValueError(f"lambda_reg must be finite and nonnegative, got {lambda_reg}")
+
+
 @dataclass(frozen=True)
 class HardConcreteGate:
     """Clipped, stretched concrete gate with learnable log_alpha."""
@@ -127,7 +132,7 @@ class HardConcreteGate:
         return float(_hc_at(0.0, self.log_alpha)[2][0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class VibGate:
     """Gaussian multiplicative gate with learnable mean and spread."""
 
@@ -154,6 +159,7 @@ class GateVector:
     lambda_reg: float = 0.0
 
     def __post_init__(self):
+        _check_lambda_reg(self.lambda_reg)
         if not self.gates:
             return
         kinds = {type(g) for g in self.gates}
@@ -342,8 +348,7 @@ def train_toy_gated(
         raise ValueError(f"steps must be at least 1, got {steps}")
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and positive, got {lr}")
-    if not (math.isfinite(lambda_reg) and lambda_reg >= 0):
-        raise ValueError(f"lambda_reg must be finite and nonnegative, got {lambda_reg}")
+    _check_lambda_reg(lambda_reg)
     rng = np.random.default_rng(integer(seed, "seed", 0))
     x, y, _ = task.materialize(rng)
     n, p = x.shape

@@ -2,15 +2,21 @@
 
 SVD and the symmetric eigendecomposition call LAPACK through numpy
 (``np.linalg.svd`` / ``np.linalg.eigh``); ridge, reduced-rank regression
-and lasso are built on top.  Singular-vector and eigenvector signs are
-fixed (the largest-magnitude entry of every U / eigenvector column is
-made nonnegative), so reruns with the same inputs, the same numpy/BLAS
-build and the same BLAS thread count produce byte-identical factors.
-``eig_sym`` symmetrizes its input only when the input is not exactly
-symmetric; the Gram matrices the library passes it are, and go to LAPACK
-unchanged, which gives the same bits as symmetrizing them.
-:func:`rrr_fitter` checks and whitens a fixed Z once for many
-reduced-rank fits.
+and lasso are built on top.  The signs of the singular vectors and of the
+eigenvectors :func:`eig_sym` returns are fixed (the largest-magnitude
+entry of every U / eigenvector column is made nonnegative), so reruns with
+the same inputs, the same numpy/BLAS build and the same BLAS thread count
+produce byte-identical factors.
+One unchecked core does the eigen work: ``_eigh`` (``np.linalg.eigh`` in
+descending order, with LAPACK's signs) and ``_psd_power``, the PSD inverse
+built on it, whose ``V diag(vals**-power) V^T`` does not depend on the
+signs.  :func:`eig_sym` and :func:`psd_inverse` check their input, and
+symmetrize it only when it is not exactly symmetric, before they call the
+core.  :func:`ridge_solve`, :func:`rrr_fitter` and ``cp_als`` have checked
+their data already and call ``_psd_power`` directly on Gram matrices
+(``Z @ Z.T``, ``F.T @ F`` and their elementwise products), which are
+exactly symmetric.  :func:`rrr_fitter` checks and whitens a fixed Z once
+for many reduced-rank fits.
 
 Four rules are written once here.  Input: :func:`float_array` gives the
 float arrays the package takes in (kernels, feature maps, patch batches,
@@ -24,13 +30,14 @@ counts and sizes, the toy task's sizes and the cost model's dims) as an
 int, within its bounds; numpy integers pass, and a float is refused, never
 truncated, even 2.0.  Truncation: ``svd(a, r)`` checks
 1 <= r <= min(m, n) and returns the leading r triplets; every truncating
-decomposition asks it for r.  PSD inverse: :func:`psd_inverse` returns
-``(C + eps*I)^-power``, zero on C's null space; it refuses an eps that is
-negative, NaN or infinite, and with ``eps=0`` a C whose condition number
-exceeds 1e12.  Every ridge ``eps`` of the package reaches it, so an explicit
-``eps=0`` in :func:`ridge_solve`, :func:`reduced_rank_regression` or
-:func:`rrr_fitter` refuses such a ``Z @ Z.T``; ``cp_als`` catches the
-refusal and solves with a 1e-10 ridge.
+decomposition asks it for r.  PSD inverse: ``_psd_power``, behind
+:func:`psd_inverse`, returns ``(C + eps*I)^-power``, zero on C's null space;
+it refuses an eps that is negative, NaN or infinite, a ``C + eps*I`` with a
+non-finite entry (the square of finite data can overflow), and with
+``eps=0`` a C whose condition number exceeds 1e12.  Every ridge ``eps`` of
+the package reaches it, so an explicit ``eps=0`` in :func:`ridge_solve`,
+:func:`reduced_rank_regression` or :func:`rrr_fitter` refuses such a
+``Z @ Z.T``; ``cp_als`` catches the refusal and solves with a 1e-10 ridge.
 """
 
 from __future__ import annotations
@@ -139,15 +146,10 @@ def pinv(a) -> Array:
     return (res.V * inv_s) @ res.U.T
 
 
-def eig_sym(a) -> tuple[Array, Array]:
-    """Eigendecomposition of a symmetric matrix (LAPACK via ``np.linalg.eigh``).
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
-    eigenvectors in the columns.  Raises on empty input and on input whose
-    asymmetry exceeds 1e-8 relative to its largest entry (at least 1);
-    input within that tolerance is symmetrized as ``0.5 * (a + a.T)``, and an
-    exactly symmetric matrix, which that would return bit for bit, is not.
-    """
+def _symmetric(a) -> Array:
+    """``a`` as :func:`eig_sym` takes it: a nonempty square matrix, refused
+    when its asymmetry exceeds 1e-8 relative to its largest entry (at least
+    1), symmetrized as ``0.5 * (a + a.T)`` when it is not exactly symmetric."""
     m = float_array(a, "matrix", 2)
     n, n2 = m.shape
     if n != n2:
@@ -159,9 +161,28 @@ def eig_sym(a) -> tuple[Array, Array]:
         if np.abs(m - m.T).max() > 1e-8 * scale:
             raise ValueError("matrix is not symmetric")
         m = 0.5 * (m + m.T)
+    return m
+
+
+def _eigh(m: Array) -> tuple[Array, Array]:
+    """``np.linalg.eigh`` of a checked symmetric ``m``, eigenvalues descending,
+    eigenvectors in C-contiguous columns with the signs LAPACK gave them."""
     vals, vecs = np.linalg.eigh(m)
-    (vecs,) = _fix_signs(vecs[:, ::-1])
-    return vals[::-1], vecs
+    return vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
+
+
+def eig_sym(a) -> tuple[Array, Array]:
+    """Eigendecomposition of a symmetric matrix (LAPACK via ``np.linalg.eigh``).
+
+    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
+    eigenvectors in the columns.  Raises on empty input and on input whose
+    asymmetry exceeds 1e-8 relative to its largest entry (at least 1);
+    input within that tolerance is symmetrized as ``0.5 * (a + a.T)``, and an
+    exactly symmetric matrix, which that would return bit for bit, is not.
+    """
+    vals, vecs = _eigh(_symmetric(a))
+    (vecs,) = _fix_signs(vecs)
+    return vals, vecs
 
 
 def default_ridge_eps(z: Array) -> float:
@@ -175,6 +196,27 @@ def default_ridge_eps(z: Array) -> float:
     return 1e-8 * float(np.sum(z * z)) / max(rows, 1)
 
 
+def _psd_power(c: Array, eps: float, power: float = 1.0, left: Array | None = None) -> Array:
+    """:func:`psd_inverse` of a square symmetric ``c`` and a finite ``power``
+    and ``left``, which it does not check.  It does check ``eps``, and that
+    ``C + eps*I`` is finite, which the Gram of finite data need not be."""
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be >= 0" if eps < math.inf else "eps must be finite")
+    m = c if eps == 0 else c + eps * np.eye(c.shape[0])
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    vals, vecs = _eigh(m)
+    if eps == 0:
+        if not vals[-1] > vals[0] / 1e12:
+            raise ValueError("singular system: matrix is rank deficient "
+                             "(condition number above 1e12) and eps is 0")
+    else:
+        live = vals > 0
+        vals, vecs = vals[live], vecs[:, live]
+    scaled = vecs / vals**power
+    return (scaled if left is None else left @ scaled) @ vecs.T
+
+
 def psd_inverse(
     c: Array, eps: float = 0.0, power: float = 1.0, left: Array | None = None
 ) -> Array:
@@ -186,21 +228,15 @@ def psd_inverse(
     keeps its components along C's large eigenvalues when a tiny eps meets
     a singular C.  With ``eps=0`` a C whose condition number exceeds 1e12
     raises; with ``eps > 0`` eigenvalues that still read <= 0 are left out.
-    A negative, NaN or infinite eps raises.
+    C is checked as :func:`eig_sym` checks its input; a negative, NaN or
+    infinite eps, a non-finite power and a non-finite ``left`` raise.
     """
-    if not 0 <= eps < math.inf:
-        raise ValueError("eps must be >= 0" if eps < math.inf else "eps must be finite")
-    if eps == 0:
-        vals, vecs = eig_sym(c)
-        if not vals[-1] > vals[0] / 1e12:
-            raise ValueError("singular system: matrix is rank deficient "
-                             "(condition number above 1e12) and eps is 0")
-    else:
-        vals, vecs = eig_sym(c + eps * np.eye(c.shape[0]))
-        live = vals > 0
-        vals, vecs = vals[live], vecs[:, live]
-    scaled = vecs / vals**power
-    return (scaled if left is None else left @ scaled) @ vecs.T
+    c = _symmetric(c)
+    if not math.isfinite(power):
+        raise ValueError(f"power must be finite, got {power}")
+    if left is not None:
+        left = float_array(left, "left")
+    return _psd_power(c, eps, power, left)
 
 
 def ridge_solve(y, z, eps: float | None = None) -> Array:
@@ -217,7 +253,7 @@ def ridge_solve(y, z, eps: float | None = None) -> Array:
         eps = default_ridge_eps(z)
     if eps == 0 and z.shape[0] > z.shape[1]:
         raise ValueError("singular system: Z has more rows than columns and eps is 0")
-    return psd_inverse(z @ z.T, eps, left=y @ z.T)
+    return _psd_power(z @ z.T, eps, left=y @ z.T)
 
 
 @dataclass(frozen=True)
@@ -248,7 +284,7 @@ def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
             raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {zc.shape}")
         rank = integer(r, "rank", 1, y.shape[0])
         if c_neg_half is None:
-            c_neg_half = psd_inverse(zc @ zc.T, default_ridge_eps(zc) if eps is None else eps, 0.5)
+            c_neg_half = _psd_power(zc @ zc.T, default_ridge_eps(zc) if eps is None else eps, 0.5)
         whitened = (y @ zc.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
         res = svd(whitened, min(rank, whitened.shape[1]))
         return (res.U * res.S) @ res.V.T @ c_neg_half

@@ -3,16 +3,17 @@
 Everything here is written from scratch against the mathematical
 definitions, deliberately *not* importing the production code paths it
 is used to check (plain loops, brute-force search, textbook formulas).
-The exceptions are ``solve_gram``, the ``*_reference_loop`` and
-``*_reference_fit`` functions, ``weight_factors_reference``,
-``conv_shift_reference``, ``conv_flat_row_reference``,
-``ranks_from_ratio_reference``, ``equal_acc_select_reference`` and the
-hand-written stage views ``STAGE_VIEWS`` at the end: verbatim copies of
-earlier solvers, solver loops, data-optimized fits and splits, two versions
-of the convolution primitive, the hand-written bisections of the rank
-searches and the per-method weight views of the staged forwards, kept to
-pin the current code to them bit for bit (the convolution to rounding
-against the shift-and-copy version).
+The exceptions are ``psd_inverse_reference``, ``solve_gram``, the
+``*_reference_loop`` and ``*_reference_fit`` functions,
+``weight_factors_reference``, ``conv_shift_reference``,
+``conv_flat_row_reference``, ``ranks_from_ratio_reference``,
+``equal_acc_select_reference`` and the hand-written stage views
+``STAGE_VIEWS`` at the end: verbatim copies of earlier solvers (the PSD
+inverse through ``eig_sym``), solver loops, data-optimized fits and splits,
+two versions of the convolution primitive, the hand-written bisections of
+the rank searches and the per-method weight views of the staged forwards,
+kept to pin the current code to them bit for bit (the convolution to
+rounding against the shift-and-copy version).
 They call the same ``linalg``, ``decomp``, ``kernel`` and ``rankselect``
 primitives the copies called.
 """
@@ -442,6 +443,34 @@ def relu_asym_reference_loop(batch, r: int, lambda_schedule=(0.01, 0.1, 1.0, 10.
     pred = z_hat @ m.T + b
     residual = float(np.linalg.norm(ry - relu(pred)))
     return {"M": m, "new_bias": b, "residual": residual, "objective_trace": trace}
+
+
+def psd_inverse_reference(
+    c: Array, eps: float = 0.0, power: float = 1.0, left: Array | None = None
+) -> Array:
+    """``(C + eps*I)^-power`` of a symmetric PSD ``C``, zero on its null space;
+    ``left @ (C + eps*I)^-power`` when ``left`` is given.
+
+    With ``V diag(vals) V^T`` the eigendecomposition of ``C + eps*I``, this is
+    ``(left @ (V / vals**power)) @ V.T``: applying ``left`` before ``V.T``
+    keeps its components along C's large eigenvalues when a tiny eps meets
+    a singular C.  With ``eps=0`` a C whose condition number exceeds 1e12
+    raises; with ``eps > 0`` eigenvalues that still read <= 0 are left out.
+    A negative, NaN or infinite eps raises.
+    """
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be >= 0" if eps < math.inf else "eps must be finite")
+    if eps == 0:
+        vals, vecs = linalg.eig_sym(c)
+        if not vals[-1] > vals[0] / 1e12:
+            raise ValueError("singular system: matrix is rank deficient "
+                             "(condition number above 1e12) and eps is 0")
+    else:
+        vals, vecs = linalg.eig_sym(c + eps * np.eye(c.shape[0]))
+        live = vals > 0
+        vals, vecs = vals[live], vecs[:, live]
+    scaled = vecs / vals**power
+    return (scaled if left is None else left @ scaled) @ vecs.T
 
 
 def solve_gram(gram, rhs):

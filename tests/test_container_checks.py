@@ -292,6 +292,7 @@ class TestGateVectors:
             ([0.5], {"kind": "l0", "lambda_reg": None}, "bad_manifest"),
             ([0.5], {"kind": "l0", "lambda_reg": True}, "bad_manifest"),
             ([0.5], {"kind": "l0", "lambda_reg": NAN}, "bad_manifest"),
+            ([0.5], {"kind": "l0", "lambda_reg": -0.5}, "bad_manifest"),
             ([0.5], {"kind": "l0", "lambda_reg": 10**400}, "bad_manifest"),
             ([0.5, 1.0, 2.0], VIB, "shape_mismatch"),
             ([[0.5, 1.0], [0.5, 1.0]], L0, "shape_mismatch"),
@@ -302,8 +303,8 @@ class TestGateVectors:
         ],
         ids=["unknown-kind", "missing-kind", "nan-log-alpha", "inf-mu", "zero-sigma",
              "negative-sigma", "lambda-string", "lambda-null", "lambda-bool", "lambda-nan",
-             "lambda-huge-int", "vib-1d", "l0-2d", "vib-3-columns", "l0-empty", "vib-empty",
-             "lambda-list"],
+             "lambda-negative", "lambda-huge-int", "vib-1d", "l0-2d", "vib-3-columns",
+             "l0-empty", "vib-empty", "lambda-list"],
     )
     def test_malformed_gate_vector(self, tmp_path, payload, metadata, code):
         """Each cause gives its coded error, never a raw TypeError or

@@ -192,6 +192,15 @@ class TestCpAls:
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             tucker_hooi(random_kernel(np.random.default_rng(13)), 2, 3, max_iters=max_iters)
 
+    def test_overflowing_grams_raise(self):
+        """A finite kernel whose factor Grams overflow: the solve refuses the
+        non-finite Gram instead of returning non-finite factors.  The kernel's
+        own norm overflows too; numpy's overflow warnings are expected."""
+        kernel = Kernel4D(1e200 * np.random.default_rng(14).normal(size=(6, 4, 3, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                cp_als(kernel, 2)
+
     def test_rank_one_reconstruct_is_outer_product(self):
         rng = np.random.default_rng(12)
         kernel = random_kernel(rng, t=3, s=2, k=3)
@@ -487,8 +496,8 @@ class TestSolverLoopsPinned:
         rng = np.random.default_rng(4)
         ws, wy, wx, wt = (rng.normal(size=(d, 2)) for d in (4, 3, 3, 6))
         kernel = Kernel4D(np.einsum("sr,yr,xr,tr->tsxy", ws, wy, wx, wt))
-        eig_sym, calls = la.eig_sym, []
-        monkeypatch.setattr(la, "eig_sym", lambda a: calls.append(a) or eig_sym(a))
+        eigh, calls = la._eigh, []
+        monkeypatch.setattr(la, "_eigh", lambda a: calls.append(a) or eigh(a))
         layers = {r: cp_als(kernel, r, max_iters=300, tol=1e-14, seed=0) for r in (3, 4, 6)}
         monkeypatch.undo()
         # one eigendecomposition per solve, and one more per ridged solve

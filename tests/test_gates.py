@@ -112,6 +112,14 @@ class TestHcPenalty:
         with pytest.raises(ValueError, match="mixes"):
             GateVector(gates=[HardConcreteGate(log_alpha=0.0), VibGate(mu=1.0, sigma=1.0)])
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
+    def test_lambda_reg_checked(self, lam):
+        """A gate vector holds only a penalty weight the trainer accepts and
+        ``read_gates`` reads back."""
+        message = f"^lambda_reg must be finite and nonnegative, got {lam}$"
+        with pytest.raises(ValueError, match=message):
+            GateVector(gates=[HardConcreteGate(log_alpha=0.0)], lambda_reg=lam)
+
 
 class TestHcGrads:
     def test_zero_in_clipped_region(self):
@@ -188,6 +196,13 @@ class TestVib:
         name, and a VIB sigma positive."""
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
+
+    def test_frozen(self):
+        """A built gate keeps the parameters its checks passed."""
+        g = VibGate(mu=1.0, sigma=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.sigma = math.nan
+        assert g.snr() == 1.0
 
     def test_penalty_grads_match_finite_differences(self):
         rng = np.random.default_rng(4)

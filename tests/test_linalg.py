@@ -14,6 +14,7 @@ from convcompress.linalg import (
     lasso_gram,
     orthonormal_extend,
     pinv,
+    psd_inverse,
     reduced_rank_regression,
     ridge_solve,
     rrr_fitter,
@@ -25,6 +26,7 @@ from _oracles import (
     jacobi_eigvals,
     lasso_cd_sample_space,
     lasso_gram_reference_loop,
+    psd_inverse_reference,
 )
 
 
@@ -441,12 +443,66 @@ class TestLassoGramPinned:
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
+class TestPsdInversePinned:
+    """psd_inverse gives the bytes, or the refusal, of the copy that went
+    through eig_sym with its sign fixing."""
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            return f(*args).tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize(
+        "case", ["well-conditioned", "singular-ridged", "half-power", "left", "refused"]
+    )
+    def test_equals_reference(self, case):
+        rng = np.random.default_rng(["well-conditioned", "singular-ridged", "half-power",
+                                     "left", "refused"].index(case))
+        filtered = refused = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            rank = n if case != "singular-ridged" else int(rng.integers(1, n + 1))
+            a = rng.normal(size=(n, rank + (n if case == "well-conditioned" else 0)))
+            c = a @ a.T
+            eps, power, left = 0.0, 1.0, None
+            if case == "singular-ridged":
+                eps = float(10.0 ** rng.uniform(-20, -8))
+                filtered += bool((np.linalg.eigvalsh(c + eps * np.eye(n)) <= 0).any())
+            elif case == "half-power":
+                eps, power = float(rng.choice([0.0, 1e-9])), 0.5
+            elif case == "left":
+                eps = float(rng.choice([0.0, 1e-9]))
+                left = rng.normal(size=(int(rng.integers(1, 5)), n))
+            elif case == "refused":
+                q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                c = (q * 10.0 ** -rng.uniform(0, 16, size=n)) @ q.T
+                c = 0.5 * (c + c.T)
+            want = self.outcome(psd_inverse_reference, c, eps, power, left)
+            refused += isinstance(want, str)
+            assert self.outcome(psd_inverse, c, eps, power, left) == want
+        if case == "singular-ridged":
+            assert filtered > 0
+        assert (refused > 0) == (case == "refused")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"power": np.nan}, "power"), ({"power": np.inf}, "power"),
+         ({"left": [[np.nan, 1.0]]}, "left"), ({"left": [[1.0, np.inf]]}, "left")],
+        ids=["nan-power", "inf-power", "nan-left", "inf-left"],
+    )
+    def test_refuses_non_finite_power_and_left(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            psd_inverse(4 * np.eye(2), **kwargs)
+
+
 class TestRidgeSingularGuard:
     def test_more_rows_than_columns_raises_before_eigendecomposing(self, monkeypatch):
         import convcompress.linalg as la
 
         calls = []
-        monkeypatch.setattr(la, "eig_sym", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(la, "_eigh", lambda *a, **kw: calls.append(a))
         z = np.random.default_rng(0).normal(size=(7, 5))
         with pytest.raises(ValueError, match="singular system"):
             ridge_solve(np.ones((2, 5)), z, eps=0.0)

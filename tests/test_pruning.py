@@ -176,13 +176,13 @@ class TestRefitSolves:
         x = rng.normal(size=(n, s, k * k))
         y = np.einsum("nsp,tsp->nt", x, kernel.data.reshape(t, s, k * k))
         shapes = []
-        eig_sym = linalg.eig_sym
+        eigh = linalg._eigh
 
         def counting(a, *args, **kwargs):
             shapes.append(np.shape(a))
-            return eig_sym(a, *args, **kwargs)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "eig_sym", counting)
+        monkeypatch.setattr(linalg, "_eigh", counting)
         result = channel_prune(kernel, x, y, s_prime=60)
         assert len(result.kept) == 60
         assert shapes.count((540, 540)) == 1
