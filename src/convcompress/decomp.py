@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -190,10 +189,13 @@ def spatial_svd(kernel: Kernel4D, r: int, order: str = "hv") -> DecomposedLayer:
 
 def _khatri_rao(*mats: Array) -> Array:
     """Column-wise Kronecker product: row ``(i, j, ...)`` of the result, in C
-    order, is the elementwise product of row i, row j, ... of the inputs."""
+    order, is the elementwise product of row i, row j, ... of the inputs,
+    multiplied left to right.  Each input after the first multiplies the
+    rows repeated so far in place, a block of its whole size at a time."""
     out = mats[0]
     for m in mats[1:]:
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, m.shape[1])
+        out = np.repeat(out, m.shape[0], axis=0)
+        out.reshape(-1, *m.shape)[...] *= m
     return out
 
 
@@ -209,50 +211,59 @@ def cp_als(
     Factors are fitted to the kernel reordered as (s, y, x, t).  Each sweep
     updates ws, wy, wx, wt in turn; the column norms of the first three are
     absorbed into wt.  A factor's r x r Gram is formed once after each change
-    of the factor, seven per sweep, and a solve multiplies the Grams of the
-    other three factors in mode order and inverts the product with the
-    unchecked core of :func:`convcompress.linalg.psd_inverse`, which still
-    refuses a non-finite Gram (the Grams of a finite kernel can overflow);
-    above condition number 1e12 a 1e-10 ridge is added.  The Khatri-Rao product of wy, wx and wt that a
-    sweep's error test builds is the next sweep's ws operand.  Iteration
-    stops when the relative reconstruction error changes by less than
-    ``tol`` or after ``max_iters`` (>= 1) sweeps; non-convergence is
-    reported in ``meta``, not raised.
+    of the factor that a later solve reads, six per sweep.  A solve multiplies
+    the Grams of the other three factors in mode order and inverts the
+    product with the unchecked core of :func:`convcompress.linalg.psd_inverse`,
+    which still refuses a non-finite Gram (the Grams of a finite kernel can
+    overflow); above condition number 1e12 a 1e-10 ridge is added.  The
+    Khatri-Rao product of wy, wx and wt that a sweep's error test builds is
+    the next sweep's ws operand, and the product of ws and wy that the wx
+    solve builds starts the wt operand.  Iteration stops when the relative
+    reconstruction error changes by less than ``tol`` or after ``max_iters``
+    (>= 1) sweeps; non-convergence is reported in ``meta``, not raised.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
     check_ranks("cp", s, t, k, (r,))
     seed = linalg.integer(seed, "seed", 0)
     tens = kernel.data.transpose(1, 3, 2, 0)  # (s, y, x, t)
     # mode-n unfoldings, the other modes kept in (s, y, x, t) order
-    unf = [np.moveaxis(tens, mode, 0).reshape(tens.shape[mode], -1) for mode in range(4)]
-    norm_t = float(np.linalg.norm(unf[0]))
+    unf_s, unf_y, unf_x, unf_t = (
+        np.moveaxis(tens, mode, 0).reshape(tens.shape[mode], -1) for mode in range(4)
+    )
+    norm_t = float(np.linalg.norm(unf_s))
     rng = np.random.default_rng(seed)
     # ws is solved first, so only the other three need a start
     fs = [np.empty((s, r))] + [rng.uniform(-1.0, 1.0, size=(n, r)) for n in (k, k, t)]
-    kr_0 = _khatri_rao(*fs[1:])  # mode 0's MTTKRP operand; each error test rebuilds it
+    kr_yxt = _khatri_rao(*fs[1:])  # ws's MTTKRP operand; each error test rebuilds it
+
+    def inverse(gram: Array) -> Array:
+        try:
+            return linalg._psd_power(gram, 0.0)
+        except ValueError:  # CP is ill-posed in general: a tiny ridge keeps ALS stable
+            return linalg._psd_power(gram, 1e-10)
 
     def sweep() -> float:
-        nonlocal kr_0
-        # each factor's Gram, formed once per change of the factor
-        grams = [None] + [f.T @ f for f in fs[1:]]
-        for mode in range(4):
-            gram = reduce(np.multiply, grams[:mode] + grams[mode + 1 :])
-            try:
-                inv = linalg._psd_power(gram, 0.0)
-            except ValueError:  # CP is ill-posed in general: a tiny ridge keeps ALS stable
-                inv = linalg._psd_power(gram, 1e-10)
-            kr = kr_0 if mode == 0 else _khatri_rao(*fs[:mode], *fs[mode + 1 :])
-            fs[mode] = unf[mode] @ kr @ inv
-            grams[mode] = fs[mode].T @ fs[mode]
+        nonlocal kr_yxt
+        _, wy, wx, wt = fs
+        gy, gx, gt = wy.T @ wy, wx.T @ wx, wt.T @ wt
+        ws = unf_s @ kr_yxt @ inverse(gy * gx * gt)
+        gs = ws.T @ ws
+        wy = unf_y @ _khatri_rao(ws, wx, wt) @ inverse(gs * gx * gt)
+        gy = wy.T @ wy
+        kr_sy = _khatri_rao(ws, wy)
+        wx = unf_x @ _khatri_rao(kr_sy, wt) @ inverse(gs * gy * gt)
+        gx = wx.T @ wx
+        wt = unf_t @ _khatri_rao(kr_sy, wx) @ inverse(gs * gy * gx)
         # Normalize, absorbing scales into wt.  The column norms and the error
         # norm below are computed as np.linalg.norm computes them.
-        for f in fs[:3]:
+        for f in (ws, wy, wx):
             norms = np.sqrt(np.add.reduce(f * f, axis=0))
             norms = np.where(norms > 0, norms, 1.0)
             f /= norms
-            fs[3] *= norms
-        kr_0 = _khatri_rao(*fs[1:])
-        diff = (unf[0] - fs[0] @ kr_0.T).ravel()
+            wt *= norms
+        fs[:] = ws, wy, wx, wt
+        kr_yxt = _khatri_rao(wy, wx, wt)
+        diff = (unf_s - ws @ kr_yxt.T).ravel()
         return math.sqrt(diff.dot(diff)) / (norm_t if norm_t > 0 else 1.0)
 
     fit = _sweeps(sweep, max_iters, tol, "CP")

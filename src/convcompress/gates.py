@@ -151,7 +151,7 @@ class VibGate:
         return self.mu**2 / self.sigma**2
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateVector:
     """One gate per channel plus the penalty weight used in training."""
 

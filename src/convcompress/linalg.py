@@ -7,16 +7,17 @@ eigenvectors :func:`eig_sym` returns are fixed (the largest-magnitude
 entry of every U / eigenvector column is made nonnegative), so reruns with
 the same inputs, the same numpy/BLAS build and the same BLAS thread count
 produce byte-identical factors.
-One unchecked core does the eigen work: ``_eigh`` (``np.linalg.eigh`` in
-descending order, with LAPACK's signs) and ``_psd_power``, the PSD inverse
-built on it, whose ``V diag(vals**-power) V^T`` does not depend on the
-signs.  :func:`eig_sym` and :func:`psd_inverse` check their input, and
-symmetrize it only when it is not exactly symmetric, before they call the
-core.  :func:`ridge_solve`, :func:`rrr_fitter` and ``cp_als`` have checked
-their data already and call ``_psd_power`` directly on Gram matrices
-(``Z @ Z.T``, ``F.T @ F`` and their elementwise products), which are
-exactly symmetric.  :func:`rrr_fitter` checks and whitens a fixed Z once
-for many reduced-rank fits.
+One unchecked core does the eigen work: ``_eigh`` (the LAPACK call of
+``np.linalg.eigh``, without its per-call dispatch, in descending order and
+with LAPACK's signs) and ``_psd_power``, the PSD inverse built on it, whose
+``V diag(vals**-power) V^T`` does not depend on the signs.  :func:`eig_sym`
+and :func:`psd_inverse` check their input, and symmetrize it only when it
+is not exactly symmetric, before they call the core.  :func:`ridge_solve`,
+:func:`rrr_fitter` and ``cp_als`` have checked their data already and call
+``_psd_power`` directly on Gram matrices (``Z @ Z.T``, ``F.T @ F`` and
+their elementwise products), which are exactly symmetric.
+:func:`rrr_fitter` checks and whitens a fixed Z once for many reduced-rank
+fits.
 
 Four rules are written once here.  Input: :func:`float_array` gives the
 float arrays the package takes in (kernels, feature maps, patch batches,
@@ -32,8 +33,9 @@ truncated, even 2.0.  Truncation: ``svd(a, r)`` checks
 1 <= r <= min(m, n) and returns the leading r triplets; every truncating
 decomposition asks it for r.  PSD inverse: ``_psd_power``, behind
 :func:`psd_inverse`, returns ``(C + eps*I)^-power``, zero on C's null space;
-it refuses an eps that is negative, NaN or infinite, a ``C + eps*I`` with a
-non-finite entry (the square of finite data can overflow), and with
+it refuses an eps that is negative, NaN or infinite, an empty C, a
+``C + eps*I`` with a non-finite entry (the square of finite data can
+overflow), and with
 ``eps=0`` a C whose condition number exceeds 1e12.  Every ridge ``eps`` of
 the package reaches it, so an explicit ``eps=0`` in :func:`ridge_solve`,
 :func:`reduced_rank_regression` or :func:`rrr_fitter` refuses such a
@@ -49,6 +51,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 Array = np.ndarray
 
@@ -165,9 +168,18 @@ def _symmetric(a) -> Array:
 
 
 def _eigh(m: Array) -> tuple[Array, Array]:
-    """``np.linalg.eigh`` of a checked symmetric ``m``, eigenvalues descending,
-    eigenvectors in C-contiguous columns with the signs LAPACK gave them."""
-    vals, vecs = np.linalg.eigh(m)
+    """``np.linalg.eigh`` of a finite symmetric float64 ``m``, eigenvalues
+    descending, eigenvectors in C-contiguous columns with LAPACK's signs.
+
+    It calls the LAPACK gufunc behind ``np.linalg.eigh`` itself, which gives
+    the same bits without eigh's per-call type dispatch and error-state
+    set-up (half the time of a 4 x 4 solve).  The gufunc reports a failed
+    LAPACK call only as NaN eigenvalues (and numpy's invalid-value warning);
+    that raises ``LinAlgError`` here, as it does in ``np.linalg.eigh``.
+    """
+    vals, vecs = _umath_linalg.eigh_lo(m, signature="d->dd")
+    if vals[0] != vals[0]:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
 
 
@@ -198,10 +210,13 @@ def default_ridge_eps(z: Array) -> float:
 
 def _psd_power(c: Array, eps: float, power: float = 1.0, left: Array | None = None) -> Array:
     """:func:`psd_inverse` of a square symmetric ``c`` and a finite ``power``
-    and ``left``, which it does not check.  It does check ``eps``, and that
+    and ``left``, which it does not check.  It does check ``eps``, that C is
+    not empty (a Z without rows gives an empty ``Z @ Z.T``), and that
     ``C + eps*I`` is finite, which the Gram of finite data need not be."""
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be >= 0" if eps < math.inf else "eps must be finite")
+    if c.size == 0:
+        raise ValueError("matrix must not be empty")
     m = c if eps == 0 else c + eps * np.eye(c.shape[0])
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
@@ -213,7 +228,7 @@ def _psd_power(c: Array, eps: float, power: float = 1.0, left: Array | None = No
     else:
         live = vals > 0
         vals, vecs = vals[live], vecs[:, live]
-    scaled = vecs / vals**power
+    scaled = vecs / (vals if power == 1 else vals**power)  # vals**1.0 is vals
     return (scaled if left is None else left @ scaled) @ vecs.T
 
 
@@ -228,8 +243,12 @@ def psd_inverse(
     keeps its components along C's large eigenvalues when a tiny eps meets
     a singular C.  With ``eps=0`` a C whose condition number exceeds 1e12
     raises; with ``eps > 0`` eigenvalues that still read <= 0 are left out.
-    C is checked as :func:`eig_sym` checks its input; a negative, NaN or
-    infinite eps, a non-finite power and a non-finite ``left`` raise.
+
+    This is the checked public entry to the unchecked core ``_psd_power``,
+    which the package's solvers call directly.  It checks, in this order: C
+    as :func:`eig_sym` checks its input, a finite power, a finite ``left``,
+    then (in the core) an eps that is negative, NaN or infinite and a
+    ``C + eps*I`` that overflowed.
     """
     c = _symmetric(c)
     if not math.isfinite(power):

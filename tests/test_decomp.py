@@ -1,5 +1,8 @@
 """Data-free decompositions: extraction, staged forward, reconstruction."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -144,6 +147,22 @@ class TestSpatialSvd:
 
 
 class TestCpAls:
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [(3,), (16, 3), (3, 3, 24), (16, 3, 24), (1, 5, 1)])
+    def test_khatri_rao_rows_are_products_of_rows(self, rows, r):
+        """Row (i, j, ...) is row i times row j times ..., multiplied left
+        to right, bit for bit, in C order of the row indices."""
+        from convcompress.decomp import _khatri_rao
+
+        rng = np.random.default_rng(sum(rows) + r)
+        mats = [rng.normal(size=(n, r)) for n in rows]
+        before = [m.copy() for m in mats]
+        want = np.array([functools.reduce(np.multiply, picked)
+                         for picked in itertools.product(*mats)])
+        got = _khatri_rao(*mats)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert all(np.array_equal(m, b) for m, b in zip(mats, before))  # inputs untouched
+
     def test_planted_rank_two(self):
         rng = np.random.default_rng(8)
         ws, wy, wx, wt = (rng.normal(size=(d, 2)) for d in (3, 3, 3, 5))

@@ -120,6 +120,13 @@ class TestHcPenalty:
         with pytest.raises(ValueError, match=message):
             GateVector(gates=[HardConcreteGate(log_alpha=0.0)], lambda_reg=lam)
 
+    def test_frozen(self):
+        """The checked penalty weight cannot be replaced after construction."""
+        gv = GateVector(gates=[HardConcreteGate(log_alpha=0.0)], lambda_reg=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gv.lambda_reg = math.nan
+        assert gv.lambda_reg == 0.5
+
 
 class TestHcGrads:
     def test_zero_in_clipped_region(self):

@@ -508,6 +508,13 @@ class TestRidgeSingularGuard:
             ridge_solve(np.ones((2, 5)), z, eps=0.0)
         assert calls == []
 
+    @pytest.mark.parametrize("eps", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("y_shape, z_shape", [((2, 0), (0, 0)), ((1, 3), (0, 3))])
+    def test_z_without_rows_is_refused(self, y_shape, z_shape, eps):
+        """An empty ``Z @ Z.T`` is refused, never indexed."""
+        with pytest.raises(ValueError, match="^matrix must not be empty$"):
+            ridge_solve(np.ones(y_shape), np.zeros(z_shape), eps)
+
 
 class TestRrrFitter:
     def test_fit_equals_reduced_rank_regression(self):
