@@ -210,12 +210,13 @@ def _cmd_dataopt(args) -> tuple[dict, cio.Container | None]:
             residual = layer.meta["fit_residual"]
         else:
             (r,) = ranks
-            # current responses always come from the layer, z = W x + b
-            batch = dataopt.attach_current_outputs(batch, kernel)
-            if args.mode == "data-svd":
+            if args.mode == "data-svd":  # fits the reference outputs alone
+                dataopt.check_patch_width(batch, kernel)
                 refined = dataopt.data_svd(kernel, batch.ref_outputs, r)
                 residual = math.sqrt(refined.residual)  # summed eigenvalues are squared units
             else:
+                # current responses always come from the layer, z = W x + b
+                batch = dataopt.attach_current_outputs(batch, kernel)
                 fit = dataopt.asym_data_svd if args.mode == "asym" else dataopt.relu_asym
                 refined = fit(batch, kernel, r)
                 residual = refined.residual

@@ -129,7 +129,8 @@ class Entry:
 @dataclass
 class Container:
     entries: list[Entry] = field(default_factory=list)
-    blob: bytes = b""
+    # a new container's blob is a bytearray, so that ``add`` appends in place
+    blob: bytes | bytearray = field(default_factory=bytearray)
 
     def entry(self, name: str) -> Entry:
         for e in self.entries:

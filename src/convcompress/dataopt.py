@@ -25,6 +25,7 @@ layer's own).
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -64,15 +65,12 @@ class PatchBatch:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "ref_outputs", ref)
         if self.cur_outputs is not None:
-            cur = linalg.float_array(self.cur_outputs, "cur_outputs")
-            if cur.shape != ref.shape:
-                raise ValueError(f"cur_outputs shape {cur.shape} != ref shape {ref.shape}")
-            object.__setattr__(self, "cur_outputs", cur)
+            object.__setattr__(self, "cur_outputs", _current(self.cur_outputs, ref))
         if inputs.shape[0] < ref.shape[1]:
             warnings.warn(
                 f"batch has fewer samples ({inputs.shape[0]}) than output channels "
                 f"({ref.shape[1]}); fits will be underdetermined",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the line that built the batch
             )
 
     @property
@@ -84,6 +82,14 @@ class PatchBatch:
         if self.cur_outputs is None:
             raise ValueError("batch has no current outputs")
         return self.cur_outputs.mean(axis=0)
+
+
+def _current(cur, ref: Array) -> Array:
+    """Current responses ``cur`` as a checked array of ``ref``'s shape."""
+    cur = linalg.float_array(cur, "cur_outputs")
+    if cur.shape != ref.shape:
+        raise ValueError(f"cur_outputs shape {cur.shape} != ref shape {ref.shape}")
+    return cur
 
 
 def sample_patches(maps, per_image: int, k: int, seed: int = 0) -> PatchBatch:
@@ -132,13 +138,18 @@ def attach_current_outputs(batch: PatchBatch, kernel: Kernel4D) -> PatchBatch:
     """Populate ``cur_outputs`` by running the layer on the stored patches.
 
     Computes z = W x + b per sample; this is the actual compressed-prefix
-    response, not an approximation.
+    response, not an approximation.  The batch's own arrays were checked
+    when it was built, so only the responses are: they must be finite (the
+    product of finite arrays can overflow) and of the reference outputs'
+    shape.
     """
     check_patch_width(batch, kernel)
     cur = batch.inputs @ kernel.as_matrix().T
     if kernel.bias is not None:
         cur = cur + kernel.bias
-    return replace(batch, cur_outputs=cur)
+    attached = copy.copy(batch)  # a copy runs no __post_init__: no second check or warning
+    object.__setattr__(attached, "cur_outputs", _current(cur, batch.ref_outputs))
+    return attached
 
 
 @dataclass(frozen=True)

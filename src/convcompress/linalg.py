@@ -197,13 +197,13 @@ def eig_sym(a) -> tuple[Array, Array]:
     return vals, vecs
 
 
-def default_ridge_eps(z: Array) -> float:
-    """Default regularizer for (pseudo-)inverses of ``Z @ Z.T``.
+def _default_ridge_eps(z: Array) -> float:
+    """Default regularizer for (pseudo-)inverses of ``Z @ Z.T``, for a
+    checked 2-D float ``z``.
 
     1e-8 * trace(Z Z^T) / rows: small relative to the average eigenvalue,
     handles the degenerate systems an exact pseudo-inverse would hide.
     """
-    z = float_array(z, "Z", 2)
     rows = z.shape[0]
     return 1e-8 * float(np.sum(z * z)) / max(rows, 1)
 
@@ -262,17 +262,21 @@ def ridge_solve(y, z, eps: float | None = None) -> Array:
     """Minimizer M of ``||Y - M @ Z||_F^2 + eps * ||M||_F^2``.
 
     Y is (a x n), Z is (b x n), result is (a x b).  ``eps=None`` uses
-    :func:`default_ridge_eps`; ``eps=0`` demands a nonsingular system.
+    :func:`_default_ridge_eps`; ``eps=0`` demands a nonsingular system.  A
+    ``Y @ Z.T`` that overflowed is refused as an overflowed ``Z @ Z.T`` is.
     """
     y = float_array(y, "Y", 2)
     z = float_array(z, "Z", 2)
     if y.shape[1] != z.shape[1]:
         raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {z.shape}")
     if eps is None:
-        eps = default_ridge_eps(z)
+        eps = _default_ridge_eps(z)
     if eps == 0 and z.shape[0] > z.shape[1]:
         raise ValueError("singular system: Z has more rows than columns and eps is 0")
-    return _psd_power(z @ z.T, eps, left=y @ z.T)
+    left = y @ z.T
+    if not np.isfinite(left).all():  # the product of finite data can overflow
+        raise ValueError("matrix contains non-finite entries")
+    return _psd_power(z @ z.T, eps, left=left)
 
 
 @dataclass(frozen=True)
@@ -303,7 +307,7 @@ def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
             raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {zc.shape}")
         rank = integer(r, "rank", 1, y.shape[0])
         if c_neg_half is None:
-            c_neg_half = _psd_power(zc @ zc.T, default_ridge_eps(zc) if eps is None else eps, 0.5)
+            c_neg_half = _psd_power(zc @ zc.T, _default_ridge_eps(zc) if eps is None else eps, 0.5)
         whitened = (y @ zc.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
         res = svd(whitened, min(rank, whitened.shape[1]))
         return (res.U * res.S) @ res.V.T @ c_neg_half
@@ -317,11 +321,12 @@ def reduced_rank_regression(y, z, r: int, eps: float | None = None) -> RrrResult
     Computed by whitening: with C = Z Z^T + eps*I, the full-rank solution
     M_full = Y Z^T C^{-1} is truncated in the whitened coordinates
     (SVD of M_full C^{1/2} to rank r, mapped back by C^{-1/2}), which
-    attains the constrained optimum.  One :func:`rrr_fitter` fit gives M.
+    attains the constrained optimum.  One :func:`rrr_fitter` fit gives M
+    and makes the checks, so the residual only converts the checked Y and Z.
     """
-    y = float_array(y, "Y", 2)
-    z = float_array(z, "Z", 2)
     m = rrr_fitter(z, r, eps)(y)
+    y = np.asarray(y, dtype=np.float64, order="C")
+    z = np.asarray(z, dtype=np.float64, order="C")
     residual = float(np.linalg.norm(y - m @ z))
     return RrrResult(M=m, rank=r, residual=residual)
 

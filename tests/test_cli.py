@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import convcompress
-from convcompress import cli
+from convcompress import cli, linalg
 from convcompress.cli import cli_dispatch
 from convcompress.container import (
     Container,
@@ -529,6 +530,29 @@ class TestPatchWidth:
         assert json.loads(err)["error"] == "patch width 45 does not match kernel 36"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "mode,rank,message",
+        [("data-svd", "3", "ref_outputs must be (n, 6), got (60, 5)"),
+         ("asym", "3", "cur_outputs shape (60, 6) != ref shape (60, 5)"),
+         ("relu-asym", "3", "cur_outputs shape (60, 6) != ref shape (60, 5)"),
+         ("asym3d", "5,4", "cur_outputs shape (60, 6) != ref shape (60, 5)")],
+        ids=["data-svd", "asym", "relu-asym", "asym3d"],
+    )
+    def test_other_output_count_is_rejected(self, capsys, model_dir, tmp_path, mode, rank,
+                                            message):
+        # data-svd builds no current responses, so data_svd itself refuses
+        path, _ = model_dir  # 6 output channels
+        rng = np.random.default_rng(17)
+        c = Container()
+        add_batch(c, "batch", PatchBatch(inputs=rng.normal(size=(60, 36)),
+                                         ref_outputs=rng.normal(size=(60, 5))))
+        write_container(c, tmp_path / "five")
+        code, _, err = run(capsys, "dataopt", path, "--layer", "conv1", "--mode", mode,
+                           "--rank", rank, "--batch", tmp_path / "five", "--out", tmp_path / "o")
+        assert code == 1
+        assert json.loads(err)["error"] == message
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture
 def mismatch_dir(tmp_path, model_dir):
@@ -796,6 +820,51 @@ class TestParserReuse:
         code, rep, _ = run(capsys, "report", path)
         assert code == 0
         assert rep["entries"][0]["name"] == "conv1"
+
+
+class TestDataoptTakesTheBatchOnce:
+    """Each ``dataopt`` call checks the batch's arrays, and the regression's
+    Y and Z, once, and warns of an underdetermined batch once."""
+
+    MODES = [("data-svd", "3"), ("asym", "3"), ("relu-asym", "3"), ("asym3d", "5,4"),
+             ("spatial-refine", None)]
+
+    @pytest.mark.parametrize("mode,rank", MODES, ids=[m for m, _ in MODES])
+    def test_underdetermined_batch_warns_once(self, capsys, model_dir, tmp_path, mode, rank):
+        path, kernel = model_dir  # 6 output channels
+        x = np.random.default_rng(19).normal(size=(4, 36))
+        c = Container()
+        with pytest.warns(UserWarning, match="fewer samples"):
+            add_batch(c, "batch", PatchBatch(inputs=x, ref_outputs=x @ kernel.as_matrix().T))
+        write_container(c, tmp_path / "few")
+        if mode == "spatial-refine":
+            assert run(capsys, "compress", path, "--layer", "conv1", "--method", "spatial-svd",
+                       "--rank", "5", "--out", tmp_path / "sp")[0] == 0
+            path = tmp_path / "sp"
+        argv = ["dataopt", path, "--layer", "conv1", "--mode", mode, "--batch", tmp_path / "few",
+                "--out", tmp_path / "d", *(["--rank", rank] if rank else [])]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert sum("fewer samples" in str(w.message) for w in record) == 1
+
+    def test_asym_checks_each_array_once(self, capsys, model_dir, batch_dir, tmp_path,
+                                         monkeypatch):
+        path, _ = model_dir
+        checked = []
+        float_array = linalg.float_array
+
+        def counting(a, what, ndim=None):
+            checked.append(what)
+            return float_array(a, what, ndim)
+
+        monkeypatch.setattr(linalg, "float_array", counting)
+        code, _, _ = run(capsys, "dataopt", path, "--layer", "conv1", "--mode", "asym",
+                         "--batch", batch_dir, "--rank", "3", "--out", tmp_path / "d")
+        assert code == 0
+        assert {what: checked.count(what) for what in ("inputs", "ref_outputs", "Y", "Z")} == {
+            "inputs": 1, "ref_outputs": 1, "Y": 1, "Z": 1}
 
 
 _RERUN = """

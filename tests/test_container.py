@@ -64,6 +64,22 @@ class TestRoundTrip:
             tmp_path / "c2" / "manifest.json"
         ).read_text()
 
+    def test_new_blob_grows_in_place(self, tmp_path):
+        """``add`` appends to a new container's blob without copying it; the
+        written blob is still the payloads as float32, in order, and reads
+        back as bytes."""
+        rng = np.random.default_rng(1)
+        arrays = [rng.normal(size=(3, 4)), rng.normal(size=(7,))]
+        c = Container()
+        blob = c.blob
+        for name, array in zip("ab", arrays):
+            c.add(name, "factor", array)
+        assert c.blob is blob and isinstance(blob, bytearray)
+        write_container(c, tmp_path / "c")
+        written = (tmp_path / "c" / "blob.bin").read_bytes()
+        assert written == b"".join(a.astype("<f4").tobytes() for a in arrays)
+        assert type(read_container(tmp_path / "c").blob) is bytes
+
     @settings(max_examples=25, deadline=None)
     @given(
         shapes=st.lists(

@@ -1,5 +1,7 @@
 """Data-optimized refinement: sampling, PCA/asymmetric fits, ReLU, Asym3D."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -119,6 +121,44 @@ class TestSamplePatches:
     def test_few_samples_warns(self):
         with pytest.warns(UserWarning, match="fewer samples"):
             PatchBatch(inputs=np.ones((2, 4)), ref_outputs=np.ones((2, 5)))
+
+    def test_few_samples_warning_names_the_line_that_built_the_batch(self):
+        with pytest.warns(UserWarning, match="fewer samples") as record:
+            PatchBatch(inputs=np.ones((2, 4)), ref_outputs=np.ones((2, 5)))
+        assert [w.filename for w in record] == [__file__]
+
+
+class TestBatchTakenOnce:
+    """A batch is checked, and warns, once: when it is built.  Attaching
+    current responses checks only those responses."""
+
+    @staticmethod
+    def few_samples():
+        """A 6-output kernel and a built batch of 4 samples."""
+        rng = np.random.default_rng(60)
+        kernel = Kernel4D(rng.normal(size=(6, 4, 3, 3)), bias=rng.normal(size=6))
+        x = rng.normal(size=(4, 36))
+        with pytest.warns(UserWarning, match="fewer samples"):
+            batch = PatchBatch(inputs=x, ref_outputs=x @ kernel.as_matrix().T)
+        return kernel, batch
+
+    @pytest.mark.parametrize("call", [
+        lambda kernel, batch: attach_current_outputs(batch, kernel),
+        lambda kernel, batch: spatial_refine(spatial_svd(kernel, 5), batch),
+        lambda kernel, batch: asym3d(kernel, batch, 5, 4),
+    ], ids=["attach_current_outputs", "spatial_refine", "asym3d"])
+    def test_a_built_batch_does_not_warn_again(self, call):
+        kernel, batch = self.few_samples()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            call(kernel, batch)
+        assert not any("fewer samples" in str(w.message) for w in record)
+
+    def test_attached_batch_keeps_the_checked_arrays(self):
+        kernel, batch = make_setup(61)
+        attached = attach_current_outputs(batch, kernel)
+        assert attached.inputs is batch.inputs and attached.ref_outputs is batch.ref_outputs
+        assert np.array_equal(attached.cur_outputs, batch.inputs @ kernel.as_matrix().T)
 
 
 class TestDataSvd:

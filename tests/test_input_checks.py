@@ -133,6 +133,18 @@ class TestDataopt:
         with raises(ValueError, "cur_outputs shape (5, 3) != ref shape (5, 4)"):
             PatchBatch(np.zeros((5, 2)), np.zeros((5, T)), cur_outputs=np.zeros((5, 3)))
 
+    def test_attached_responses_that_overflow(self):
+        """A finite kernel on finite patches whose responses overflow."""
+        ones = PatchBatch(np.ones((5, S * K * K)), np.zeros((5, T)))
+        huge = Kernel4D(np.full((T, S, K, K), 1e308))
+        with np.errstate(over="ignore"), raises(ValueError, "cur_outputs contains non-finite entries"):
+            attach_current_outputs(ones, huge)
+
+    def test_attached_responses_of_another_output_count(self, batch):
+        wider = Kernel4D(np.zeros((T + 1, S, K, K)))
+        with raises(ValueError, "cur_outputs shape (20, 5) != ref shape (20, 4)"):
+            attach_current_outputs(batch, wider)
+
     def test_z_mean_without_current_outputs(self, batch):
         with raises(ValueError, "batch has no current outputs"):
             batch.z_mean

@@ -229,6 +229,16 @@ class TestRidgeSolve:
         assert np.isfinite(ridge_solve(rng.normal(size=(3, 30)), z, eps=1e-9)).all()
 
 
+    @pytest.mark.parametrize("eps", [None, 0.0, 1.0])
+    def test_overflowing_cross_product_is_refused(self, eps):
+        """Y Z^T of finite data can overflow; ridge_solve refuses it as it
+        refuses an overflowing Z Z^T, and returns no infinite map."""
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^matrix contains non-finite entries$"
+        ):
+            ridge_solve(np.full((1, 3), 1e300), [[1e10, 2e10, 3e10]], eps=eps)
+
+
 class TestReducedRank:
     def test_full_rank_equals_ridge(self):
         rng = np.random.default_rng(5)
