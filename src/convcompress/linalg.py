@@ -17,11 +17,12 @@ is not exactly symmetric, before they call the core.  :func:`ridge_solve`,
 ``_psd_power`` directly on Gram matrices (``Z @ Z.T``, ``F.T @ F`` and
 their elementwise products), which are exactly symmetric.
 :func:`rrr_fitter` checks and whitens a fixed Z once for many reduced-rank
-fits.
+fits, and :func:`lasso_solver` checks a fixed G and c once for the many
+penalties of a lasso penalty search.
 
 Four rules are written once here.  Input: :func:`float_array` gives the
 float arrays the package takes in (kernels, feature maps, patch batches,
-responses, singular-value tables, ``lasso_gram``'s warm start and the
+responses, singular-value tables, the lasso's warm start and the
 matrices below; not the factors of a ``DecomposedLayer``) as C-contiguous
 float64, of a required ndim where
 one applies, and refuses a NaN or an infinity with a ``ValueError`` naming
@@ -340,6 +341,58 @@ class LassoResult:
     converged: bool
 
 
+def lasso_solver(g, c, tol: float = 1e-8, max_sweeps: int = 10000) -> Callable[..., LassoResult]:
+    """``solve(lam, beta0=None)``, the :func:`lasso_gram` of a fixed G and c,
+    which this checks once (with ``max_sweeps``) for the many penalties and
+    warm starts of a penalty search; each solve checks its ``lam`` and
+    ``beta0``."""
+    g = float_array(g, "G", 2)
+    p = g.shape[0]
+    if g.shape != (p, p):
+        raise ValueError(f"G must be square, got {g.shape}")
+    c = float_array(c, "c").ravel()
+    if c.size != p:
+        raise ValueError(f"c length {c.size} does not match G size {p}")
+    max_sweeps = integer(max_sweeps, "max_sweeps", 1)
+    diag = g.diagonal()
+    dead = diag == 0.0
+    # (j, G[j, j], row j) of each live coordinate; G is symmetric: row j is column j
+    live = [(j, d, row) for j, (d, row) in enumerate(zip(diag.tolist(), g)) if d != 0.0]
+
+    def solve(lam: float, beta0=None) -> LassoResult:
+        if not lam >= 0:
+            raise ValueError("lambda must be >= 0")
+        beta = np.zeros(p) if beta0 is None else float_array(beta0, "beta0").flatten()
+        if beta.size != p:
+            raise ValueError(f"beta0 length {beta.size} does not match G size {p}")
+        beta[dead] = 0.0
+        q = c - g @ beta
+        b = beta.tolist()
+        for sweep in range(1, max_sweeps + 1):
+            max_change = 0.0
+            for j, d, row in live:
+                old = b[j]
+                rho = q.item(j) + d * old
+                # soft threshold: -((-rho) - lam) is exactly rho + lam
+                if rho > lam:
+                    new = (rho - lam) / d
+                elif rho < -lam:
+                    new = (rho + lam) / d
+                else:
+                    new = 0.0
+                if new != old:
+                    q -= row * (new - old)
+                    b[j] = new
+                    change = abs(new - old)
+                    if change > max_change:
+                        max_change = change
+            if max_change <= tol:
+                return LassoResult(beta=np.array(b), sweeps=sweep, converged=True)
+        return LassoResult(beta=np.array(b), sweeps=max_sweeps, converged=False)
+
+    return solve
+
+
 def lasso_gram(
     g, c, lam: float, beta0=None, tol: float = 1e-8, max_sweeps: int = 10000
 ) -> LassoResult:
@@ -351,47 +404,10 @@ def lasso_gram(
     largest coefficient change in a sweep is below ``tol``; ``converged`` is
     False when ``max_sweeps`` ran out first.  ``beta0`` warm-starts the
     sweeps (default zero).  Coordinates with ``G[j, j] == 0`` (zero-norm
-    columns) keep a zero coefficient.
+    columns) keep a zero coefficient.  The one-call form of
+    :func:`lasso_solver`.
     """
-    g = float_array(g, "G", 2)
-    p = g.shape[0]
-    if g.shape != (p, p):
-        raise ValueError(f"G must be square, got {g.shape}")
-    c = float_array(c, "c").ravel()
-    if c.size != p:
-        raise ValueError(f"c length {c.size} does not match G size {p}")
-    if not lam >= 0:
-        raise ValueError("lambda must be >= 0")
-    max_sweeps = integer(max_sweeps, "max_sweeps", 1)
-    beta = np.zeros(p) if beta0 is None else float_array(beta0, "beta0").flatten()
-    if beta.size != p:
-        raise ValueError(f"beta0 length {beta.size} does not match G size {p}")
-    beta[g.diagonal() == 0.0] = 0.0
-    # (j, G[j, j], row j) of each live coordinate; G is symmetric: row j is column j
-    live = [(j, d, row) for j, (d, row) in enumerate(zip(g.diagonal().tolist(), g)) if d != 0.0]
-    q = c - g @ beta
-    b = beta.tolist()
-    for sweep in range(1, max_sweeps + 1):
-        max_change = 0.0
-        for j, d, row in live:
-            old = b[j]
-            rho = q.item(j) + d * old
-            # soft threshold: -((-rho) - lam) is exactly rho + lam
-            if rho > lam:
-                new = (rho - lam) / d
-            elif rho < -lam:
-                new = (rho + lam) / d
-            else:
-                new = 0.0
-            if new != old:
-                q -= row * (new - old)
-                b[j] = new
-                change = abs(new - old)
-                if change > max_change:
-                    max_change = change
-        if max_change <= tol:
-            return LassoResult(beta=np.array(b), sweeps=sweep, converged=True)
-    return LassoResult(beta=np.array(b), sweeps=max_sweeps, converged=False)
+    return lasso_solver(g, c, tol, max_sweeps)(lam, beta0)
 
 
 def lasso_cd(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10000) -> Array:

@@ -3,15 +3,17 @@ plus a data-free magnitude baseline.
 
 The lasso path follows the two-step scheme: per-channel response features
 are built from Frobenius-normalized kernel slices, a coordinate-descent
-lasso picks the surviving channels (the penalty is searched upward until
-the sparsity target holds, then bisected down to the smallest feasible
-value), and the kept channels are refit by ordinary least squares.
+lasso picks the surviving channels (the penalty is searched down from
+where every coefficient is zero until the sparsity target fails, then
+bisected to the smallest feasible value), and the kept channels are refit
+by ordinary least squares.
 
 Patches and responses are centred first, so neither the lasso nor the
 refit has to explain a bias: the refit layer's bias is
 ``y_mean - W x_mean``, as in :mod:`dataopt`.  The features' Gram matrix
-and correlations are formed once per call, and each lasso solve of the
-penalty search is warm-started from the previous solve's coefficients.
+and correlations are formed and checked once per call
+(:func:`linalg.lasso_solver`), and each lasso solve of the penalty search
+is warm-started from the previous solve's coefficients.
 """
 
 from __future__ import annotations
@@ -75,10 +77,13 @@ def channel_prune(
 
     ``x`` is (n, s, k*k): per-sample, per-channel flattened patches;
     ``y`` is the (n, t) response matrix of the uncompressed layer.
-    The penalty search starts at 1e-4, doubles until at most
-    ``s_prime`` coefficients survive, then bisects 20 steps to the smallest
-    feasible penalty.  Returns after the least-squares refit of the
-    centred data; the refit kernel carries the fitted bias.
+    The penalty search starts at the first point of the grid 1e-4 * 2**k
+    at or above max|c| (c: the features' correlations with the centred
+    responses), where every coefficient is zero, halves down the grid until
+    more than ``s_prime`` coefficients survive, then bisects 20 steps to the
+    smallest feasible penalty; a problem feasible at 1e-4 keeps 1e-4.
+    Returns after the least-squares refit of the centred data; the refit
+    kernel carries the fitted bias.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
     s_prime = linalg.integer(s_prime, "s_prime", 1, s - 1)
@@ -96,33 +101,33 @@ def channel_prune(
     feats = _channel_features(xc, kernel)
     gram, corr = feats.T @ feats, feats.T @ yc.ravel()
     runs: list[linalg.LassoResult] = []
+    lasso = linalg.lasso_solver(gram, corr)
 
     def solve(lam: float) -> Array:
-        runs.append(linalg.lasso_gram(gram, corr, lam, beta0=runs[-1].beta if runs else None))
+        runs.append(lasso(lam, runs[-1].beta if runs else None))
         return runs[-1].beta
 
-    lam = 1e-4
+    # the grid 1e-4 * 2**k by exact doublings, up to its first point at or
+    # above max|c|; it is listed, not halved, as that point may be inf
+    grid, lam_max = [1e-4], np.abs(corr).max()
+    while grid[-1] < lam_max:
+        grid.append(2.0 * grid[-1])
+    lam = grid.pop()
     beta = solve(lam)
-    if np.count_nonzero(beta) > s_prime:
-        lo = lam
-        for _ in range(200):
-            lam *= 2.0
-            beta = solve(lam)
-            if np.count_nonzero(beta) <= s_prime:
-                break
-            lo = lam
-        else:
-            raise RuntimeError("lasso penalty search failed to reach the sparsity target")
-        hi = lam
-        best = beta
+    while grid:
+        lo = grid.pop()
+        beta_lo = solve(lo)
+        if np.count_nonzero(beta_lo) <= s_prime:
+            lam, beta = lo, beta_lo
+            continue
         for _ in range(20):
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * (lo + lam)
             beta_mid = solve(mid)
             if np.count_nonzero(beta_mid) <= s_prime:
-                hi, best = mid, beta_mid
+                lam, beta = mid, beta_mid
             else:
                 lo = mid
-        lam, beta = hi, best
+        break
     kept = tuple(int(i) for i in np.flatnonzero(beta))
     if not kept:
         raise RuntimeError("lasso removed every channel; raise s_prime")

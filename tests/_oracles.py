@@ -7,15 +7,16 @@ The exceptions are ``psd_inverse_reference``, ``solve_gram``, the
 ``*_reference_loop`` and ``*_reference_fit`` functions,
 ``weight_factors_reference``, ``conv_shift_reference``,
 ``conv_flat_row_reference``, ``ranks_from_ratio_reference``,
-``equal_acc_select_reference`` and the hand-written stage views
-``STAGE_VIEWS`` at the end: verbatim copies of earlier solvers (the PSD
-inverse through ``eig_sym``), solver loops, data-optimized fits and splits,
-two versions of the convolution primitive, the hand-written bisections of
-the rank searches and the per-method weight views of the staged forwards,
-kept to pin the current code to them bit for bit (the convolution to
-rounding against the shift-and-copy version).
-They call the same ``linalg``, ``decomp``, ``kernel`` and ``rankselect``
-primitives the copies called.
+``equal_acc_select_reference``, ``channel_prune_doubling_reference`` and
+the hand-written stage views ``STAGE_VIEWS`` at the end: verbatim copies of
+earlier solvers (the PSD inverse through ``eig_sym``), solver loops,
+data-optimized fits and splits, two versions of the convolution primitive,
+the hand-written bisections of the rank searches, the doubling penalty
+search of the lasso prune and the per-method weight views of the staged
+forwards, kept to pin the current code to them bit for bit (the
+convolution to rounding against the shift-and-copy version).
+They call the same ``linalg``, ``decomp``, ``kernel``, ``rankselect`` and
+``pruning`` primitives the copies called.
 """
 
 from __future__ import annotations
@@ -851,6 +852,77 @@ def equal_acc_select_reference(
         achieved_ratio=total / c_orig,
         strategy="equal_acc",
         meta={"p_orig": p_orig, "alpha": alpha},
+    )
+
+
+def channel_prune_doubling_reference(kernel, x, y, s_prime: int):
+    """``pruning.channel_prune`` with its earlier penalty search: from 1e-4,
+    double (at most 200 times) until at most ``s_prime`` coefficients
+    survive, then bisect 20 steps between the last two penalties."""
+    from convcompress.kernel import Kernel4D
+    from convcompress.pruning import PruneResult, _channel_features
+
+    t, s, k = kernel.t, kernel.s, kernel.k
+    s_prime = linalg.integer(s_prime, "s_prime", 1, s - 1)
+    x = linalg.float_array(x, "x")
+    y = linalg.float_array(y, "y")
+    if x.ndim != 3 or x.shape[1] != s or x.shape[2] != k * k:
+        raise ValueError(f"x must be (n, {s}, {k * k}), got {x.shape}")
+    if y.shape != (x.shape[0], t):
+        raise ValueError(f"y must be ({x.shape[0]}, {t}), got {y.shape}")
+    if not np.any(x):
+        raise ValueError("input patches are all zero")
+
+    x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
+    xc, yc = x - x_mean, y - y_mean
+    feats = _channel_features(xc, kernel)
+    gram, corr = feats.T @ feats, feats.T @ yc.ravel()
+    runs: list[linalg.LassoResult] = []
+
+    def solve(lam: float) -> Array:
+        runs.append(linalg.lasso_gram(gram, corr, lam, beta0=runs[-1].beta if runs else None))
+        return runs[-1].beta
+
+    lam = 1e-4
+    beta = solve(lam)
+    if np.count_nonzero(beta) > s_prime:
+        lo = lam
+        for _ in range(200):
+            lam *= 2.0
+            beta = solve(lam)
+            if np.count_nonzero(beta) <= s_prime:
+                break
+            lo = lam
+        else:
+            raise RuntimeError("lasso penalty search failed to reach the sparsity target")
+        hi = lam
+        best = beta
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            beta_mid = solve(mid)
+            if np.count_nonzero(beta_mid) <= s_prime:
+                hi, best = mid, beta_mid
+            else:
+                lo = mid
+        lam, beta = hi, best
+    kept = tuple(int(i) for i in np.flatnonzero(beta))
+    if not kept:
+        raise RuntimeError("lasso removed every channel; raise s_prime")
+
+    design = xc[:, kept, :].reshape(x.shape[0], len(kept) * k * k)
+    try:
+        refit = linalg.ridge_solve(yc.T, design.T, eps=0.0)  # (t, len(kept)*k*k)
+    except ValueError:
+        refit = linalg.ridge_solve(yc.T, design.T)  # degenerate design: tiny ridge
+    bias = y_mean - refit @ x_mean[list(kept)].ravel()
+    refit_kernel = Kernel4D(refit.reshape(t, len(kept), k, k), bias=bias)
+    residual = float(np.linalg.norm(yc - design @ refit.T))
+    beta_out = np.zeros(s)
+    beta_out[list(kept)] = 1.0
+    return PruneResult(
+        beta=beta_out, kept=kept, refit_kernel=refit_kernel, residual=residual, lam=lam,
+        solves=len(runs), sweeps=sum(r.sweeps for r in runs),
+        converged=all(r.converged for r in runs),
     )
 
 

@@ -494,6 +494,8 @@ INTEGER_ARGUMENTS = {
     "tucker_hooi-max_iters": ("tucker max_iters", 2, lambda k, b, v: tucker_hooi(k, 2, 2, max_iters=v)),
     "lasso_gram-max_sweeps": (
         "max_sweeps", 2, lambda k, b, v: linalg.lasso_gram(A.T @ A, A.T @ A[:, 0], 0.1, max_sweeps=v)),
+    "lasso_solver-max_sweeps": (
+        "max_sweeps", 2, lambda k, b, v: linalg.lasso_solver(A.T @ A, A.T @ A[:, 0], max_sweeps=v)(0.1)),
     "lasso_cd-max_sweeps": (
         "max_sweeps", 500, lambda k, b, v: linalg.lasso_cd(A, A[:, 0], 0.1, max_sweeps=v)),
     "train_toy_gated-steps": ("steps", 3, lambda k, b, v: train_toy_gated(TASK, "l0", 0.1, steps=v)),

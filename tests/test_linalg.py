@@ -1,6 +1,7 @@
 """Dense linear algebra: SVD, symmetric eig, ridge, reduced-rank, lasso."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import convcompress
+from convcompress import linalg
 from convcompress.linalg import (
     eig_sym,
     lasso_cd,
     lasso_gram,
+    lasso_solver,
     orthonormal_extend,
     pinv,
     psd_inverse,
@@ -451,6 +454,60 @@ class TestLassoGramPinned:
             outcomes.add((got.converged, bool(got.beta.any())))
         # converged and capped runs, all-zero and nonzero solutions all occur
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestLassoSolver:
+    """One lasso_solver of a fixed G and c gives, for every penalty and warm
+    start, the bits of the sweep loop; it checks G and c once."""
+
+    def test_equals_the_copysign_loop_for_many_penalties(self):
+        rng = np.random.default_rng(346)
+        for _ in range(100):
+            g, c, lam, beta0, kw = TestLassoGramPinned._problem(rng)
+            solve = lasso_solver(g, c, **kw)
+            for lam_i, beta0_i in ((lam, beta0), (2.0 * lam + 0.5, None), (0.5 * lam, beta0)):
+                got = solve(lam_i, beta0_i)
+                want = lasso_gram_reference_loop(g, c, lam_i, beta0=beta0_i, **kw)
+                assert got.beta.tobytes() == want["beta"].tobytes()
+                assert (got.sweeps, got.converged) == (want["sweeps"], want["converged"])
+
+    def test_checks_g_and_c_once(self, monkeypatch):
+        checked = []
+        float_array = linalg.float_array
+
+        def counting(a, what, *args):
+            checked.append(what)
+            return float_array(a, what, *args)
+
+        monkeypatch.setattr(linalg, "float_array", counting)
+        solve = lasso_solver(np.eye(3), [1.0, 2.0, 3.0])
+        solve(0.5)
+        beta0 = np.ones(3)
+        solve(0.25, beta0)
+        solve(1.0)
+        assert checked == ["G", "c", "beta0"]
+        assert np.array_equal(beta0, np.ones(3))  # a warm start is not written to
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.ones((2, 3)), [1.0, 1.0]), "G must be square, got (2, 3)"),
+        ((np.eye(2), [1.0, 1.0, 1.0]), "c length 3 does not match G size 2"),
+        ((np.eye(2), [1.0, 1.0], 1e-8, 0), "max_sweeps must be >= 1, got 0"),
+    ], ids=["G", "c", "max_sweeps"])
+    def test_refuses_when_built(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lasso_solver(*args)
+
+    @pytest.mark.parametrize("lam, beta0, message", [
+        (-1.0, None, "lambda must be >= 0"),
+        (np.nan, None, "lambda must be >= 0"),
+        (0.1, np.zeros(3), "beta0 length 3 does not match G size 2"),
+        (0.1, [np.inf, 0.0], "beta0 contains non-finite entries"),
+    ], ids=["negative", "nan", "length", "non-finite"])
+    def test_each_solve_checks_its_penalty_and_warm_start(self, lam, beta0, message):
+        solve = lasso_solver(np.eye(2), [1.0, 1.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve(lam, beta0)
+        assert solve(0.5).beta.tolist() == [0.5, 0.5]
 
 
 class TestPsdInversePinned:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from convcompress import linalg
 from convcompress.kernel import Kernel4D
-from convcompress.pruning import channel_prune, magnitude_prune
+from convcompress.pruning import _channel_features, channel_prune, magnitude_prune
+
+from _oracles import channel_prune_doubling_reference
 
 
 def planted_setup(seed, s=6, support=(0, 2), t=4, k=3, n=150):
@@ -186,3 +189,169 @@ class TestRefitSolves:
         result = channel_prune(kernel, x, y, s_prime=60)
         assert len(result.kept) == 60
         assert shapes.count((540, 540)) == 1
+
+
+def centred_correlations(kernel, x, y):
+    """The features and correlations ``channel_prune`` forms from the
+    centred batch."""
+    feats = _channel_features(x - x.mean(axis=0), kernel)
+    return feats, feats.T @ (y - y.mean(axis=0)).ravel()
+
+
+def outcome(prune, kernel, x, y, keep):
+    try:
+        return prune(kernel, x, y, keep)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestDoublingSearchPinned:
+    """The search that enters the penalty grid 1e-4 * 2**k at its top and
+    halves down it picks the penalty, the channels and the refit layer of the
+    copy that doubled up from 1e-4 wherever the number of survivors falls
+    as the penalty rises, in fewer solves where the penalty lies in the
+    upper half of the grid."""
+
+    @staticmethod
+    def random_problem(rng):
+        """A random layer and batch whose centred feature Gram has full rank,
+        at a data scale from 1e-6 to 1e6, and a kept count from 1 to s - 1."""
+        while True:
+            s, t, n = int(rng.integers(2, 17)), int(rng.integers(1, 9)), int(rng.integers(2, 40))
+            k = int(rng.choice([1, 3]))
+            if n * t < s:
+                continue
+            kernel = Kernel4D(rng.normal(size=(t, s, k, k)), bias=rng.normal(size=t))
+            x = 10.0 ** rng.uniform(-6, 6) * rng.normal(size=(n, s, k * k))
+            y = np.einsum("nsp,tsp->nt", x, kernel.data.reshape(t, s, k * k))
+            y = rng.random() * y + rng.random() * np.abs(y).max() * rng.normal(size=y.shape)
+            if np.linalg.matrix_rank(centred_correlations(kernel, x, y)[0]) == s:
+                return kernel, x, y, int(rng.integers(1, s))
+
+    @staticmethod
+    def bench_problem(rng, t, s, n=500):
+        """A layer and batch of the benchmark's conv1-3 kind: post-ReLU
+        patches, perturbed by N(0, 0.1^2), and the clean responses."""
+        kernel = Kernel4D(rng.normal(size=(t, s, 3, 3)) / np.sqrt(9 * s), bias=0.1 * rng.normal(size=t))
+        clean = np.maximum(rng.normal(size=(n, s, 9)), 0.0)
+        y = np.einsum("nsp,tsp->nt", clean, kernel.data.reshape(t, s, 9)) + kernel.bias
+        return kernel, clean + 0.1 * rng.normal(size=clean.shape), y
+
+    @staticmethod
+    def compare(kernel, x, y, keep):
+        """Both outcomes, when neither refuses; else the same refusal.
+
+        With the penalty first bracketed at grid point i and max|c| first
+        reached at grid point top, the copy solves 1 (i = 0) or i + 21 times
+        and the search top + 1 or top - i + 22 times."""
+        got = outcome(channel_prune, kernel, x, y, keep)
+        want = outcome(channel_prune_doubling_reference, kernel, x, y, keep)
+        if isinstance(want, str):
+            assert got == want
+            return None
+        grid = 1e-4 * 2.0 ** np.arange(400)
+        top = int(np.argmax(grid >= np.abs(centred_correlations(kernel, x, y)[1]).max()))
+        i_got, i_want = (int(np.argmax(grid >= r.lam)) for r in (got, want))
+        assert want.solves == (i_want + 21 if i_want else 1)
+        assert got.solves == (top - i_got + 22 if i_got else top + 1)
+        return got, want
+
+    @staticmethod
+    def same_selection(got, want) -> bool:
+        return (got.kept == want.kept and got.lam.hex() == want.lam.hex()
+                and got.refit_kernel.data.tobytes() == want.refit_kernel.data.tobytes()
+                and got.refit_kernel.bias.tobytes() == want.refit_kernel.bias.tobytes()
+                and got.residual == want.residual)
+
+    def test_random_full_rank_problems(self):
+        rng = np.random.default_rng(2917)
+        solves = np.zeros(2, dtype=int)
+        compared = fewer = more = differ = 0
+        for _ in range(300):
+            kernel, x, y, keep = self.random_problem(rng)
+            pair = self.compare(kernel, x, y, keep)
+            if pair is None:
+                continue
+            got, want = pair
+            if not self.same_selection(got, want):
+                # a survivor count that rises with the penalty somewhere on
+                # the grid can stop the search, coming down, above the copy
+                assert got.lam > want.lam and len(got.kept) <= keep
+                differ += 1
+            compared += 1
+            solves += (got.solves, want.solves)
+            fewer += got.solves < want.solves
+            more += got.solves > want.solves
+        assert compared >= 200 and differ <= compared // 100
+        # most problems need fewer solves, some more (a penalty in the lower
+        # half of the grid), and the total falls
+        assert fewer > 2 * more > 0
+        assert solves[0] < solves[1]
+
+    @pytest.mark.parametrize("t, s", [(8, 8), (16, 8), (16, 16)], ids=["conv1", "conv2", "conv3"])
+    def test_benchmark_layer_shapes(self, t, s):
+        rng = np.random.default_rng([t, s])
+        for keep in range(1, s):
+            got, want = self.compare(*self.bench_problem(rng, t, s), keep)
+            assert self.same_selection(got, want)
+            assert got.solves < want.solves
+
+
+class TestSearchEdges:
+    def test_feasible_at_the_floor_keeps_the_floor(self):
+        """A dead input channel leaves s - 1 live ones, so every penalty,
+        1e-4 too, keeps at most s - 1 channels."""
+        kernel, x, y = planted_setup(21, s=5, support=(0, 1, 2, 3))
+        x[:, 4] = 0.0
+        result = channel_prune(kernel, x, y, s_prime=4)
+        assert result.lam == 1e-4
+        assert result.kept == (0, 1, 2, 3)
+
+    def test_correlations_at_or_below_the_floor_remove_every_channel(self):
+        kernel, x, y = planted_setup(22)
+        x, y = 1e-5 * x, 1e-5 * y
+        assert np.abs(centred_correlations(kernel, x, y)[1]).max() <= 1e-4
+        with pytest.raises(RuntimeError, match="lasso removed every channel"):
+            channel_prune(kernel, x, y, s_prime=2)
+
+    def test_first_solve_is_one_sweep_to_zero_at_the_top_of_the_grid(self, monkeypatch):
+        kernel, x, y = planted_setup(23, support=(0, 1, 2, 3, 4, 5))
+        calls = []
+        solver = linalg.lasso_solver
+
+        def recording(g, c, *args):
+            solve = solver(g, c, *args)
+
+            def recorded(lam, beta0=None):
+                calls.append((lam, beta0, solve(lam, beta0)))
+                return calls[-1][2]
+
+            return recorded
+
+        monkeypatch.setattr(linalg, "lasso_solver", recording)
+        result = channel_prune(kernel, x, y, s_prime=2)
+        lam_max = np.abs(centred_correlations(kernel, x, y)[1]).max()
+        lam, beta0, first = calls[0]
+        assert beta0 is None
+        assert (first.sweeps, first.converged, first.beta.any()) == (1, True, False)
+        assert lam >= lam_max > lam / 2
+        assert len(calls) == result.solves
+        # the descent before the bisection tries grid points only
+        steps = np.log2([c[0] / 1e-4 for c in calls[:result.solves - 20]])
+        assert np.array_equal(steps, np.round(steps))
+
+    @pytest.mark.parametrize("which, scale", [("G", (1e160, 1.0)), ("c", (1.0, 3e305))],
+                             ids=["gram", "correlations"])
+    def test_overflow_is_refused_as_before(self, which, scale):
+        """Finite patches and responses whose Gram or correlations overflow."""
+        kernel, x, y = planted_setup(24)
+        x, y = scale[0] * x, scale[1] * y
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats, corr = centred_correlations(kernel, x, y)
+            assert np.isfinite(feats).all()
+            finite = np.isfinite(feats.T @ feats).all(), np.isfinite(corr).all()
+            assert finite == (which == "c", which == "G")
+            with pytest.raises(ValueError, match=f"^{which} contains non-finite entries$"):
+                channel_prune(kernel, x, y, s_prime=2)
+            with pytest.raises(ValueError, match=f"^{which} contains non-finite entries$"):
+                channel_prune_doubling_reference(kernel, x, y, s_prime=2)
