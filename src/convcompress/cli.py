@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["data-svd", "asym", "asym3d", "spatial-refine", "relu-asym"],
     )
     p.add_argument("--batch", required=True, help="container directory holding the patch batch")
-    p.add_argument("--rank", help="rank r (rs,rd for asym3d)")
+    p.add_argument("--rank", help="rank r (rs,rd for asym3d; none for spatial-refine)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("prune", help="prune input channels")
@@ -197,6 +197,8 @@ def _cmd_dataopt(args) -> tuple[dict, cio.Container | None]:
         kernel, _ = cio.read_kernel(cont, args.layer)
         cio.add_kernel(out, args.layer, kernel, h=h, w=w)
     if args.mode == "spatial-refine":
+        if args.rank is not None:
+            raise UsageError("spatial-refine takes no --rank")
         refined = dataopt.spatial_refine(cio.read_layer(cont, f"{args.layer}/decomposed"), batch)
         layer, residual = refined.wrapped, refined.residual
     else:
@@ -232,6 +234,8 @@ def _cmd_prune(args) -> tuple[dict, cio.Container | None]:
     kernel, _ = cio.read_kernel(cont, args.layer)
     h, w = _map_size(cont, args.layer)
     if args.mode == "magnitude":
+        if args.batch is not None:
+            raise UsageError("magnitude pruning takes no --batch")
         result = pruning.magnitude_prune(kernel, args.keep)
     else:
         if not args.batch:

@@ -10,8 +10,7 @@ All fits work on explicitly centered responses.  A fitted layer predicts
     y_hat = M @ (z - z_mean) + y_mean
 
 which as an affine map of raw responses has bias ``y_mean - M @ z_mean``.
-``predict`` and all residuals use the centered form; the value each method
-stores as ``new_bias`` is listed on :class:`RefinedLayer`.
+``predict`` and all residuals use the centered form.
 
 The layer a fit returns (:func:`refined_kernel`, its factored form
 :func:`refined_layer`, the :func:`asym3d` layer and the layer
@@ -161,16 +160,11 @@ class RefinedLayer:
     ``predict(z) = M @ (z - z_mean) + y_mean``.  ``residual`` is in the
     units the producing method documents (summed discarded eigenvalues for
     ``data_svd``, Frobenius response error for the asymmetric fits).
-
-    ``new_bias`` is ``z_mean - M @ y_mean`` from :func:`data_svd` (where
-    ``z_mean = y_mean``) and :func:`asym_data_svd`, the fitted ``b`` from
-    :func:`relu_asym`, and ``y_mean - M @ z_mean`` from
-    :func:`spatial_refine`.  The bias of a returned layer is not read from
-    it (:func:`refined_kernel`).
+    A fit has one bias, that of the layer it returns:
+    ``y_mean - M @ (z_mean - b)`` for the bias ``b`` of ``wrapped``.
     """
 
     M: Array
-    new_bias: Array
     wrapped: Kernel4D | DecomposedLayer
     rank: int
     residual: float
@@ -182,10 +176,6 @@ class RefinedLayer:
         """Map raw (n, t) current responses to refined response estimates."""
         cur = np.asarray(cur_outputs, dtype=np.float64)
         return (cur - self.z_mean) @ self.M.T + self.y_mean
-
-    def functional_bias(self) -> Array:
-        """Bias of the affine map ``z -> M z + b`` equivalent to predict."""
-        return self.y_mean - self.M @ self.z_mean
 
 
 def data_svd(kernel: Kernel4D, ref_outputs: Array, r: int) -> RefinedLayer:
@@ -209,7 +199,6 @@ def data_svd(kernel: Kernel4D, ref_outputs: Array, r: int) -> RefinedLayer:
     m = ur @ ur.T
     return RefinedLayer(
         M=m,
-        new_bias=y_mean - m @ y_mean,
         wrapped=kernel,
         rank=r,
         residual=float(np.sum(vals[r:])),
@@ -223,8 +212,7 @@ def _returned_bias(layer: RefinedLayer) -> Array:
     """Bias of the returned layer ``M W``: ``y_mean - M (z_mean - b)``.
 
     ``b`` is the bias of ``layer.wrapped``, whose responses ``z = W x + b``
-    were fitted, so that the returned layer computes ``predict(z)``.  With
-    no bias this is :meth:`RefinedLayer.functional_bias`.
+    were fitted, so that the returned layer computes ``predict(z)``.
     """
     b = layer.wrapped.bias
     return layer.y_mean - layer.M @ (layer.z_mean if b is None else layer.z_mean - b)
@@ -282,7 +270,6 @@ def asym_data_svd(
     rrr = linalg.reduced_rank_regression(yc, zc, r, eps=eps)
     return RefinedLayer(
         M=rrr.M,
-        new_bias=z_mean - rrr.M @ y_mean,
         wrapped=kernel,
         rank=r,
         residual=rrr.residual,
@@ -318,7 +305,6 @@ def relu_asym(
     lambda_schedule=DEFAULT_LAMBDA_SCHEDULE,
     max_outer: int = 2,
     eps: float | None = None,
-    activation: str = "relu",
 ) -> RefinedLayer:
     """Rank-``r`` refinement that matches responses after a ReLU.
 
@@ -330,8 +316,6 @@ def relu_asym(
     At fixed penalty the relaxed objective is nonincreasing across steps;
     the trace is recorded in ``meta["objective_trace"]``.
     """
-    if activation != "relu":
-        raise ValueError(f"only the ReLU activation is supported, got {activation!r}")
     if batch.cur_outputs is None:
         raise ValueError("batch has no current outputs; call attach_current_outputs first")
     lambda_schedule = tuple(float(l) for l in lambda_schedule)
@@ -363,7 +347,6 @@ def relu_asym(
     residual = float(np.linalg.norm(ry - _relu(anchor)))
     return RefinedLayer(
         M=m,
-        new_bias=b,
         wrapped=kernel,
         rank=r,
         residual=residual,
@@ -421,7 +404,6 @@ def spatial_refine(
     new_second = np.einsum("ut,rxt->rxu", m, layer.factors[second_name])
     res = RefinedLayer(
         M=m,
-        new_bias=y_mean - m @ z_mean,
         wrapped=layer,
         rank=layer.t,
         residual=float(np.linalg.norm(yc - m @ zc)),

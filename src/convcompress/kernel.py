@@ -34,8 +34,11 @@ from .linalg import Array, float_array, integer
 class Kernel4D:
     """A dense convolution kernel with optional per-output-channel bias.
 
-    The bias is carried for the data-optimized methods, which read and
-    rewrite it; the data-free decompositions and ``conv_direct`` ignore it.
+    The data-free decompositions pass the bias through untouched on the
+    layers they return, and ``reconstruct`` gives it back; ``conv_direct``
+    and ``decomposed_forward`` do not apply it.  The data-optimized methods
+    read it (current responses are ``W x + b``) and write the refitted bias
+    on their results.
     """
 
     data: Array

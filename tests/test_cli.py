@@ -108,6 +108,28 @@ class TestUsageErrors:
         assert code == 2
         assert "exactly one" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["dataopt", "{spatial}", "--mode", "spatial-refine", "--batch", "{batch}",
+           "--rank", "3"], "--rank"),
+         (["prune", "{model}", "--mode", "magnitude", "--keep", "2", "--batch", "{batch}"],
+          "--batch")],
+        ids=["spatial-refine-rank", "magnitude-batch"],
+    )
+    def test_flag_the_mode_ignores_is_a_usage_error(
+        self, capsys, model_dir, batch_dir, tmp_path, argv, flag
+    ):
+        path, _ = model_dir
+        code, _, _ = run(capsys, "compress", path, "--layer", "conv1", "--method", "spatial-svd",
+                         "--rank", "5", "--out", tmp_path / "sp")
+        assert code == 0
+        dirs = {"model": path, "spatial": tmp_path / "sp", "batch": batch_dir}
+        command, *flags = [a.format(**dirs) for a in argv]
+        code, out, err = run(capsys, command, *flags, "--layer", "conv1", "--out", tmp_path / "o")
+        assert code == 2 and out is None
+        assert f"takes no {flag}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_computation_error_exits_1(self, capsys, model_dir, tmp_path):
         path, _ = model_dir
         code, _, err = run(

@@ -198,7 +198,7 @@ class TestDataSvd:
         kernel, batch = make_setup(9)
         res = data_svd(kernel, batch.ref_outputs, r=2)
         ybar = batch.ref_outputs.mean(axis=0)
-        assert_allclose(res.new_bias, ybar - res.M @ ybar, atol=1e-12)
+        assert_allclose(refined_kernel(res).bias, ybar - res.M @ ybar, atol=1e-12)
 
     def test_factorization_matches_projected_kernel(self):
         kernel, batch = make_setup(10)
@@ -264,7 +264,7 @@ class TestAsymDataSvd:
     def test_documented_bias_convention(self):
         kernel, batch = make_setup(14)
         res = asym_data_svd(batch, kernel, r=2)
-        assert_allclose(res.new_bias, batch.z_mean - res.M @ batch.y_mean, atol=1e-12)
+        assert_allclose(refined_kernel(res).bias, batch.y_mean - res.M @ batch.z_mean, atol=1e-12)
         # predictions use the centered form
         pred = res.predict(batch.cur_outputs)
         want = (batch.cur_outputs - batch.z_mean) @ res.M.T + batch.y_mean
@@ -331,17 +331,12 @@ class TestReluAsym:
         raw = asym_data_svd(batch, kernel, r=4, eps=1e-12)
         assert np.max(np.abs(res.M - raw.M)) <= 1e-4
 
-    def test_rejects_other_activations(self):
-        kernel, batch = make_setup(21)
-        with pytest.raises(ValueError, match="ReLU"):
-            relu_asym(batch, kernel, r=1, activation="gelu")
-
     def test_predict_reproduces_optimized_affine_map(self):
         kernel, batch = make_setup(30)
         res = relu_asym(batch, kernel, r=3)
-        want = batch.cur_outputs @ res.M.T + res.new_bias
+        fit = relu_asym_reference_loop(batch, 3)
+        want = batch.cur_outputs @ fit["M"].T + fit["new_bias"]
         assert_allclose(res.predict(batch.cur_outputs), want, atol=1e-10)
-        assert_allclose(res.functional_bias(), res.new_bias, atol=1e-10)
 
 
 class TestAsym3d:
@@ -445,9 +440,11 @@ class TestReluAsymPinned:
     regression per fit."""
 
     @staticmethod
-    def assert_same(res, want):
+    def assert_same(res, want, batch):
+        cur = batch.cur_outputs
         assert np.array_equal(res.M, want["M"])
-        assert np.array_equal(res.new_bias, want["new_bias"])
+        assert np.array_equal(res.z_mean, cur.mean(0))
+        assert np.array_equal(res.y_mean, want["new_bias"] + want["M"] @ cur.mean(0))
         assert res.residual == want["residual"]
         assert res.meta["objective_trace"] == want["objective_trace"]
 
@@ -458,14 +455,14 @@ class TestReluAsymPinned:
         kernel, batch = make_setup(60 + t, t=t, s=s, k=k, n=n)
         r = {"one": 1, "half": t // 2, "full": t}[rank]
         res = relu_asym(batch, kernel, r, eps=eps)
-        self.assert_same(res, relu_asym_reference_loop(batch, r, eps=eps))
+        self.assert_same(res, relu_asym_reference_loop(batch, r, eps=eps), batch)
 
     def test_custom_schedule_equals_reference_loop(self):
         kernel, batch = make_setup(61)
         res = relu_asym(batch, kernel, 2, lambda_schedule=(0.5, 3.0, 40.0), max_outer=3)
         want = relu_asym_reference_loop(batch, 2, lambda_schedule=(0.5, 3.0, 40.0), max_outer=3)
         assert len(want["objective_trace"]) == 18
-        self.assert_same(res, want)
+        self.assert_same(res, want, batch)
 
     def test_zero_eps_on_rank_deficient_z_raises_as_before(self):
         kernel, batch = make_setup(62)
@@ -680,7 +677,7 @@ class TestDataPathsPinned:
         layer = spatial_svd(kernel, min(s * k, t * k) - 1, order=order)
         res = spatial_refine(layer, batch)
         want = spatial_refine_reference_fit(layer, batch)
-        for name in ("M", "new_bias", "y_mean", "z_mean"):
+        for name in ("M", "y_mean", "z_mean"):
             assert np.array_equal(getattr(res, name), want[name]), name
         assert res.residual == want["residual"]
         assert res.rank == t and res.meta == {"method": "spatial_refine"}
@@ -689,4 +686,4 @@ class TestDataPathsPinned:
         assert np.array_equal(res.wrapped.factors[second], want[second])
         assert res.wrapped.meta == {**layer.meta, "refined": True}
         if not bias:
-            assert np.array_equal(res.wrapped.bias, res.functional_bias())
+            assert np.array_equal(res.wrapped.bias, want["new_bias"])
