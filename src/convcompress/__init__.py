@@ -27,7 +27,6 @@ from .linalg import (
     SvdResult,
     eig_sym,
     lasso_cd,
-    lasso_gram,
     pinv,
     reduced_rank_regression,
     ridge_solve,

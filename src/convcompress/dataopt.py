@@ -161,7 +161,14 @@ class RefinedLayer:
     units the producing method documents (summed discarded eigenvalues for
     ``data_svd``, Frobenius response error for the asymmetric fits).
     A fit has one bias, that of the layer it returns:
-    ``y_mean - M @ (z_mean - b)`` for the bias ``b`` of ``wrapped``.
+    ``y_mean - M @ (z_mean - b)`` for the bias ``b`` of the layer whose
+    responses ``z`` were fitted (no ``b`` term when it has none).
+
+    ``wrapped`` is that fitted layer for ``data_svd``, ``asym_data_svd`` and
+    ``relu_asym``; :func:`refined_kernel` builds the returned layer from it.
+    For ``spatial_refine`` it is the returned layer itself, which carries
+    that bias already, so ``b`` is the bias of the layer the fit was given,
+    not of ``wrapped``.
     """
 
     M: Array
@@ -211,8 +218,10 @@ def data_svd(kernel: Kernel4D, ref_outputs: Array, r: int) -> RefinedLayer:
 def _returned_bias(layer: RefinedLayer) -> Array:
     """Bias of the returned layer ``M W``: ``y_mean - M (z_mean - b)``.
 
-    ``b`` is the bias of ``layer.wrapped``, whose responses ``z = W x + b``
-    were fitted, so that the returned layer computes ``predict(z)``.
+    ``b`` is the bias of the fitted layer, whose responses ``z = W x + b``
+    were fitted, so that the returned layer computes ``predict(z)``.  It is
+    read off ``layer.wrapped``, which is that layer until ``spatial_refine``
+    replaces it with the returned layer.
     """
     b = layer.wrapped.bias
     return layer.y_mean - layer.M @ (layer.z_mean if b is None else layer.z_mean - b)

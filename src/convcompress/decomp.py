@@ -136,10 +136,12 @@ def _layer(
 
 def _sweeps(sweep: Callable[[], float], max_iters: int, tol: float, what: str) -> dict:
     """Run ``sweep`` (it returns the relative error) until the error changes by
-    less than ``tol`` or ``max_iters`` (>= 1) sweeps ran; returns the meta
-    fields ``iterations``, ``rel_error`` and ``converged``."""
+    less than ``tol`` (not NaN) or ``max_iters`` (>= 1) sweeps ran; returns
+    the meta fields ``iterations``, ``rel_error`` and ``converged``."""
     # the solvers' factors are only filled by the first sweep
     max_iters = linalg.integer(max_iters, f"{what} max_iters", 1)
+    if math.isnan(tol):
+        raise ValueError(f"{what} tol must not be NaN")
     err_prev = np.inf
     for i in range(1, max_iters + 1):
         err = sweep()
@@ -213,14 +215,15 @@ def cp_als(
     absorbed into wt.  A factor's r x r Gram is formed once after each change
     of the factor that a later solve reads, six per sweep.  A solve multiplies
     the Grams of the other three factors in mode order and inverts the
-    product with the unchecked core of :func:`convcompress.linalg.psd_inverse`,
-    which still refuses a non-finite Gram (the Grams of a finite kernel can
-    overflow); above condition number 1e12 a 1e-10 ridge is added.  The
-    Khatri-Rao product of wy, wx and wt that a sweep's error test builds is
-    the next sweep's ws operand, and the product of ws and wy that the wx
-    solve builds starts the wt operand.  Iteration stops when the relative
-    reconstruction error changes by less than ``tol`` or after ``max_iters``
-    (>= 1) sweeps; non-convergence is reported in ``meta``, not raised.
+    product with ``convcompress.linalg._psd_power``, the unchecked PSD
+    inverse, which still refuses a non-finite Gram (the Grams of a finite
+    kernel can overflow); above condition number 1e12 a 1e-10 ridge is
+    added.  The Khatri-Rao product of wy, wx and wt that a sweep's error
+    test builds is the next sweep's ws operand, and the product of ws and wy
+    that the wx solve builds starts the wt operand.  Iteration stops when
+    the relative reconstruction error changes by less than ``tol`` (a NaN is
+    refused) or after ``max_iters`` (>= 1) sweeps; non-convergence is
+    reported in ``meta``, not raised.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
     check_ranks("cp", s, t, k, (r,))

@@ -11,8 +11,8 @@ One unchecked core does the eigen work: ``_eigh`` (the LAPACK call of
 ``np.linalg.eigh``, without its per-call dispatch, in descending order and
 with LAPACK's signs) and ``_psd_power``, the PSD inverse built on it, whose
 ``V diag(vals**-power) V^T`` does not depend on the signs.  :func:`eig_sym`
-and :func:`psd_inverse` check their input, and symmetrize it only when it
-is not exactly symmetric, before they call the core.  :func:`ridge_solve`,
+checks its input, and symmetrizes it only when it is not exactly
+symmetric, before it calls the core.  :func:`ridge_solve`,
 :func:`rrr_fitter` and ``cp_als`` have checked their data already and call
 ``_psd_power`` directly on Gram matrices (``Z @ Z.T``, ``F.T @ F`` and
 their elementwise products), which are exactly symmetric.
@@ -32,12 +32,11 @@ counts and sizes, the toy task's sizes and the cost model's dims) as an
 int, within its bounds; numpy integers pass, and a float is refused, never
 truncated, even 2.0.  Truncation: ``svd(a, r)`` checks
 1 <= r <= min(m, n) and returns the leading r triplets; every truncating
-decomposition asks it for r.  PSD inverse: ``_psd_power``, behind
-:func:`psd_inverse`, returns ``(C + eps*I)^-power``, zero on C's null space;
-it refuses an eps that is negative, NaN or infinite, an empty C, a
-``C + eps*I`` with a non-finite entry (the square of finite data can
-overflow), and with
-``eps=0`` a C whose condition number exceeds 1e12.  Every ridge ``eps`` of
+decomposition asks it for r.  PSD inverse: ``_psd_power`` returns
+``(C + eps*I)^-power``, zero on C's null space; it refuses an eps that is
+negative, NaN or infinite, an empty C, a ``C + eps*I`` with a non-finite
+entry (the square of finite data can overflow), and with ``eps=0`` a C
+whose condition number exceeds 1e12.  Every ridge ``eps`` of
 the package reaches it, so an explicit ``eps=0`` in :func:`ridge_solve`,
 :func:`reduced_rank_regression` or :func:`rrr_fitter` refuses such a
 ``Z @ Z.T``; ``cp_als`` catches the refusal and solves with a 1e-10 ridge.
@@ -111,9 +110,11 @@ def svd(a, r: int | None = None) -> SvdResult:
     Returns U (m x p), S (p, descending, nonnegative) and V (n x p) with
     p = min(m, n); reconstruction and orthogonality hold to ~1e-12 relative.
     With ``r`` (1 <= r <= p) only the leading r triplets are returned, the
-    same bits as ``svd(a).truncate(r)``.
+    same bits as ``svd(a).truncate(r)``.  An empty matrix is refused.
     """
     m = float_array(a, "matrix", 2)
+    if m.size == 0:
+        raise ValueError("matrix must not be empty")
     r = None if r is None else integer(r, "rank", 1, min(m.shape))
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if r is not None:
@@ -142,10 +143,10 @@ def orthonormal_extend(u: Array, r: int) -> Array:
 
 
 def pinv(a) -> Array:
-    """Moore-Penrose pseudo-inverse via :func:`svd`; singular values at or
-    below 1e-12 times the largest count as zero."""
+    """Moore-Penrose pseudo-inverse of a nonempty matrix via :func:`svd`;
+    singular values at or below 1e-12 times the largest count as zero."""
     res = svd(a)
-    cutoff = 1e-12 * (res.S[0] if res.S.size else 0.0)
+    cutoff = 1e-12 * res.S[0]
     inv_s = np.where(res.S > cutoff, 1.0 / np.where(res.S > 0, res.S, 1.0), 0.0)
     return (res.V * inv_s) @ res.U.T
 
@@ -210,10 +211,21 @@ def _default_ridge_eps(z: Array) -> float:
 
 
 def _psd_power(c: Array, eps: float, power: float = 1.0, left: Array | None = None) -> Array:
-    """:func:`psd_inverse` of a square symmetric ``c`` and a finite ``power``
-    and ``left``, which it does not check.  It does check ``eps``, that C is
-    not empty (a Z without rows gives an empty ``Z @ Z.T``), and that
-    ``C + eps*I`` is finite, which the Gram of finite data need not be."""
+    """``(C + eps*I)^-power`` of a symmetric PSD ``c``, zero on its null space;
+    ``left @ (C + eps*I)^-power`` when ``left`` is given.
+
+    With ``V diag(vals) V^T`` the eigendecomposition of ``C + eps*I``, this is
+    ``(left @ (V / vals**power)) @ V.T``: applying ``left`` before ``V.T``
+    keeps its components along C's large eigenvalues when a tiny eps meets
+    a singular C.  With ``eps=0`` a C whose condition number exceeds 1e12
+    raises; with ``eps > 0`` eigenvalues that still read <= 0 are left out.
+
+    ``c`` must be square and exactly symmetric, and ``power`` and ``left``
+    finite; callers pass checked Gram matrices, so none of that is checked
+    here.  It does refuse an eps that is negative, NaN or infinite, an empty
+    C (a Z without rows gives an empty ``Z @ Z.T``), and a ``C + eps*I``
+    with a non-finite entry (the Gram of finite data can overflow).
+    """
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be >= 0" if eps < math.inf else "eps must be finite")
     if c.size == 0:
@@ -231,32 +243,6 @@ def _psd_power(c: Array, eps: float, power: float = 1.0, left: Array | None = No
         vals, vecs = vals[live], vecs[:, live]
     scaled = vecs / (vals if power == 1 else vals**power)  # vals**1.0 is vals
     return (scaled if left is None else left @ scaled) @ vecs.T
-
-
-def psd_inverse(
-    c: Array, eps: float = 0.0, power: float = 1.0, left: Array | None = None
-) -> Array:
-    """``(C + eps*I)^-power`` of a symmetric PSD ``C``, zero on its null space;
-    ``left @ (C + eps*I)^-power`` when ``left`` is given.
-
-    With ``V diag(vals) V^T`` the eigendecomposition of ``C + eps*I``, this is
-    ``(left @ (V / vals**power)) @ V.T``: applying ``left`` before ``V.T``
-    keeps its components along C's large eigenvalues when a tiny eps meets
-    a singular C.  With ``eps=0`` a C whose condition number exceeds 1e12
-    raises; with ``eps > 0`` eigenvalues that still read <= 0 are left out.
-
-    This is the checked public entry to the unchecked core ``_psd_power``,
-    which the package's solvers call directly.  It checks, in this order: C
-    as :func:`eig_sym` checks its input, a finite power, a finite ``left``,
-    then (in the core) an eps that is negative, NaN or infinite and a
-    ``C + eps*I`` that overflowed.
-    """
-    c = _symmetric(c)
-    if not math.isfinite(power):
-        raise ValueError(f"power must be finite, got {power}")
-    if left is not None:
-        left = float_array(left, "left")
-    return _psd_power(c, eps, power, left)
 
 
 def ridge_solve(y, z, eps: float | None = None) -> Array:
@@ -342,10 +328,21 @@ class LassoResult:
 
 
 def lasso_solver(g, c, tol: float = 1e-8, max_sweeps: int = 10000) -> Callable[..., LassoResult]:
-    """``solve(lam, beta0=None)``, the :func:`lasso_gram` of a fixed G and c,
-    which this checks once (with ``max_sweeps``) for the many penalties and
-    warm starts of a penalty search; each solve checks its ``lam`` and
-    ``beta0``."""
+    """``solve(lam, beta0=None)``: the lasso in covariance form,
+    ``argmin 0.5*b^T G b - c^T b + lam*||b||_1``, of a fixed G and c.
+
+    With ``G = X^T X`` and ``c = X^T y`` this is the lasso of :func:`lasso_cd`
+    up to a constant.  Soft-threshold updates are swept cyclically, keeping
+    ``q = c - G b`` current so that each update costs O(p), until the
+    largest coefficient change in a sweep is at most ``tol``; ``converged``
+    is False when ``max_sweeps`` ran out first.  ``beta0`` warm-starts the
+    sweeps (default zero) and is not written to.  Coordinates with
+    ``G[j, j] == 0`` (zero-norm columns) keep a zero coefficient.
+
+    G, c, ``tol`` (which must not be NaN) and ``max_sweeps`` are checked
+    once, when the solver is built, for the many penalties and warm starts
+    of a penalty search; each solve checks its ``lam`` and ``beta0``.
+    """
     g = float_array(g, "G", 2)
     p = g.shape[0]
     if g.shape != (p, p):
@@ -354,6 +351,8 @@ def lasso_solver(g, c, tol: float = 1e-8, max_sweeps: int = 10000) -> Callable[.
     if c.size != p:
         raise ValueError(f"c length {c.size} does not match G size {p}")
     max_sweeps = integer(max_sweeps, "max_sweeps", 1)
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     diag = g.diagonal()
     dead = diag == 0.0
     # (j, G[j, j], row j) of each live coordinate; G is symmetric: row j is column j
@@ -393,27 +392,10 @@ def lasso_solver(g, c, tol: float = 1e-8, max_sweeps: int = 10000) -> Callable[.
     return solve
 
 
-def lasso_gram(
-    g, c, lam: float, beta0=None, tol: float = 1e-8, max_sweeps: int = 10000
-) -> LassoResult:
-    """Lasso in covariance form: ``argmin 0.5*b^T G b - c^T b + lam*||b||_1``.
-
-    With ``G = X^T X`` and ``c = X^T y`` this is the lasso of :func:`lasso_cd`
-    up to a constant.  Soft-threshold updates are swept cyclically, keeping
-    ``q = c - G b`` current so that each update costs O(p), until the
-    largest coefficient change in a sweep is below ``tol``; ``converged`` is
-    False when ``max_sweeps`` ran out first.  ``beta0`` warm-starts the
-    sweeps (default zero).  Coordinates with ``G[j, j] == 0`` (zero-norm
-    columns) keep a zero coefficient.  The one-call form of
-    :func:`lasso_solver`.
-    """
-    return lasso_solver(g, c, tol, max_sweeps)(lam, beta0)
-
-
 def lasso_cd(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10000) -> Array:
     """Lasso ``argmin 0.5*||y - X b||^2 + lam*||b||_1`` by coordinate descent.
 
-    Forms ``X^T X`` and ``X^T y`` and runs :func:`lasso_gram` from zero;
+    Forms ``X^T X`` and ``X^T y`` and runs :func:`lasso_solver` from zero;
     warns when ``max_sweeps`` is hit before the largest coefficient change
     in a sweep drops below ``tol``.  Zero-norm columns keep a zero
     coefficient.
@@ -422,7 +404,7 @@ def lasso_cd(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10000) -> Ar
     y = float_array(y, "y").ravel()
     if y.size != x.shape[0]:
         raise ValueError(f"y length {y.size} does not match X rows {x.shape[0]}")
-    res = lasso_gram(x.T @ x, x.T @ y, lam, tol=tol, max_sweeps=max_sweeps)
+    res = lasso_solver(x.T @ x, x.T @ y, tol, max_sweeps)(lam)
     if not res.converged:
         warnings.warn(f"lasso_cd stopped at max_sweeps={max_sweeps} before reaching tol={tol}",
                       RuntimeWarning, stacklevel=2)

@@ -524,7 +524,7 @@ def cp_als_reference_loop(kernel, r: int, max_iters: int = 200, tol: float = 1e-
 
 def lasso_gram_reference_loop(g, c, lam: float, beta0=None, tol: float = 1e-8,
                               max_sweeps: int = 10000):
-    """The sweep loop of ``linalg.lasso_gram`` with its soft threshold as
+    """The sweep loop of ``linalg.lasso_solver`` with its soft threshold as
     ``copysign(abs(rho) - lam, rho)`` and its largest change kept by the
     ``max`` builtin, for valid inputs.  Returns ``beta``, ``sweeps`` and
     ``converged``."""
@@ -880,7 +880,7 @@ def channel_prune_doubling_reference(kernel, x, y, s_prime: int):
     runs: list[linalg.LassoResult] = []
 
     def solve(lam: float) -> Array:
-        runs.append(linalg.lasso_gram(gram, corr, lam, beta0=runs[-1].beta if runs else None))
+        runs.append(linalg.lasso_solver(gram, corr)(lam, runs[-1].beta if runs else None))
         return runs[-1].beta
 
     lam = 1e-4

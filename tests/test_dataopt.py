@@ -570,9 +570,14 @@ class TestReturnedLayerBias:
         kernel, batch = make_biased_setup(seed)
         if not bias:  # the layer that kept no bias errs by the responses' offset
             kernel = Kernel4D(kernel.data)
-        res = spatial_refine(spatial_svd(kernel, 5), batch)
+        given = spatial_svd(kernel, 5)
+        res = spatial_refine(given, batch)
         err = layer_error(reconstruct(res.wrapped), batch)
         assert err == pytest.approx(res.residual, rel=1e-9)
+        # wrapped is the returned layer: its bias uses the given layer's b
+        b = given.bias
+        want = res.y_mean - res.M @ (res.z_mean if b is None else res.z_mean - b)
+        assert np.array_equal(res.wrapped.bias, want)
 
 
 #: fit name -> fit(kernel, batch with current outputs, r) of a RefinedLayer wrapping kernel

@@ -35,6 +35,7 @@ from convcompress.dataopt import (
     refined_kernel,
     relu_asym,
     sample_patches,
+    spatial_refine,
 )
 from convcompress.decomp import (
     DecomposedLayer,
@@ -436,12 +437,13 @@ class TestNonFiniteInputs:
 
     def test_lasso_gram_correlations(self, value):
         with raises(ValueError, "c contains non-finite entries"):
-            linalg.lasso_gram(np.eye(2), poisoned([1.0, 1.0], value), 0.1)
+            linalg.lasso_solver(np.eye(2), poisoned([1.0, 1.0], value))
 
     def test_lasso_gram_warm_start(self, value):
         beta0 = poisoned([0.0, 0.0], value)
+        solve = linalg.lasso_solver(np.eye(2), [1.0, 1.0])
         with raises(ValueError, "beta0 contains non-finite entries"):
-            linalg.lasso_gram(np.eye(2), [1.0, 1.0], 0.1, beta0=beta0)
+            solve(0.1, beta0)
 
     def test_lasso_cd_response(self, value):
         x = np.random.default_rng(52).normal(size=(5, 3))
@@ -492,8 +494,6 @@ INTEGER_ARGUMENTS = {
     "magnitude_prune-s_prime": ("s_prime", 2, lambda k, b, v: magnitude_prune(k, v)),
     "cp_als-max_iters": ("CP max_iters", 3, lambda k, b, v: cp_als(k, 2, max_iters=v)),
     "tucker_hooi-max_iters": ("tucker max_iters", 2, lambda k, b, v: tucker_hooi(k, 2, 2, max_iters=v)),
-    "lasso_gram-max_sweeps": (
-        "max_sweeps", 2, lambda k, b, v: linalg.lasso_gram(A.T @ A, A.T @ A[:, 0], 0.1, max_sweeps=v)),
     "lasso_solver-max_sweeps": (
         "max_sweeps", 2, lambda k, b, v: linalg.lasso_solver(A.T @ A, A.T @ A[:, 0], max_sweeps=v)(0.1)),
     "lasso_cd-max_sweeps": (
@@ -571,7 +571,7 @@ BELOW_MINIMUM = {
     "train_toy_gated-seed": (lambda k, b: train_toy_gated(TASK, "l0", 0.1, seed=-2),
                              "seed must be >= 0, got -2"),
     "n_samples": (lambda k, b: ToyRegressionTask(n_samples=0), "n_samples must be >= 1, got 0"),
-    "max_sweeps": (lambda k, b: linalg.lasso_gram(np.eye(2), [1.0, 1.0], 0.1, max_sweeps=0),
+    "max_sweeps": (lambda k, b: linalg.lasso_solver(np.eye(2), [1.0, 1.0], max_sweeps=0),
                    "max_sweeps must be >= 1, got 0"),
     "max_outer": (lambda k, b: relu_asym(b, k, 2, max_outer=-1), "max_outer must be >= 0, got -1"),
     "channel_prune-s_prime": (
@@ -599,15 +599,16 @@ def test_an_integer_below_its_minimum_is_refused(kernel, fitted, case):
         call(kernel, fitted)
 
 
-#: id -> the call of an ``eps``; each reaches ``psd_inverse``'s one rule.
+#: id -> the call of an ``eps``; each reaches ``linalg._psd_power``'s one rule.
 EPS_CALLS = {
-    "psd_inverse": lambda k, b, eps: linalg.psd_inverse(Z @ Z.T, eps),
+    "_psd_power": lambda k, b, eps: linalg._psd_power(Z @ Z.T, eps),
     "ridge_solve": lambda k, b, eps: linalg.ridge_solve(Y, Z, eps=eps),
     "reduced_rank_regression": lambda k, b, eps: linalg.reduced_rank_regression(Y, Z, 2, eps=eps),
     "rrr_fitter": lambda k, b, eps: linalg.rrr_fitter(Z, 2, eps=eps)(Y),
     "asym_data_svd": lambda k, b, eps: asym_data_svd(b, k, 2, eps=eps),
     "relu_asym": lambda k, b, eps: relu_asym(b, k, 2, eps=eps),
     "asym3d": lambda k, b, eps: asym3d(k, b, 2, 2, eps=eps),
+    "spatial_refine": lambda k, b, eps: spatial_refine(spatial_svd(k, 2), b, eps=eps),
 }
 
 
@@ -626,9 +627,19 @@ class TestFloatParameters:
         with raises(ValueError, message):
             EPS_CALLS[case](kernel, fitted, eps)
 
-    def test_lasso_gram_of_a_nan_lambda(self):
+    def test_lasso_cd_of_a_nan_lambda(self):
         with raises(ValueError, "lambda must be >= 0"):
-            linalg.lasso_gram(np.eye(2), [1.0, 1.0], np.nan)
+            linalg.lasso_cd(A, A[:, 0], np.nan)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda k: linalg.lasso_solver(np.eye(2), [1.0, 1.0], tol=np.nan), "tol must not be NaN"),
+        (lambda k: linalg.lasso_cd(A, A[:, 0], 0.1, tol=np.nan), "tol must not be NaN"),
+        (lambda k: cp_als(k, 2, tol=np.nan), "CP tol must not be NaN"),
+        (lambda k: tucker_hooi(k, 2, 2, tol=np.nan), "tucker tol must not be NaN"),
+    ], ids=["lasso_solver", "lasso_cd", "cp_als", "tucker_hooi"])
+    def test_a_nan_tol(self, kernel, call, message):
+        with raises(ValueError, message):
+            call(kernel)
 
     @pytest.mark.parametrize("schedule", [(1.0, np.nan), (np.inf,), (0.5, np.inf, 2.0)])
     def test_relu_asym_of_a_non_finite_lambda(self, kernel, fitted, schedule):

@@ -13,11 +13,9 @@ from convcompress import linalg
 from convcompress.linalg import (
     eig_sym,
     lasso_cd,
-    lasso_gram,
     lasso_solver,
     orthonormal_extend,
     pinv,
-    psd_inverse,
     reduced_rank_regression,
     ridge_solve,
     rrr_fitter,
@@ -108,6 +106,12 @@ class TestSvd:
     def test_rank_r_out_of_range_raises(self, r):
         with pytest.raises(ValueError, match=f"rank {r} out of range \\[1, 4\\]"):
             svd(np.ones((4, 6)), r)
+
+    @pytest.mark.parametrize("f", [svd, pinv])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_refuses_an_empty_matrix(self, f, shape):
+        with pytest.raises(ValueError, match="matrix must not be empty"):
+            f(np.zeros(shape))
 
     def test_pinv_satisfies_penrose_identities(self):
         rng = np.random.default_rng(31)
@@ -352,15 +356,17 @@ class TestLassoCd:
         rng = np.random.default_rng(15)
         x = rng.normal(size=(25, 8)) + rng.normal(size=(25, 1))
         y = rng.normal(size=25)
-        res = lasso_gram(x.T @ x, x.T @ y, 0.1, max_sweeps=2)
+        res = lasso_solver(x.T @ x, x.T @ y, max_sweeps=2)(0.1)
         assert (res.sweeps, res.converged) == (2, False)
         with pytest.warns(RuntimeWarning, match="max_sweeps=2"):
             assert_allclose(lasso_cd(x, y, 0.1, max_sweeps=2), res.beta, atol=1e-12)
-        done = lasso_gram(x.T @ x, x.T @ y, 0.1)
+        done = lasso_solver(x.T @ x, x.T @ y)(0.1)
         assert done.converged and 2 < done.sweeps < 10000
 
 
 class TestLassoGram:
+    """lasso_solver, the lasso in covariance (Gram) form: warm starts and refusals."""
+
     def test_warm_start_reaches_cold_solution(self):
         """From any start, including a denser one and one with a nonzero
         coefficient on a zero column, the sweeps reach the cold-start
@@ -371,11 +377,11 @@ class TestLassoGram:
         y = x[:, :4] @ rng.normal(size=4) + 0.1 * rng.normal(size=50)
         g, c = x.T @ x, x.T @ y
         for lam in (0.01, 1.0, 10.0):
-            cold = lasso_gram(g, c, lam, tol=1e-13)
+            cold = lasso_solver(g, c, tol=1e-13)(lam)
             assert cold.converged
             starts = [rng.normal(size=10) * 5.0, np.ones(10), cold.beta, np.zeros(10)]
             for beta0 in starts:
-                warm = lasso_gram(g, c, lam, beta0=beta0, tol=1e-13)
+                warm = lasso_solver(g, c, tol=1e-13)(lam, beta0)
                 assert warm.converged
                 assert_allclose(warm.beta, cold.beta, atol=1e-9)
                 assert warm.beta[7] == 0.0
@@ -385,21 +391,21 @@ class TestLassoGram:
         x = rng.normal(size=(30, 6))
         y = rng.normal(size=30)
         g, c = x.T @ x, x.T @ y
-        cold = lasso_gram(g, c, 0.3, tol=1e-14)
-        again = lasso_gram(g, c, 0.3, beta0=cold.beta, tol=1e-8)
+        cold = lasso_solver(g, c, tol=1e-14)(0.3)
+        again = lasso_solver(g, c, tol=1e-8)(0.3, cold.beta)
         assert again.sweeps == 1
         assert_allclose(again.beta, cold.beta, atol=1e-12)
 
     def test_beta0_not_modified(self):
         g = np.array([[2.0, 0.5], [0.5, 1.0]])
         beta0 = np.array([3.0, -3.0])
-        lasso_gram(g, np.array([1.0, 1.0]), 0.1, beta0=beta0)
+        lasso_solver(g, np.array([1.0, 1.0]))(0.1, beta0)
         assert beta0.tolist() == [3.0, -3.0]
 
     def test_beta0_of_a_dead_coordinate_not_modified(self):
         """A zero-norm column's warm start is zeroed in a copy."""
         beta0 = np.array([1.0, 1.0])
-        res = lasso_gram(np.diag([1.0, 0.0]), np.array([1.0, 1.0]), 0.1, beta0=beta0)
+        res = lasso_solver(np.diag([1.0, 0.0]), np.array([1.0, 1.0]))(0.1, beta0)
         assert res.beta.tolist() == [0.9, 0.0]
         assert beta0.tolist() == [1.0, 1.0]
 
@@ -413,15 +419,15 @@ class TestLassoGram:
     )
     def test_shape_errors(self, g, c, beta0, match):
         with pytest.raises(ValueError, match=match):
-            lasso_gram(g, c, 0.1, beta0=beta0)
+            lasso_solver(g, c)(0.1, beta0)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
-            lasso_gram(np.eye(2), np.ones(2), -1.0)
+            lasso_solver(np.eye(2), np.ones(2))(-1.0)
 
 
 class TestLassoGramPinned:
-    """lasso_gram's two-branch soft threshold returns the bits of the loop
+    """lasso_solver's two-branch soft threshold returns the bits of the loop
     that took ``copysign(abs(rho) - lam, rho)``."""
 
     @staticmethod
@@ -447,7 +453,7 @@ class TestLassoGramPinned:
         outcomes = set()
         for _ in range(300):
             g, c, lam, beta0, kw = self._problem(rng)
-            got = lasso_gram(g, c, lam, beta0=beta0, **kw)
+            got = lasso_solver(g, c, **kw)(lam, beta0)
             want = lasso_gram_reference_loop(g, c, lam, beta0=beta0, **kw)
             assert got.beta.tobytes() == want["beta"].tobytes()
             assert (got.sweeps, got.converged) == (want["sweeps"], want["converged"])
@@ -511,8 +517,8 @@ class TestLassoSolver:
 
 
 class TestPsdInversePinned:
-    """psd_inverse gives the bytes, or the refusal, of the copy that went
-    through eig_sym with its sign fixing."""
+    """``_psd_power``, the PSD inverse every solver runs, gives the bytes, or
+    the refusal, of the copy that went through eig_sym with its sign fixing."""
 
     @staticmethod
     def outcome(f, *args):
@@ -548,20 +554,11 @@ class TestPsdInversePinned:
                 c = 0.5 * (c + c.T)
             want = self.outcome(psd_inverse_reference, c, eps, power, left)
             refused += isinstance(want, str)
-            assert self.outcome(psd_inverse, c, eps, power, left) == want
+            got = self.outcome(linalg._psd_power, linalg._symmetric(c), eps, power, left)
+            assert got == want
         if case == "singular-ridged":
             assert filtered > 0
         assert (refused > 0) == (case == "refused")
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [({"power": np.nan}, "power"), ({"power": np.inf}, "power"),
-         ({"left": [[np.nan, 1.0]]}, "left"), ({"left": [[1.0, np.inf]]}, "left")],
-        ids=["nan-power", "inf-power", "nan-left", "inf-left"],
-    )
-    def test_refuses_non_finite_power_and_left(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            psd_inverse(4 * np.eye(2), **kwargs)
 
 
 class TestRidgeSingularGuard:
