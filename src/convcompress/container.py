@@ -129,7 +129,7 @@ class Entry:
 @dataclass
 class Container:
     entries: list[Entry] = field(default_factory=list)
-    # a new container's blob is a bytearray, so that ``add`` appends in place
+    # ``add`` appends in place to a bytearray (a read ``bytes`` blob: from its first add)
     blob: bytes | bytearray = field(default_factory=bytearray)
 
     def entry(self, name: str) -> Entry:
@@ -167,6 +167,8 @@ class Container:
                 metadata=dict(metadata or {}),
             )
         )
+        if type(self.blob) is bytes:
+            self.blob = bytearray(self.blob)
         self.blob += payload
 
 

@@ -320,7 +320,7 @@ def relu_asym(
     Alternates an analytic elementwise Z-step with a reduced-rank (M, b)
     fit to the auxiliary variable, over an increasing penalty schedule.
     Every fit regresses on the same centered current responses, which are
-    checked and whitened once per call, at the first fit
+    checked and whitened once per call, when it builds its fitter
     (:func:`convcompress.linalg.rrr_fitter`).
     At fixed penalty the relaxed objective is nonincreasing across steps;
     the trace is recorded in ``meta["objective_trace"]``.

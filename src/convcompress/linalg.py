@@ -16,9 +16,9 @@ symmetric, before it calls the core.  :func:`ridge_solve`,
 :func:`rrr_fitter` and ``cp_als`` have checked their data already and call
 ``_psd_power`` directly on Gram matrices (``Z @ Z.T``, ``F.T @ F`` and
 their elementwise products), which are exactly symmetric.
-:func:`rrr_fitter` checks and whitens a fixed Z once for many reduced-rank
-fits, and :func:`lasso_solver` checks a fixed G and c once for the many
-penalties of a lasso penalty search.
+:func:`rrr_fitter` (a fixed Z, checked and whitened) and :func:`lasso_solver`
+(a fixed G and c) check their data once, when they are built, for the many
+reduced-rank fits or lasso penalties that follow.
 
 Four rules are written once here.  Input: :func:`float_array` gives the
 float arrays the package takes in (kernels, feature maps, patch batches,
@@ -90,11 +90,6 @@ class SvdResult:
     S: Array
     V: Array
 
-    def truncate(self, r: int) -> tuple[Array, Array, Array]:
-        """First ``r`` singular triplets ``(U_r, S_r, V_r)``."""
-        r = integer(r, "rank", 1, self.S.size)
-        return self.U[:, :r], self.S[:r], self.V[:, :r]
-
 
 def _fix_signs(u: Array, *others: Array) -> tuple[Array, ...]:
     """Flip columns so the largest-magnitude entry of each ``u`` column is
@@ -109,8 +104,8 @@ def svd(a, r: int | None = None) -> SvdResult:
 
     Returns U (m x p), S (p, descending, nonnegative) and V (n x p) with
     p = min(m, n); reconstruction and orthogonality hold to ~1e-12 relative.
-    With ``r`` (1 <= r <= p) only the leading r triplets are returned, the
-    same bits as ``svd(a).truncate(r)``.  An empty matrix is refused.
+    With ``r`` (1 <= r <= p) it returns the leading r triplets, the first r
+    of ``svd(a)`` bit for bit: the one truncation.  An empty matrix is refused.
     """
     m = float_array(a, "matrix", 2)
     if m.size == 0:
@@ -277,25 +272,20 @@ class RrrResult:
 
 def rrr_fitter(z, r: int, eps: float | None = None) -> Callable[[Array], Array]:
     """``fit(y)``, the M of ``reduced_rank_regression(y, z, r, eps)``, for a
-    fixed Z that the first fit checks and whitens and the later fits reuse.
+    fixed Z, checked and whitened once, when the fitter is built.
 
-    Every fit checks its Y, then (the first time) Z, then the shapes and the
-    rank, then (the first time) whitens, where ``eps=0`` on a rank-deficient
-    Z raises.
+    ``eps=0`` on a rank-deficient Z raises there; every fit then checks its
+    Y, the column counts and the rank.
     """
-    zc = c_neg_half = None
+    z = float_array(z, "Z", 2)
+    c_neg_half = _psd_power(z @ z.T, _default_ridge_eps(z) if eps is None else eps, 0.5)
 
     def fit(y) -> Array:
-        nonlocal zc, c_neg_half
         y = float_array(y, "Y", 2)
-        if c_neg_half is None:
-            zc = float_array(z, "Z", 2)
-        if y.shape[1] != zc.shape[1]:
-            raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {zc.shape}")
+        if y.shape[1] != z.shape[1]:
+            raise ValueError(f"Y and Z need equal column counts, got {y.shape} vs {z.shape}")
         rank = integer(r, "rank", 1, y.shape[0])
-        if c_neg_half is None:
-            c_neg_half = _psd_power(zc @ zc.T, _default_ridge_eps(zc) if eps is None else eps, 0.5)
-        whitened = (y @ zc.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
+        whitened = (y @ z.T) @ c_neg_half  # equals (Y Z^T C^{-1}) @ C^{1/2}
         res = svd(whitened, min(rank, whitened.shape[1]))
         return (res.U * res.S) @ res.V.T @ c_neg_half
 
@@ -308,8 +298,9 @@ def reduced_rank_regression(y, z, r: int, eps: float | None = None) -> RrrResult
     Computed by whitening: with C = Z Z^T + eps*I, the full-rank solution
     M_full = Y Z^T C^{-1} is truncated in the whitened coordinates
     (SVD of M_full C^{1/2} to rank r, mapped back by C^{-1/2}), which
-    attains the constrained optimum.  One :func:`rrr_fitter` fit gives M
-    and makes the checks, so the residual only converts the checked Y and Z.
+    attains the constrained optimum.  ``rrr_fitter(z, r, eps)(y)`` gives M and
+    makes the checks, Z's first (of a Z and a Y fault the Z fault is
+    reported), so the residual only converts the checked Y and Z.
     """
     m = rrr_fitter(z, r, eps)(y)
     y = np.asarray(y, dtype=np.float64, order="C")

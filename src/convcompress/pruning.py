@@ -83,7 +83,7 @@ def channel_prune(
     more than ``s_prime`` coefficients survive, then bisects 20 steps to the
     smallest feasible penalty; a problem feasible at 1e-4 keeps 1e-4.
     Returns after the least-squares refit of the centred data; the refit
-    kernel carries the fitted bias.
+    kernel carries the fitted bias.  Patches that do not vary are refused.
     """
     t, s, k = kernel.t, kernel.s, kernel.k
     s_prime = linalg.integer(s_prime, "s_prime", 1, s - 1)
@@ -93,8 +93,9 @@ def channel_prune(
         raise ValueError(f"x must be (n, {s}, {k * k}), got {x.shape}")
     if y.shape != (x.shape[0], t):
         raise ValueError(f"y must be ({x.shape[0]}, {t}), got {y.shape}")
-    if not np.any(x):
-        raise ValueError("input patches are all zero")
+    # equal patches, tested exactly: their rounded mean may not centre them to 0
+    if not (x != x[:1]).any():
+        raise ValueError("input patches do not vary: the centred patches are all zero")
 
     x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
     xc, yc = x - x_mean, y - y_mean

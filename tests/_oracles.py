@@ -614,8 +614,8 @@ def asym3d_reference_fit(kernel, batch, r_s: int, r_d: int, eps=None):
     rrr = linalg.reduced_rank_regression(
         (batch.ref_outputs - y_mean).T, (z - z_mean).T, r_d, eps=eps
     )
-    res = linalg.svd(rrr.M)
-    u, sv, v = res.truncate(r_d)
+    res = linalg.svd(rrr.M, r_d)
+    u, sv, v = res.U, res.S, res.V
     right = (sv[:, None] * v.T)  # (r_d, t), together with u: M = u @ right
     wh = np.einsum("dt,rxt->rxd", right, sp.factors["wh"])
     factors = {"wv": sp.factors["wv"], "wh": wh, "wp": u.T}

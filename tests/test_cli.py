@@ -713,6 +713,21 @@ class TestPruneCli:
         assert set(diag) == {"lambda", "solves", "sweeps", "converged"}
         assert diag["converged"] is True and diag["solves"] >= 1 and diag["sweeps"] >= diag["solves"]
 
+    def test_lasso_on_patches_that_do_not_vary(self, capsys, model_dir, tmp_path):
+        path, kernel = model_dir
+        x = np.tile(np.random.default_rng(14).normal(size=36), (10, 1))
+        batch = Container()
+        add_batch(batch, "batch", PatchBatch(inputs=x, ref_outputs=x @ kernel.as_matrix().T))
+        write_container(batch, tmp_path / "batch")
+        code, out, err = run(
+            capsys, "prune", path, "--layer", "conv1", "--keep", "2",
+            "--batch", tmp_path / "batch", "--out", tmp_path / "p",
+        )
+        assert code == 1 and out is None
+        assert json.loads(err) == {
+            "error": "input patches do not vary: the centred patches are all zero"}
+        assert not (tmp_path / "p").exists()
+
 
 class TestGatesCli:
     def test_train_and_store(self, capsys, tmp_path):

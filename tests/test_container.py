@@ -80,6 +80,24 @@ class TestRoundTrip:
         assert written == b"".join(a.astype("<f4").tobytes() for a in arrays)
         assert type(read_container(tmp_path / "c").blob) is bytes
 
+    def test_read_blob_grows_in_place(self, tmp_path):
+        """A read container's ``bytes`` blob becomes a ``bytearray`` at the
+        first ``add``, which later adds append to without copying."""
+        rng = np.random.default_rng(2)
+        arrays = [rng.normal(size=(2, 5)), rng.normal(size=(4,)), rng.normal(size=(3, 3))]
+        c = Container()
+        c.add("a", "factor", arrays[0])
+        write_container(c, tmp_path / "c")
+        back = read_container(tmp_path / "c")
+        back.add("b", "factor", arrays[1])
+        blob = back.blob
+        back.add("c", "factor", arrays[2])
+        assert back.blob is blob and isinstance(blob, bytearray)
+        write_container(back, tmp_path / "c2")
+        again = read_container(tmp_path / "c2")
+        for name, array in zip("abc", arrays):
+            assert again.get(name).tobytes() == array.astype("<f4").astype(np.float64).tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(
         shapes=st.lists(

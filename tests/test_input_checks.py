@@ -265,12 +265,6 @@ class TestLinalg:
         with raises(ValueError, "X must be 2-D, got shape (2, 2, 2)"):
             linalg.lasso_cd(np.zeros((2, 2, 2)), np.zeros(2), 0.1)
 
-    @pytest.mark.parametrize("r", [0, 3])
-    def test_truncate_out_of_range(self, r):
-        res = linalg.svd(np.eye(2))
-        with raises(ValueError, f"rank {r} out of range [1, 2]"):
-            res.truncate(r)
-
     def test_eig_sym_of_a_non_square_matrix(self):
         with raises(ValueError, "matrix must be square, got (2, 3)"):
             linalg.eig_sym(np.zeros((2, 3)))
@@ -482,7 +476,6 @@ def stored_kernel_metadata(kernel, **size) -> dict:
 #: with the kernel and the fitted batch).  Every scalar integer argument is here.
 INTEGER_ARGUMENTS = {
     "svd-r": ("rank", 2, lambda k, b, v: linalg.svd(A, v)),
-    "truncate-r": ("rank", 2, lambda k, b, v: linalg.svd(A).truncate(v)),
     "rrr_fitter-r": ("rank", 2, lambda k, b, v: linalg.rrr_fitter(Z, v)(Y)),
     "reduced_rank_regression-r": ("rank", 2, lambda k, b, v: linalg.reduced_rank_regression(Y, Z, v)),
     "orthonormal_extend-r": ("rank", 3, lambda k, b, v: linalg.orthonormal_extend(np.eye(4)[:, :2], v)),

@@ -126,6 +126,20 @@ class TestChannelPrune:
         with pytest.raises(ValueError, match="zero"):
             channel_prune(kernel, np.zeros_like(x), y, s_prime=2)
 
+    @pytest.mark.parametrize("patches", ["one", "five-equal", "rounded-mean", "all-zero"])
+    @pytest.mark.parametrize("s_prime", [1, 2])
+    def test_patches_that_do_not_vary_are_refused(self, patches, s_prime):
+        """One patch, equal patches or all-zero patches, refused whatever
+        ``s_prime`` is; also where the mean of equal patches rounds away from
+        their value."""
+        kernel, x, y = planted_setup(25, s=3, k=1)
+        x = {"one": x[:1], "five-equal": np.repeat(x[:1], 5, axis=0),
+             "rounded-mean": np.full((3, 3, 1), 0.1), "all-zero": np.zeros_like(x)}[patches]
+        if patches == "rounded-mean":
+            assert (x - x.mean(axis=0)).all()
+        with pytest.raises(ValueError, match="^input patches do not vary"):
+            channel_prune(kernel, x, y[:len(x)], s_prime)
+
 
 class TestMagnitudePrune:
     def test_zero_channel_dropped(self):
