@@ -138,9 +138,9 @@ def _parse_ranks(text: str, method: str, choice: str) -> tuple[int, ...]:
 def _map_size(cont: cio.Container, name: str) -> tuple[int, int]:
     """Feature-map size ``(h, w)`` stored with kernel entry ``name``; 1 x 1
     when the container holds no such kernel."""
-    if cont.has(name) and cont.entry(name).kind == "kernel":
-        kmeta = cont.entry(name).metadata
-        return kmeta.get("h", 1), kmeta.get("w", 1)
+    e = cont.named.get(name)
+    if e is not None and e.kind == "kernel":
+        return e.metadata.get("h", 1), e.metadata.get("w", 1)
     return 1, 1
 
 
@@ -313,8 +313,11 @@ def _cmd_rank_select(args) -> tuple[dict, cio.Container | None]:
 def _cmd_report(args) -> tuple[dict, cio.Container | None]:
     cont = cio.read_container(args.input)
     items = []
-    seen_layers = set()
-    for e in cont.entries:
+    # each layer is read from the entries directly under it, at its first factor
+    groups = {}
+    for e in cont.named.values():
+        groups.setdefault(cio.layer_of(e.name), {})[e.name] = e
+    for e in cont.named.values():
         if e.kind == "kernel":
             kernel, _ = cio.read_kernel(cont, e.name)
             h, w = _map_size(cont, e.name)
@@ -332,10 +335,9 @@ def _cmd_report(args) -> tuple[dict, cio.Container | None]:
             base = cio.layer_of(e.name)
             if base is None:
                 raise cio.ContainerError("bad_manifest", f"factor {e.name!r} is under no layer")
-            if base in seen_layers:
+            if base not in groups:  # read already
                 continue
-            seen_layers.add(base)
-            layer = cio.read_layer(cont, base)
+            layer = cio.read_layer(cio.Container(groups.pop(base), cont.blob), base)
             h, w = _map_size(cont, base.rsplit("/", 1)[0])
             items.append({"name": base, "kind": "layer", **_layer_report(layer, h, w)})
         elif e.kind in ("patchbatch", "gates", "plan"):

@@ -3,16 +3,18 @@
 A container is a directory holding ``manifest.json`` and ``blob.bin``.
 The manifest lists named entries (kind, shape, byte range, metadata map);
 the blob concatenates the entries' row-major float32 payloads in manifest
-order.  Arrays come back as float64; the file keeps float32.
+order.  Arrays come back as float64; the file keeps float32.  A
+:class:`Container` finds its entries by name and keeps them in manifest
+order; ``entries`` is a copy of them: add one with :meth:`Container.add`.
 
 Malformed containers raise :class:`ContainerError` with a stable ``code``:
 ``bad_manifest``, ``duplicate_name``, ``shape_mismatch``, ``truncated``,
 ``overlap`` or ``missing``.  The manifest must be UTF-8 JSON and every
 payload finite, or :func:`read_container` fails with ``bad_manifest``;
-:meth:`Container.add` refuses, with the same error, a payload that is not
-finite as float32, so it writes only what is read back; :func:`add_kernel`
-takes ``h`` and ``w`` as integers >= 1 (:func:`convcompress.linalg.integer`),
-as they are read back.
+:meth:`Container.add` refuses, with the same error, a name that is not a
+string and a payload that is not finite as float32, so it writes only what
+is read back; :func:`add_kernel` takes ``h`` and ``w`` as integers >= 1
+(:func:`convcompress.linalg.integer`), as they are read back.
 Each stored value is checked by kind, with a minimum where one applies
 (:func:`_field`), else ``bad_manifest``: an entry's name, kind, dtype and
 byte range, a kernel's ``h`` and ``w`` and every metadata field a typed
@@ -128,18 +130,23 @@ class Entry:
 
 @dataclass
 class Container:
-    entries: list[Entry] = field(default_factory=list)
+    """Entries by name (``named``), in manifest order, and the blob they index."""
+
+    named: dict[str, Entry] = field(default_factory=dict)
     # ``add`` appends in place to a bytearray (a read ``bytes`` blob: from its first add)
     blob: bytes | bytearray = field(default_factory=bytearray)
 
+    @property
+    def entries(self) -> list[Entry]:
+        return list(self.named.values())
+
     def entry(self, name: str) -> Entry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise ContainerError("missing", f"no entry named {name!r}")
+        if name not in self.named:
+            raise ContainerError("missing", f"no entry named {name!r}")
+        return self.named[name]
 
     def has(self, name: str) -> bool:
-        return any(e.name == name for e in self.entries)
+        return name in self.named
 
     def get(self, name: str) -> Array:
         e = self.entry(name)
@@ -148,7 +155,8 @@ class Container:
         return flat.astype(np.float64).reshape(e.shape)
 
     def add(self, name: str, kind: str, array, metadata: dict | None = None) -> None:
-        if self.has(name):
+        _field({"name": name}, "name", "entry", str)  # as read_container reads a name
+        if name in self.named:
             raise ContainerError("duplicate_name", f"entry {name!r} already present")
         if kind not in KINDS:
             raise ContainerError("bad_manifest", f"unknown entry kind {kind!r}")
@@ -157,15 +165,13 @@ class Container:
             f32 = arr.astype("<f4")
         _check_finite(f32, name)
         payload = f32.tobytes()
-        self.entries.append(
-            Entry(
-                name=name,
-                kind=kind,
-                shape=tuple(int(d) for d in arr.shape),
-                byte_offset=len(self.blob),
-                byte_length=len(payload),
-                metadata=dict(metadata or {}),
-            )
+        self.named[name] = Entry(
+            name=name,
+            kind=kind,
+            shape=tuple(int(d) for d in arr.shape),
+            byte_offset=len(self.blob),
+            byte_length=len(payload),
+            metadata=dict(metadata or {}),
         )
         if type(self.blob) is bytes:
             self.blob = bytearray(self.blob)
@@ -196,8 +202,7 @@ def read_container(path) -> Container:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):
         raise ContainerError("bad_manifest", "manifest lacks an entries list")
     blob = bpath.read_bytes()
-    entries = []
-    seen = set()
+    named = {}
     for raw in manifest["entries"]:
         if not isinstance(raw, dict) or not isinstance(raw.get("metadata", {}), dict):
             raise ContainerError("bad_manifest", f"malformed entry: {raw!r}")
@@ -216,9 +221,8 @@ def read_container(path) -> Container:
             raise ContainerError("bad_manifest", f"{where} has unknown kind {e.kind!r}")
         if e.dtype != "f32":
             raise ContainerError("bad_manifest", f"{where} has unsupported dtype")
-        if e.name in seen:
+        if e.name in named:
             raise ContainerError("duplicate_name", f"duplicate entry name {e.name!r}")
-        seen.add(e.name)
         if e.kind == "kernel":
             for dim in ("h", "w"):
                 _field(e.metadata, dim, f"kernel {e.name!r}", int, 1, default=1)
@@ -236,12 +240,12 @@ def read_container(path) -> Container:
                 f"{e.byte_offset + e.byte_length}) beyond blob of {len(blob)} bytes",
             )
         _check_finite(np.frombuffer(blob, "<f4", e.byte_length // 4, e.byte_offset), e.name)
-        entries.append(e)
-    spans = sorted((e.byte_offset, e.byte_offset + e.byte_length, e.name) for e in entries)
+        named[e.name] = e
+    spans = sorted((e.byte_offset, e.byte_offset + e.byte_length, e.name) for e in named.values())
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:
             raise ContainerError("overlap", f"entries {n0!r} and {n1!r} overlap in the blob")
-    return Container(entries=entries, blob=blob)
+    return Container(named=named, blob=blob)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +320,7 @@ def read_layer(container: Container, name: str) -> DecomposedLayer:
     The layer's factors are the direct children ``name/<factor>``; its meta
     holds its order and the :data:`DIAGNOSTICS` stored, all three or none.
     """
-    picked = [e for e in container.entries if e.kind == "factor"
+    picked = [e for e in container.named.values() if e.kind == "factor"
               and layer_of(e.name) == name and e.metadata.get("role") != "bias"]
     if not picked:
         raise ContainerError("missing", f"no factor entries under {name!r}")

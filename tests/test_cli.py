@@ -44,7 +44,7 @@ from convcompress.dataopt import (
     relu_asym,
     sample_patches,
 )
-from convcompress.decomp import cp_als, reconstruct, tucker_hooi, weight_svd
+from convcompress.decomp import cp_als, reconstruct, tt_svd, tucker_hooi, weight_svd
 from convcompress.gates import GateVector, HardConcreteGate
 from convcompress.kernel import Kernel4D, conv_direct, mac_cost, matricize_spatial
 from convcompress.rankselect import AccTable, GridCosts, RankPlan
@@ -654,6 +654,69 @@ class TestReportOtherEntries:
         code, out, err = run(capsys, "report", tmp_path / "c")
         assert code == 1 and out is None
         assert json.loads(err) == {"code": "bad_manifest", "error": "factor 'a' is under no layer"}
+
+
+class TestReportLayers:
+    def test_interleaved_layers_are_listed_once_at_their_first_factor(self, capsys, tmp_path):
+        """Two layers whose factors interleave in the manifest, with a plan
+        between their first factors: each layer is one item, where its first
+        factor stands, with the fields of the layer ``read_layer`` reads."""
+        rng = np.random.default_rng(16)
+        kernel = Kernel4D(rng.normal(size=(6, 4, 3, 3)), bias=rng.normal(size=6))
+        parts = Container()
+        add_layer(parts, "a", tt_svd(kernel, 2, 3, 2))
+        add_layer(parts, "b", weight_svd(kernel, 3))
+        a = [e for e in parts.entries if e.name.startswith("a/")]
+        b = [e for e in parts.entries if e.name.startswith("b/")]
+        c = Container()
+        for e in [b[0], None, a[0], b[1], a[1], a[2], b[2], a[3], a[4]]:
+            if e is None:
+                add_plan(c, "plan", RankPlan(ranks=((3,),), tau=0.1, achieved_macs=100,
+                                             achieved_ratio=0.5, strategy="equal_acc"))
+            else:
+                c.add(e.name, e.kind, parts.get(e.name), e.metadata)
+        write_container(c, tmp_path / "c")
+        code, rep, _ = run(capsys, "report", tmp_path / "c")
+        assert code == 0
+        assert [(item["name"], item["kind"]) for item in rep["entries"]] == [
+            ("b", "layer"), ("plan", "plan"), ("a", "layer")]
+        back = read_container(tmp_path / "c")
+        for item in (rep["entries"][0], rep["entries"][2]):
+            layer = read_layer(back, item["name"])
+            want = {"name": item["name"], "kind": "layer", **cli._layer_report(layer, 1, 1)}
+            assert item == json.loads(json.dumps(want))
+
+    def test_a_bias_of_another_kind_fails_as_read_layer_fails(self, capsys, tmp_path):
+        """A layer is read with every entry directly under it, so a ``bias``
+        entry that is not a factor fails ``report`` as it fails ``read_layer``."""
+        c = Container()
+        add_layer(c, "a", tt_svd(Kernel4D(np.ones((6, 4, 3, 3))), 2, 3, 2))
+        c.add("a/bias", "plan", np.ones(6))
+        write_container(c, tmp_path / "c")
+        code, out, err = run(capsys, "report", tmp_path / "c")
+        assert code == 1 and out is None
+        assert json.loads(err) == {"code": "bad_manifest",
+                                   "error": "entry 'a/bias' is a plan, not a factor"}
+
+    def test_report_is_linear_in_the_entries(self, capsys, tmp_path, monkeypatch):
+        """``report`` groups the entries by layer in one pass: over 40 biased
+        kernels, each with its biased tt layer, it asks for the layer of an
+        entry at most three times per entry."""
+        rng = np.random.default_rng(17)
+        kernel = Kernel4D(rng.normal(size=(6, 4, 3, 3)), bias=rng.normal(size=6))
+        layer = tt_svd(kernel, 2, 3, 2)
+        c = Container()
+        for i in range(40):
+            add_kernel(c, f"conv{i}", kernel)
+            add_layer(c, f"conv{i}/decomposed", layer)
+        assert len(c.entries) == 280
+        write_container(c, tmp_path / "c")
+        calls = []
+        layer_of = cli.cio.layer_of
+        monkeypatch.setattr(cli.cio, "layer_of", lambda name: calls.append(name) or layer_of(name))
+        code, rep, _ = run(capsys, "report", tmp_path / "c")
+        assert code == 0 and len(rep["entries"]) == 80
+        assert len(calls) <= 3 * 280
 
 
 class TestPruneCli:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from convcompress.container import (
     Container,
     ContainerError,
+    Entry,
     add_acc_tables,
     add_batch,
     add_gates,
@@ -120,6 +121,50 @@ class TestRoundTrip:
             back = read_container(f"{tmp}/c")
         for name, arr in arrays.items():
             assert np.array_equal(back.get(name), arr)
+
+
+class TestEntryMap:
+    """A container finds its entries by name and keeps them in manifest order;
+    ``entries`` is a copy of them."""
+
+    def test_entries_in_add_order_and_manifest_order(self, tmp_path):
+        names = ["z", "a/w", "m", "a"]
+        c = Container()
+        for i, name in enumerate(names):
+            c.add(name, "factor", np.full(i + 1, float(i)))
+        assert [e.name for e in c.entries] == names
+        write_container(c, tmp_path / "c")
+        manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert [e["name"] for e in manifest["entries"]] == names
+        # a manifest that lists its entries in another order than their bytes
+        manifest["entries"].reverse()
+        (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
+        back = read_container(tmp_path / "c")
+        assert [e.name for e in back.entries] == names[::-1]
+        for i, name in enumerate(names):
+            assert np.array_equal(back.get(name), np.full(i + 1, float(i)))
+
+    def test_appending_to_entries_adds_nothing(self, tmp_path):
+        c = Container()
+        c.add("a", "factor", np.ones(2))
+        listed = c.entries
+        listed.append(Entry("b", "factor", (2,), 8, 8))
+        assert [e.name for e in c.entries] == ["a"] and not c.has("b")
+        with pytest.raises(ContainerError) as err:
+            c.entry("b")
+        assert err.value.code == "missing"
+        write_container(c, tmp_path / "c")
+        assert [e.name for e in read_container(tmp_path / "c").entries] == ["a"]
+
+    @pytest.mark.parametrize("name", [7, None, ("a",)])
+    def test_add_refuses_a_name_that_is_not_a_string(self, name):
+        """As ``read_container`` would refuse it, with the container untouched."""
+        c = Container()
+        with pytest.raises(ContainerError) as err:
+            c.add(name, "plan", np.ones(2))
+        assert err.value.code == "bad_manifest"
+        assert str(err.value) == f"entry: name must be a string, got {name!r}"
+        assert c.entries == [] and c.blob == b""
 
 
 class TestValidation:
